@@ -35,17 +35,18 @@ def _worker_count():
             return max(1, int(value))
         except ValueError:
             raise ValidationError("GAUSSTOPO_THREADS must be an integer")
-    return min(8, os.cpu_count() or 1)
+    # BLAS already threads the dense algebra; more workers oversubscribe cores
+    return 1
 
 
 def _timestamp_header():
     return "# generated %s" % datetime.now(timezone.utc).isoformat()
 
 
-def _open_out(path):
+def _open_out(path, mode="w"):
     if path in (None, "-"):
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+    return open(path, mode, encoding="utf-8", newline=""), True
 
 
 def _add_lattice_flags(parser, boundary_default="torus"):
@@ -136,30 +137,34 @@ def cmd_tmi(args):
     return EXIT_OK
 
 
-def _sweep_point(spec_base, log_s, kappa, args):
+def _sweep_point(spec_base, log_s, kappas, args):
+    """Reports for one log s, one per kappa in `kappas`, sharing one
+    covariance, one TLN and one set of KP spectra of the pure state."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
     cov_pure = _surface_cov(spec)
     regions = _kp(spec, args)
-    report = topo.TopoReport(log_s=log_s, kappa=kappa,
-                             geometry=dict(regions.geometry))
+    geometry = dict(regions.geometry)
     metrics = set(args.metrics.split(","))
+    shared = {}
+    if metrics & {"tee_kp", "tmi", "tmi_lower"}:
+        spectra = topo._kp_spectra(cov_pure, regions)
     if "tee_kp" in metrics:
-        report.tee_kp = topo.tee_kp(cov_pure, regions)
+        shared["tee_kp"] = topo._kp_entropy(spectra, 1.0)
     if "tee_lw" in metrics:
         lw = topo.lw_regions(spec, inner=args.inner, width=args.width)
-        report.tee_lw = topo.tee_lw(cov_pure, lw)
-        report.geometry.update({"inner": args.inner, "width": args.width})
+        shared["tee_lw"] = topo.tee_lw(cov_pure, lw)
+        geometry.update({"inner": args.inner, "width": args.width})
     if "tln" in metrics:
-        report.tln_kp = topo.tln_kp(cov_pure, regions)
-    if "tmi" in metrics:
-        cov = engine.thermal_scale(cov_pure, kappa) if kappa > 1 else cov_pure
-        report.tmi = topo.tmi(cov, regions)
+        shared["tln_kp"] = topo.tln_kp(cov_pure, regions)
     if "tmi_lower" in metrics:
-        report.tmi_lower = topo.tmi_lower_bound(cov_pure, regions)
+        shared["tmi_lower"] = topo._kp_log_sum(spectra)
     if "tee_upper" in metrics:
-        report.tee_upper = topo.tee_upper_bound(spec.s)
-    return report
+        shared["tee_upper"] = topo.tee_upper_bound(spec.s)
+    return [topo.TopoReport(log_s=log_s, kappa=kappa, geometry=dict(geometry),
+                            tmi=topo._kp_entropy(spectra, kappa) if "tmi" in metrics else None,
+                            **shared)
+            for kappa in kappas]
 
 
 def _existing_points(path):
@@ -184,27 +189,23 @@ def cmd_sweep(args):
     else:
         grid = list(np.linspace(args.log_s_min, args.log_s_max, args.steps))
     kappas = [float(k) for k in args.kappas.split(",")]
-    points = [(log_s, kappa) for log_s in grid for kappa in kappas]
+    if min(kappas) < 1.0:
+        raise ValidationError("kappas must be >= 1")
     done = _existing_points(args.out)
-    todo = [(ls, k) for ls, k in points
-            if ("%.12g" % ls, "%.12g" % k) not in done]
+    pending = {log_s: [k for k in kappas if ("%.12g" % log_s, "%.12g" % k) not in done]
+               for log_s in grid}
 
-    failures = []
-
-    def run(point):
-        log_s, kappa = point
+    def run(log_s):
         try:
-            return point, _sweep_point(spec_base, log_s, kappa, args)
-        except GaussTopoError as exc:
-            failures.append((point, str(exc)))
-            return point, None
+            return log_s, _sweep_point(spec_base, log_s, pending[log_s], args), None
+        except (GaussTopoError, np.linalg.LinAlgError) as exc:
+            return log_s, [], exc
 
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = dict(pool.map(run, todo))
+        outcomes = list(pool.map(run, [log_s for log_s, ks in pending.items() if ks]))
+    failures = [(log_s, exc) for log_s, _, exc in outcomes if exc is not None]
 
-    mode = "a" if done else "w"
-    stream = sys.stdout if args.out in (None, "-") else open(
-        args.out, mode, encoding="utf-8", newline="")
+    stream, close = _open_out(args.out, "a" if done else "w")
     try:
         writer = csv.writer(stream)
         if not done:
@@ -213,28 +214,23 @@ def cmd_sweep(args):
         json_stream = None
         if args.json_out:
             json_stream = open(args.json_out, "a" if done else "w", encoding="utf-8")
-        for point in points:
-            if point not in results:
-                continue
-            report = results[point]
-            if report is None:
-                continue
-            writer.writerow(["%.12g" % point[0]]
-                            + [("" if v is None else "%.12g" % v)
-                               for v in (report.tee_kp, report.tee_lw,
-                                         report.tln_kp, report.tmi,
-                                         report.tmi_lower, report.tee_upper)]
-                            + ["%.12g" % point[1]])
-            if json_stream:
-                json_stream.write(json.dumps(report.to_dict()) + "\n")
+        for _, reports, _ in outcomes:
+            for report in reports:
+                record = report.to_dict()
+                writer.writerow(["" if record[c] is None else "%.12g" % record[c]
+                                 for c in SWEEP_COLUMNS])
+                if json_stream:
+                    json_stream.write(json.dumps(record) + "\n")
         if json_stream:
             json_stream.close()
     finally:
-        if stream is not sys.stdout:
+        if close:
             stream.close()
-    for point, message in failures:
-        print("point %s failed: %s" % (point, message), file=sys.stderr)
-    return EXIT_OK
+    for log_s, exc in failures:
+        for kappa in pending[log_s]:
+            print("point log_s=%.12g kappa=%.12g failed: %s" % (log_s, kappa, exc),
+                  file=sys.stderr)
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 def cmd_spectrum(args):

@@ -122,7 +122,12 @@ class CovMatrix:
         Real symmetric covariance matrix.
     kappa : float, optional
         Thermal scale, 1 for pure states.
+
+    `covariance_from_graph` marks its result as a kappa-scaled pure state
+    and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
     """
+
+    _scaled_pure = False
 
     def __init__(self, gamma, kappa=1.0):
         g = np.atleast_2d(np.asarray(gamma, dtype=float))
@@ -197,8 +202,10 @@ class SymplecticSpectrum:
         return len(self) - self.n_above
 
     def scaled(self, kappa):
-        """Spectrum of the kappa-scaled state (sigma -> kappa * sigma)."""
-        return SymplecticSpectrum(kappa * self.values, tol_half=self.tol_half)
+        """Spectrum of the kappa-scaled state (sigma -> kappa * sigma); values
+        within tol_half of 1/2 map to exactly kappa/2."""
+        vals = np.where(self.values <= 0.5 + self.tol_half, 0.5, self.values)
+        return SymplecticSpectrum(kappa * vals, tol_half=self.tol_half)
 
 
 def covariance_from_graph(graph, cond_threshold=1e12):
@@ -213,67 +220,51 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     Returns
     -------
     CovMatrix
-        Pure-state covariance (kappa = 1).
+        Pure-state covariance (kappa = 1), marked as such.
     """
     u = graph.u_part
-    if graph.n_modes == 0:
-        return CovMatrix(np.zeros((0, 0)))
-    if np.linalg.cond(u) > cond_threshold:
+    n = graph.n_modes
+    if n and np.linalg.cond(u) > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)
     if graph.is_v_zero():
-        n = graph.n_modes
         gamma = np.zeros((2 * n, 2 * n))
         gamma[:n, :n] = 0.5 * u_inv
         gamma[n:, n:] = 0.5 * u
-        return CovMatrix(gamma)
-    v = graph.v_part
-    uv = u_inv @ v
-    gamma = 0.5 * np.block([[u_inv, uv], [uv.T, u + v @ uv]])
-    return CovMatrix(gamma)
-
-
-def _is_scaled_pure(cov, tol=1e-8):
-    """Cheap probe for Gx Gp = (kappa/2)^2 I (block-diagonal pure states)."""
-    n = cov.n_modes
-    if n == 0:
-        return True
-    rng = np.random.default_rng(0)
-    probes = rng.standard_normal((n, 3))
-    resid = cov.q_block @ (cov.p_block @ probes) - 0.25 * cov.kappa ** 2 * probes
-    scale = 0.25 * cov.kappa ** 2 * max(1.0, np.abs(probes).max())
-    return np.abs(resid).max() <= tol * scale
+    else:
+        v = graph.v_part
+        uv = u_inv @ v
+        gamma = 0.5 * np.block([[u_inv, uv], [uv.T, u + v @ uv]])
+    cov = CovMatrix(gamma)
+    cov._scaled_pure = True
+    return cov
 
 
 def _spectrum_block_diagonal(cov, region):
     """Fast path for q/p block-diagonal covariances.
 
-    For a pure state scaled by kappa the q and p blocks are kappa/2 U^-1 and
-    kappa/2 U.  The product of the reduced blocks then satisfies the low-rank
+    For a marked (kappa-scaled pure) state the q and p blocks are
+    kappa/2 U^-1 and kappa/2 U.  The product of the reduced blocks then satisfies the low-rank
     identity (U^-1)_SS U_SS = I - (U^-1)_SL U_LS with L the complement of S,
     so the spectrum is computed on the smaller side of the bipartition and
-    the larger side padded with exact kappa/2 entries.  Generic block-diagonal
-    states fall back to the symmetrized product of the reduced blocks.
+    the larger side padded with exact kappa/2 entries.  Unmarked states fall
+    back to the symmetrized product of the reduced blocks.
     """
     n = cov.n_modes
     region = sorted(region)
     gx = cov.q_block
     gp = cov.p_block
-    if _is_scaled_pure(cov):
+    if cov._scaled_pure:
         comp = sorted(set(range(n)) - set(region))
         kappa = cov.kappa
-        small = region if len(region) <= len(comp) else comp
-        large = comp if len(region) <= len(comp) else region
+        small, large = sorted((region, comp), key=len)
         if not small:
             return np.full(len(region), 0.5 * kappa)
         cross = (4.0 / kappa ** 2) * (gx[np.ix_(small, large)] @ gp[np.ix_(large, small)])
         lam = np.linalg.eigvals(cross).real
         sigma = 0.5 * kappa * np.sqrt(np.clip(1.0 - lam, 1.0, None))
-        pad = len(region) - len(sigma)
-        if pad > 0:
-            sigma = np.concatenate([sigma, np.full(pad, 0.5 * kappa)])
-        return sigma
+        return np.concatenate([sigma, np.full(len(region) - len(sigma), 0.5 * kappa)])
     sel = np.ix_(region, region)
     gx_r = gx[sel]
     gp_r = gp[sel]
@@ -380,7 +371,9 @@ def thermal_scale(cov, kappa):
     """Scale the covariance by kappa (thermal cluster-state noise model)."""
     if kappa < 1.0:
         raise ValidationError("kappa must be >= 1")
-    return CovMatrix(kappa * cov.gamma, kappa=kappa * cov.kappa)
+    scaled = CovMatrix(kappa * cov.gamma, kappa=kappa * cov.kappa)
+    scaled._scaled_pure = cov._scaled_pure
+    return scaled
 
 
 def measure_q(graph, node):

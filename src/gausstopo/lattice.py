@@ -419,19 +419,16 @@ def nullifier_commutators(ns):
     if not all_vecs:
         return {"vertex": np.zeros((0, 0)), "face": np.zeros((0, 0)),
                 "cross": np.zeros((0, 0)), "cross_dagger": np.zeros((0, 0))}
-    omega = symplectic_form(all_vecs[0].size // 2)
-    nv = len(ns.vertex_nullifiers)
-    nf = len(ns.face_nullifiers)
-    vert = np.array([[commutator(ns.vertex_nullifiers[i], ns.vertex_nullifiers[j], omega)
-                      for j in range(nv)] for i in range(nv)])
-    face = np.array([[commutator(ns.face_nullifiers[i], ns.face_nullifiers[j], omega)
-                      for j in range(nf)] for i in range(nf)]) if nf else np.zeros((0, 0))
+    width = all_vecs[0].size
+    va = np.reshape(ns.vertex_nullifiers, (-1, width))
+    vf = np.reshape(ns.face_nullifiers, (-1, width))
+    omega = symplectic_form(width // 2)
+    va_omega = 1j * va @ omega
     # [a, b] uses the plain (non-conjugated) second vector
-    cross = np.array([[1j * (av @ omega @ bf) for bf in ns.face_nullifiers]
-                      for av in ns.vertex_nullifiers]) if nv and nf else np.zeros((nv, nf))
-    cross_dag = np.array([[commutator(av, bf, omega) for bf in ns.face_nullifiers]
-                          for av in ns.vertex_nullifiers]) if nv and nf else np.zeros((nv, nf))
-    return {"vertex": vert, "face": face, "cross": cross, "cross_dagger": cross_dag}
+    return {"vertex": va_omega @ va.conj().T,
+            "face": 1j * vf @ omega @ vf.conj().T,
+            "cross": va_omega @ vf.T,
+            "cross_dagger": va_omega @ vf.conj().T}
 
 
 def nullifier_expectation(cov, vec):

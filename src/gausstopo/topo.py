@@ -5,7 +5,6 @@ grid coordinates (x, y).  All entropies are in bits.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -144,14 +143,34 @@ def region_entropy(cov, region, tol_half=1e-9):
     return von_neumann_entropy(symplectic_spectrum(cov, region, tol_half=tol_half))
 
 
+def _kp_spectra(cov, regions):
+    """Spectra of the seven KP unions of `cov` divided by `cov.kappa`: for a
+    kappa-scaled pure state, the spectra of the pure state."""
+    return [engine.SymplecticSpectrum(
+        symplectic_spectrum(cov, regions.union(*names)).values / cov.kappa)
+        for names in KP_SUBSETS]
+
+
+def _kp_sum(term, items=KP_SUBSETS):
+    """-sum sign * term(item) over the seven KP unions, in KP_SUBSETS order."""
+    return -sum(sign * term(item) for item, sign in zip(items, KP_SIGNS))
+
+
+def _kp_entropy(spectra, kappa):
+    """-sum sign S_X of the kappa-scaled state, from `_kp_spectra`."""
+    return _kp_sum(lambda spec: von_neumann_entropy(spec.scaled(kappa)), spectra)
+
+
+def _kp_log_sum(spectra):
+    """-sum sign sum_i log2(2 sigma_i^X), from `_kp_spectra`."""
+    return _kp_sum(lambda spec: float(np.sum(np.log2(2.0 * spec.values))), spectra)
+
+
 def tee_kp(cov, regions):
     """Kitaev-Preskill combination -(S_A+S_B+S_C-S_AB-S_BC-S_AC+S_ABC)."""
     if regions.kind != "KP":
         raise ValidationError("tee_kp requires KP regions")
-    total = 0.0
-    for names, sign in zip(KP_SUBSETS, KP_SIGNS):
-        total += sign * region_entropy(cov, regions.union(*names))
-    return -total
+    return _kp_entropy(_kp_spectra(cov, regions), cov.kappa)
 
 
 def tee_lw(cov, regions):
@@ -166,10 +185,7 @@ def tln_kp(cov, regions):
     """KP combination with log-negativity substituted for entropy."""
     if regions.kind != "KP":
         raise ValidationError("tln_kp requires KP regions")
-    total = 0.0
-    for names, sign in zip(KP_SUBSETS, KP_SIGNS):
-        total += sign * engine.log_negativity(cov, regions.union(*names))
-    return -total
+    return _kp_sum(lambda names: engine.log_negativity(cov, regions.union(*names)))
 
 
 def mutual_information(cov, region, tol_half=1e-9):
@@ -188,39 +204,36 @@ def mutual_information(cov, region, tol_half=1e-9):
 
 
 def tmi(cov, regions):
-    """Topological mutual information -1/2 (I_A+I_B+I_C-I_AB-I_BC-I_AC+I_ABC)."""
+    """Topological mutual information -1/2 (I_A+I_B+I_C-I_AB-I_BC-I_AC+I_ABC).
+
+    For a marked kappa-scaled pure state a region X and its complement
+    share their nontrivial spectrum, so I_X = 2 [S_X(kappa) - |X| h(kappa/2)]
+    with h(kappa/2) the entropy of one mode at sigma = kappa/2.  The signed
+    sizes |X| sum to zero, so TMI = -sum sign S_X(kappa).  Unmarked states
+    sum the seven mutual informations.
+    """
     if regions.kind != "KP":
         raise ValidationError("tmi requires KP regions")
-    total = 0.0
-    for names, sign in zip(KP_SUBSETS, KP_SIGNS):
-        total += sign * mutual_information(cov, regions.union(*names))
-    return -0.5 * total
+    if cov._scaled_pure:
+        return _kp_entropy(_kp_spectra(cov, regions), cov.kappa)
+    return 0.5 * _kp_sum(lambda names: mutual_information(cov, regions.union(*names)))
 
 
 def tmi_lower_bound(cov_pure, regions):
     """Exact high-temperature limit of the TMI.
 
-    Evaluates -1/2 sum_X zeta(X) sum_i log2(2 sigma_i^X) over the fourteen
+    Defined as -1/2 sum_X zeta(X) sum_i log2(2 sigma_i^X) over the fourteen
     unions of {A, B, C, D} (D the disk complement), zeta = +1 for singles
-    and triples, -1 for pairs.  Eigenvalues at 1/2 contribute exactly 0, so
-    no spectral classification is needed.
+    and triples, -1 for pairs.  For a pure state they form seven
+    complementary pairs with equal zeta and equal nontrivial spectra, and
+    sigma = 1/2 adds 0, so this is -sum sign sum_i log2(2 sigma_i^X) over
+    the seven KP unions.
     """
     if regions.kind != "KP":
         raise ValidationError("tmi_lower_bound requires KP regions")
     if cov_pure.kappa != 1.0:
         raise ValidationError("tmi_lower_bound expects the pure (kappa=1) state")
-    n = cov_pure.n_modes
-    named = dict(regions.regions)
-    named["D"] = sorted(set(range(n)) - set(regions.union("A", "B", "C")))
-    total = 0.0
-    for size in (1, 2, 3):
-        zeta = -1 if size == 2 else 1
-        for combo in combinations("ABCD", size):
-            region = sorted(set().union(*[named[c] for c in combo]))
-            spec = symplectic_spectrum(cov_pure, region)
-            vals = np.clip(spec.values, 0.5, None)
-            total += -0.5 * zeta * float(np.sum(np.log2(2.0 * vals)))
-    return total
+    return _kp_log_sum(_kp_spectra(cov_pure, regions))
 
 
 def sandwich_regions(lw):

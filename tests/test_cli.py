@@ -189,3 +189,51 @@ class TestSweep:
                          "--log-s-min", "2", "--log-s-max", "1", "--steps", "2",
                          "--out", str(tmp_path / "x.csv"))
         assert code == cli.EXIT_VALIDATION
+
+    def test_kappas_share_log_s_work(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        code, _, _ = run(capsys, "sweep", "--rows", "8", "--cols", "8",
+                         "--log-s-min", "0.5", "--log-s-max", "1.5", "--steps", "2",
+                         "--kappas", "1,10", "--out", str(out))
+        assert code == 0
+        header, rows = read_rows(out)
+        col = {name: i for i, name in enumerate(header.split(","))}
+        rows = [row.split(",") for row in rows]
+        assert [(r[col["log_s"]], r[col["kappa"]]) for r in rows] == [
+            ("0.5", "1"), ("0.5", "10"), ("1.5", "1"), ("1.5", "10")]
+        for pure, hot in (rows[:2], rows[2:]):
+            for name in ("tee_kp", "tln", "tmi_lower"):
+                assert pure[col[name]] == hot[col[name]] != ""
+            assert pure[col["tmi"]] == pure[col["tee_kp"]]
+            assert float(hot[col["tmi"]]) < float(pure[col["tmi"]])
+
+    def test_resume_appends_only_missing_kappa(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        args = ("sweep", "--rows", "8", "--cols", "8", "--log-s-min", "0",
+                "--log-s-max", "1", "--steps", "2", "--kappas", "1,10",
+                "--out", str(out))
+        run(capsys, *args)
+        lines = out.read_text().splitlines()
+        dropped = lines[3]  # log s 0, kappa 10
+        assert dropped.startswith("0,") and dropped.endswith(",10")
+        out.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+        code, _, _ = run(capsys, *args)
+        assert code == 0
+        assert out.read_text().splitlines() == lines[:3] + lines[4:] + [dropped]
+
+    def test_failed_point_exits_numerical(self, tmp_path, capsys):
+        # U is too ill-conditioned at log s = 8; log s = 1 still succeeds
+        out = tmp_path / "f.csv"
+        code, _, stderr = run(capsys, "sweep", "--rows", "8", "--cols", "8",
+                              "--log-s-min", "1", "--log-s-max", "8", "--steps", "2",
+                              "--kappas", "1,10", "--out", str(out))
+        assert code == cli.EXIT_NUMERICAL
+        _, rows = read_rows(out)
+        assert [row.split(",")[0] for row in rows] == ["1", "1"]
+        assert stderr.count("failed") == 2
+        assert "log_s=8 kappa=10" in stderr
+
+    def test_kappa_below_one_rejected(self, tmp_path, capsys):
+        code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", "1,0.5",
+                         "--out", str(tmp_path / "x.csv"))
+        assert code == cli.EXIT_VALIDATION

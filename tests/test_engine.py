@@ -90,6 +90,14 @@ class TestCovarianceFromGraph:
         assert np.allclose(cov.q_block, 0.5 * np.linalg.inv(u))
         assert np.allclose(cov.p_block, 0.5 * u)
 
+    def test_marks_pure_state(self):
+        cov = engine.covariance_from_graph(two_mode_cluster(1.0))
+        assert cov._scaled_pure
+        assert engine.thermal_scale(cov, 3.0)._scaled_pure
+        hand_built = engine.CovMatrix(cov.gamma)
+        assert not hand_built._scaled_pure
+        assert not engine.thermal_scale(hand_built, 3.0)._scaled_pure
+
     def test_ill_conditioned(self):
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(
@@ -145,6 +153,8 @@ class TestSymplecticSpectrum:
         assert spec.n_above == 1
         assert spec.n_half == 2
         assert spec.scaled(2.0).values == pytest.approx([2.4, 1.0, 1.0])
+        # modes classified as 1/2 scale to exactly kappa/2
+        assert spec.scaled(3.0).values.tolist()[1:] == [1.5, 1.5]
         assert spec.values[0] == 1.2  # sorted descending
 
 

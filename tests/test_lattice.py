@@ -233,6 +233,19 @@ class TestNullifiers:
         for vec in ns.vertex_nullifiers[:3] + ns.face_nullifiers[:3]:
             assert lattice.commutator(vec, vec) == pytest.approx(1.0, abs=1e-10)
 
+    def test_tables_match_pairwise_commutators(self, setup):
+        # reference: one commutator per pair; [a, b] = commutator(a, conj(b))
+        _, sg = setup
+        ns = gt.nullifier_vectors(sg, np.e)
+        table = gt.nullifier_commutators(ns)
+        omega = engine.symplectic_form(sg.n_modes)
+        va, vf = ns.vertex_nullifiers, ns.face_nullifiers
+        for key, rows, cols in (("vertex", va, va), ("face", vf, vf),
+                                ("cross", va, [np.conj(b) for b in vf]),
+                                ("cross_dagger", va, vf)):
+            ref = np.array([[lattice.commutator(a, b, omega) for b in cols] for a in rows])
+            assert np.abs(table[key] - ref).max() < 1e-13
+
     @pytest.mark.parametrize("s", [1.0, np.e, np.e ** 2])
     def test_commutator_table(self, setup, s):
         _, sg = setup

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gausstopo as gt
 from gausstopo import engine, topo
@@ -12,6 +13,38 @@ from gausstopo.errors import ValidationError
 
 def product_cov(n_modes, kappa=1.0):
     return engine.thermal_scale(engine.CovMatrix(0.5 * np.eye(2 * n_modes)), kappa)
+
+
+def fourteen_union_lower_bound(cov, kp, kappa=1.0):
+    """TMI lower bound summed over all fourteen unions of {A, B, C, D},
+    from the spectra of `cov` divided by `kappa`."""
+    named = dict(kp.regions)
+    named["D"] = sorted(set(range(cov.n_modes)) - set(kp.union("A", "B", "C")))
+    total = 0.0
+    for size in (1, 2, 3):
+        zeta = -1 if size == 2 else 1
+        for combo in combinations("ABCD", size):
+            region = sorted(set().union(*[named[c] for c in combo]))
+            vals = engine.symplectic_spectrum(cov, region).values / kappa
+            vals = np.clip(vals, 0.5, None)
+            total += -0.5 * zeta * float(np.sum(np.log2(2.0 * vals)))
+    return total
+
+
+def oracle_slack(graph, kappa):
+    """First-order error of the dense oracle at this state.
+
+    The oracle recomputes all N modes of the large regions, including the
+    trivial ones at kappa/2, from U^-1, whose relative error is up to
+    eps * cond(U).  A relative error r of sigma = x moves log2(2 x) by
+    r / ln 2 and the entropy by r * x * h'(x), h'(x) = log2((x+1/2)/(x-1/2)).
+    """
+    rel = graph.n_modes * np.finfo(float).eps * np.linalg.cond(graph.u_part)
+    x = 0.5 * kappa
+    gain = 1.0 / np.log(2.0)
+    if x > 0.5 + 1e-9:
+        gain += x * np.log2((x + 0.5) / (x - 0.5))
+    return rel * gain
 
 
 # frozen regression values for the 16x16 torus at log s = 1 (default KP
@@ -200,17 +233,31 @@ class TestTMILowerBound:
         base = topo.tmi_lower_bound(cov, kp)
         kappa = 7.0
         thermal = engine.thermal_scale(cov, kappa)
-        named = dict(kp.regions)
-        named["D"] = sorted(set(range(cov.n_modes)) - set(kp.union("A", "B", "C")))
-        total = 0.0
-        for size in (1, 2, 3):
-            zeta = -1 if size == 2 else 1
-            for combo in combinations("ABCD", size):
-                region = sorted(set().union(*[named[c] for c in combo]))
-                vals = engine.symplectic_spectrum(thermal, region).values / kappa
-                vals = np.clip(vals, 0.5, None)
-                total += -0.5 * zeta * float(np.sum(np.log2(2.0 * vals)))
+        total = fourteen_union_lower_bound(thermal, kp, kappa)
         assert total == pytest.approx(base, abs=1e-9)
+
+
+class TestSpectraSetOracle:
+    """The seven-spectra forms of a marked state against the general paths."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(log_s=st.floats(0.3, 3.0), kappa=st.floats(1.0, 20.0))
+    def test_marked_matches_general(self, log_s, kappa):
+        spec = gt.LatticeSpec(12, 12, "torus", log_s)
+        graph = gt.surface_code_graph_analytic(spec)
+        cov = engine.thermal_scale(engine.covariance_from_graph(graph), kappa)
+        kp = topo.kp_regions(spec)
+        # an unmarked copy takes the block-diagonal fallback and the
+        # mutual-information sum
+        plain = engine.CovMatrix(cov.gamma, kappa=cov.kappa)
+        general = -0.5 * sum(sign * topo.mutual_information(plain, kp.union(*names))
+                             for names, sign in zip(topo.KP_SUBSETS, topo.KP_SIGNS))
+        assert topo.tmi(plain, kp) == general
+        tol = 1e-9 + oracle_slack(graph, kappa)
+        assert abs(topo.tmi(cov, kp) - general) <= tol
+        pure = engine.covariance_from_graph(graph)
+        oracle = fourteen_union_lower_bound(engine.CovMatrix(pure.gamma), kp)
+        assert abs(topo.tmi_lower_bound(pure, kp) - oracle) <= 1e-9 + oracle_slack(graph, 1.0)
 
 
 class TestSandwichBounds:
