@@ -52,8 +52,7 @@ class GaussGraph:
         if u.ndim != 2 or u.shape[0] != u.shape[1] or v.shape != u.shape:
             raise ValidationError("v_part and u_part must be square matrices of equal shape")
         n = u.shape[0]
-        if n < 0:
-            raise ValidationError("n_modes must be non-negative")
+        self._cond = 1.0
         if n > 0:
             scale_v = max(1.0, np.abs(v).max())
             scale_u = max(1.0, np.abs(u).max())
@@ -63,8 +62,11 @@ class GaussGraph:
                 raise ValidationError("u_part is not symmetric to within 1e-12")
             v = 0.5 * (v + v.T)
             u = 0.5 * (u + u.T)
-            if np.linalg.eigvalsh(u).min() <= 0:
+            w = np.linalg.eigvalsh(u)
+            if w[0] <= 0:
                 raise ValidationError("u_part must be positive definite")
+            # 2-norm condition number of the SPD U, read by covariance_from_graph
+            self._cond = w[-1] / w[0]
         self.n_modes = n
         self.v_part = v
         self.u_part = u
@@ -135,11 +137,14 @@ class CovMatrix:
             raise ValidationError("gamma must be a square 2N x 2N matrix")
         if kappa < 1.0:
             raise ValidationError("kappa must be >= 1")
-        scale = max(1.0, np.abs(g).max())
-        if np.abs(g - g.T).max() > 1e-10 * scale:
-            raise ValidationError("gamma is not symmetric")
+        if np.array_equal(g, g.T):
+            self.gamma = g.copy()
+        else:
+            scale = max(1.0, np.abs(g).max())
+            if np.abs(g - g.T).max() > 1e-10 * scale:
+                raise ValidationError("gamma is not symmetric")
+            self.gamma = 0.5 * (g + g.T)
         self.n_modes = g.shape[0] // 2
-        self.gamma = 0.5 * (g + g.T)
         self.gamma.setflags(write=False)
         self.kappa = float(kappa)
 
@@ -215,7 +220,8 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     ----------
     graph : GaussGraph
     cond_threshold : float, optional
-        Maximum allowed condition number of U.
+        Maximum allowed 2-norm condition number of U, taken from the
+        eigenvalues of the positive-definiteness check in GaussGraph.
 
     Returns
     -------
@@ -224,7 +230,7 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     """
     u = graph.u_part
     n = graph.n_modes
-    if n and np.linalg.cond(u) > cond_threshold:
+    if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)
@@ -340,10 +346,10 @@ def purity(spectrum):
 def log_negativity(cov, region):
     """Log-negativity (bits) of a q/p block-diagonal state across `region`.
 
-    Implements N = -1/2 sum log2 min(1, lambda_i(U^-1 mu U mu)) with
-    mu = +1 on the complement and -1 on the region, where U^-1 and U are
-    twice the q and p covariance blocks.  Only the block-diagonal form is
-    supported.
+    N = -1/2 sum log2 min(1, lambda_i(4 Q mu P mu)) with Q and P the q and p
+    covariance blocks and mu = -1 on the region, +1 on the complement.  A
+    marked kappa-scaled pure state has lambda = kappa^2 lambda(U^-1 mu U mu).
+    Only the block-diagonal form is supported.
     """
     region = sorted(set(int(i) for i in region))
     n = cov.n_modes
@@ -355,12 +361,13 @@ def log_negativity(cov, region):
         return 0.0
     mu = np.ones(n)
     mu[region] = -1.0
-    u = 2.0 * cov.p_block
-    u_inv = 2.0 * cov.q_block
-    # lambda(U^-1 mu U mu) via the generalized symmetric problem
-    # (mu U mu) x = lambda U x, which keeps the eigenvalues real.
-    mum = mu[:, None] * u * mu[None, :]
-    lam = sla.eigvalsh(mum, u)
+    p2 = 2.0 * cov.p_block
+    mpm = mu[:, None] * p2 * mu[None, :]
+    # generalized symmetric problems, which keep lambda real:
+    if cov._scaled_pure:  # (mu U mu) x = lambda U x
+        lam = cov.kappa ** 2 * sla.eigvalsh(mpm, p2)
+    else:  # (M 2Q M) x = lambda M x with M = mu 2P mu
+        lam = sla.eigvalsh(mpm @ (2.0 * cov.q_block) @ mpm, mpm)
     lam = lam[lam < 1.0]
     if lam.size == 0:
         return 0.0

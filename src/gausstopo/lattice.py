@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import GaussGraph, symplectic_form
-from .errors import ValidationError
+from .errors import SingularPivotError, ValidationError
 from . import engine
 
 BOUNDARIES = ("torus", "planar")
@@ -190,25 +190,32 @@ def kept_mode_adjacency(spec):
 def map_cluster_to_surface(spec):
     """Run the measurement pipeline on the cluster state.
 
+    p-measuring the nodes P leaves the kept nodes K in one block Schur
+    complement Z' = Z_KK - Z_KP Z_PP^-1 Z_PK (SingularPivotError when a
+    pivot |Z_kk| < 1e-12); the q-measured nodes are dropped, since
+    deletion commutes with the p-eliminations.
+
     Returns
     -------
     graph : GaussGraph
-        State of the kept modes (p-measured then q-measured nodes removed).
+        State of the kept modes.
     index_map : list of (row, col)
         1-based cluster coordinates of each kept mode, in mode order.
     """
-    graph = cluster_graph(spec)
-    q_nodes, p_nodes, kept = measurement_pattern(spec)
-    kind = {}
-    for i in p_nodes:
-        kind[i] = "p"
-    for i in q_nodes:
-        kind[i] = "q"
-    for node in sorted(kind, reverse=True):
-        if kind[node] == "p":
-            graph = engine.measure_p(graph, node)
-        else:
-            graph = engine.measure_q(graph, node)
+    # the cluster graph Z = A_d + i s^-2 I, built without a GaussGraph
+    z = cluster_adjacency(spec) + 1j * spec.s ** -2 * np.eye(spec.n_nodes)
+    _, p_nodes, kept = measurement_pattern(spec)
+    z_pp = z[np.ix_(p_nodes, p_nodes)]
+    z_pk = z[np.ix_(p_nodes, kept)]
+    if (np.abs(np.diag(z_pp)) < 1e-12).any():
+        raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
+    try:
+        z_new = z[np.ix_(kept, kept)] - z_pk.T @ np.linalg.solve(z_pp, z_pk)
+    except np.linalg.LinAlgError as exc:
+        raise SingularPivotError("Z_PP is singular: %s" % exc) from exc
+    # exact no-op for a diagonal Z_PP; on odd tori p-sites are adjacent
+    z_new = 0.5 * (z_new + z_new.T)
+    graph = GaussGraph(z_new.real, z_new.imag)
     index_map = [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
     return graph, index_map
 

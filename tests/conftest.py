@@ -5,9 +5,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gausstopo as gt
 from gausstopo import engine
+
+# every property test is reproducible and leaves no example database behind
+settings.register_profile("gausstopo", derandomize=True, deadline=None, database=None)
+settings.load_profile("gausstopo")
 
 
 @lru_cache(maxsize=None)

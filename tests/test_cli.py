@@ -51,6 +51,12 @@ class TestBuild:
         index = json.loads((tmp_path / "sc.json.map.json").read_text())
         assert len(index["kept"]) == 18
 
+    def test_map_singular_pivot_exits_numerical(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "map", "--rows", "4", "--cols", "4",
+                              "--log-s", "14", "--out", str(tmp_path / "sc.json"))
+        assert code == cli.EXIT_NUMERICAL
+        assert "pivot" in stderr
+
 
 class TestDiagnostics:
     def test_tee_matches_library(self, capsys, surface_state):

@@ -103,6 +103,35 @@ class TestCovarianceFromGraph:
             engine.covariance_from_graph(
                 engine.GaussGraph(None, np.diag([1.0, 1e-15])))
 
+    def test_cond_threshold_uses_two_norm_cond(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            g = random_graph(rng)
+            cond = np.linalg.cond(g.u_part)
+            assert g._cond == pytest.approx(cond, rel=1e-9)
+            engine.covariance_from_graph(g, cond_threshold=cond * (1 + 1e-6))
+            with pytest.raises(IllConditionedGraphError):
+                engine.covariance_from_graph(g, cond_threshold=cond * (1 - 1e-6))
+
+
+class TestCovMatrix:
+    def test_does_not_alias_input(self):
+        gamma = 0.5 * np.eye(4)
+        cov = engine.CovMatrix(gamma)
+        assert gamma.flags.writeable
+        gamma[0, 0] = 7.0
+        assert cov.gamma[0, 0] == 0.5
+
+    def test_symmetrizes_within_tolerance(self):
+        gamma = 0.5 * np.eye(4)
+        gamma[0, 1] = 1e-12
+        cov = engine.CovMatrix(gamma)
+        assert np.array_equal(cov.gamma, cov.gamma.T)
+        assert cov.gamma[0, 1] == 5e-13
+        gamma[0, 1] = 1e-9
+        with pytest.raises(ValidationError):
+            engine.CovMatrix(gamma)
+
 
 class TestSymplecticSpectrum:
     def test_vacuum_half(self):
@@ -213,6 +242,17 @@ class TestLogNegativity:
         _, cov = surface_state(8, 8, 1.0)
         assert engine.log_negativity(cov, range(cov.n_modes)) == 0.0
 
+    @staticmethod
+    def partial_transpose_negativity(cov, region):
+        """Brute force: flip p on the region, then -sum log2 min(1, 2 nu)
+        over the symplectic eigenvalues nu of the transposed state."""
+        flip = np.ones(2 * cov.n_modes)
+        flip[cov.n_modes + np.asarray(region)] = -1.0
+        gamma_pt = flip[:, None] * cov.gamma * flip[None, :]
+        ev = np.linalg.eigvals(1j * gamma_pt @ engine.symplectic_form(cov.n_modes)).real
+        nu = ev[ev > 0]
+        return float(-np.sum(np.log2(np.minimum(1.0, 2 * nu))))
+
     def test_two_mode_fragment_vs_partial_transpose(self):
         s = np.e
         u = s ** 2 * np.array([[0.0, 1.0], [1.0, 0.0]]) \
@@ -227,6 +267,33 @@ class TestLogNegativity:
         expected = float(-np.sum(np.log2(2 * nu[2 * nu < 1.0])))
         assert value == pytest.approx(expected, abs=1e-9)
         assert value > 0
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 10.0])
+    def test_two_mode_kappa_vs_partial_transpose(self, kappa):
+        s = np.e
+        u = s ** 2 * np.array([[0.0, 1.0], [1.0, 0.0]]) \
+            + (s ** -2 + 2 * s ** 2) * np.eye(2)
+        pure = engine.covariance_from_graph(engine.GaussGraph(None, u))
+        cov = engine.thermal_scale(pure, kappa)
+        expected = self.partial_transpose_negativity(cov, [0])
+        # the marked state scales the pure-state eigenvalues by kappa^2;
+        # its unmarked copy uses both covariance blocks
+        for state in (cov, engine.CovMatrix(cov.gamma, kappa=kappa)):
+            assert engine.log_negativity(state, [0]) == pytest.approx(expected, abs=1e-9)
+        assert (expected > 0) == (kappa == 1.0)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 10.0])
+    def test_lattice_region_vs_partial_transpose(self, surface_state, kappa):
+        _, pure = surface_state(8, 8, 1.0)
+        cov = engine.thermal_scale(pure, kappa)
+        region = [0, 1, 2, 8, 9, 10, 16, 17, 18]
+        expected = self.partial_transpose_negativity(cov, region)
+        for state in (cov, engine.CovMatrix(cov.gamma, kappa=kappa)):
+            assert engine.log_negativity(state, region) == pytest.approx(expected, abs=1e-9)
+
+    def test_thermal_product_state_zero(self):
+        cov = engine.thermal_scale(engine.CovMatrix(0.5 * np.eye(8)), 2.0)
+        assert engine.log_negativity(cov, [0, 2]) == 0.0
 
     def test_pure_state_symmetry(self, surface_state):
         _, cov = surface_state(8, 8, 1.0)

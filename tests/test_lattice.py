@@ -2,12 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gausstopo as gt
 from gausstopo import engine, lattice
-from gausstopo.errors import ValidationError
+from gausstopo.errors import SingularPivotError, ValidationError
 
 from conftest import star_pipeline_graph
+
+
+def sequential_pipeline(spec):
+    """Reference pipeline: one measure_p / measure_q per node, in
+    descending node order so that lower node ids keep their index."""
+    graph = gt.cluster_graph(spec)
+    q_nodes, p_nodes, kept = gt.measurement_pattern(spec)
+    kind = {i: engine.measure_p for i in p_nodes}
+    kind.update({i: engine.measure_q for i in q_nodes})
+    for node in sorted(kind, reverse=True):
+        graph = kind[node](graph, node)
+    return graph, [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
 
 
 class TestLatticeSpec:
@@ -139,6 +152,59 @@ class TestPipeline:
         cov = engine.covariance_from_graph(graph)
         spec = engine.symplectic_spectrum(cov, range(4))
         assert spec.values == pytest.approx(np.full(4, 0.5), abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(rows=st.integers(2, 8), cols=st.integers(2, 8),
+           boundary=st.sampled_from(lattice.BOUNDARIES), log_s=st.floats(-1.0, 3.0))
+    def test_block_matches_sequential(self, rows, cols, boundary, log_s):
+        spec = gt.LatticeSpec(rows, cols, boundary, log_s)
+        graph, index_map = gt.map_cluster_to_surface(spec)
+        oracle, oracle_map = sequential_pipeline(spec)
+        assert index_map == oracle_map
+        scale = max(1.0, np.abs(oracle.u_part).max())
+        tol = 1e-12 * scale
+        if boundary == "torus" and not spec.even_parity:
+            # p-sites wrap into adjacency, and the oracle eliminates them
+            # without pivoting: up to 82 eps s^2 |U| on all odd tori in
+            # 2..8 at 161 log s in [-1, 3] (see test_odd_torus_high_precision)
+            tol += 1000 * np.finfo(float).eps * max(1.0, spec.s ** 2) * scale
+        assert np.abs(graph.u_part - oracle.u_part).max() <= tol
+        assert np.abs(graph.v_part - oracle.v_part).max() <= tol
+
+    @pytest.mark.parametrize("log_s", [0.0, 1.0])
+    def test_bit_identical_to_sequential(self, log_s):
+        spec = gt.LatticeSpec(16, 32, "torus", log_s)
+        graph, _ = gt.map_cluster_to_surface(spec)
+        oracle, _ = sequential_pipeline(spec)
+        assert np.array_equal(graph.u_part, oracle.u_part)
+        assert np.array_equal(graph.v_part, oracle.v_part)
+
+    def test_odd_torus_high_precision(self):
+        mp = pytest.importorskip("mpmath")
+        spec = gt.LatticeSpec(3, 3, "torus", 2.8)
+        _, p_nodes, kept = gt.measurement_pattern(spec)
+        z = gt.cluster_graph(spec).z_matrix
+        with mp.workdps(40):
+            def block(rows, cols):
+                return mp.matrix([[mp.mpc(z[i, j]) for j in cols] for i in rows])
+            z_pk = block(p_nodes, kept)
+            ref = block(kept, kept) - z_pk.T * mp.inverse(block(p_nodes, p_nodes)) * z_pk
+            ref = np.array(ref.tolist(), dtype=complex)
+        graph, _ = gt.map_cluster_to_surface(spec)
+        scale = np.abs(ref.imag).max()
+        # the block form is within 1e-15 relative; the sequential loop
+        # is 1.1e-12 off here
+        assert np.abs(graph.u_part - ref.imag).max() <= 1e-14 * scale
+        assert np.abs(graph.v_part - ref.real).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("pipeline", [gt.map_cluster_to_surface, sequential_pipeline])
+    @pytest.mark.parametrize("log_s,error", [(14.0, SingularPivotError),
+                                             (13.0, ValidationError)])
+    def test_error_paths(self, pipeline, log_s, error):
+        # s^-2 = e^-28 is below the 1e-12 pivot tolerance; e^-26 passes it,
+        # but the smallest eigenvalue of U, s^-2, is below eps * s^2
+        with pytest.raises(error):
+            pipeline(gt.LatticeSpec(4, 4, "torus", log_s))
 
     def test_reference_network_sigma(self):
         for s in (0.8, 1.0, np.e):

@@ -240,7 +240,7 @@ class TestTMILowerBound:
 class TestSpectraSetOracle:
     """The seven-spectra forms of a marked state against the general paths."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(log_s=st.floats(0.3, 3.0), kappa=st.floats(1.0, 20.0))
     def test_marked_matches_general(self, log_s, kappa):
         spec = gt.LatticeSpec(12, 12, "torus", log_s)
