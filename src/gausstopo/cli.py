@@ -128,7 +128,7 @@ def cmd_tmi(args):
     spec = _spec(args)
     cov_pure = _surface_cov(spec)
     regions = _kp(spec, args)
-    cov = engine.thermal_scale(cov_pure, args.kappa) if args.kappa > 1 else cov_pure
+    cov = engine.thermal_scale(cov_pure, args.kappa)
     record = {"log_s": spec.log_s, "kappa": args.kappa,
               "tmi": topo.tmi(cov, regions), "geometry": regions.geometry}
     if args.lower:

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import FitFailedError, UnsupportedStateError, ValidationError
+from .lattice import wrapped_offsets
 
 
 @dataclass(frozen=True)
@@ -71,25 +72,15 @@ def graph_distance(spec, i, j):
 
     On a torus each coordinate difference is reduced modulo the wrap.
     """
-    xi_, yi = mode_coords(spec, i)
-    xj, yj = mode_coords(spec, j)
-    dx = abs(xi_ - xj)
-    dy = abs(yi - yj)
-    if spec.boundary == "torus":
-        dx = min(dx, spec.rows - dx)
-        dy = min(dy, spec.cols - dy)
+    dx, dy = wrapped_offsets(spec.rows, spec.cols, spec.boundary,
+                             mode_coords(spec, i), mode_coords(spec, j))
     return int(max(dx, dy))
 
 
 def euclidean_distance(spec, i, j):
     """Euclidean distance between mode coordinates (wrap-reduced on torus)."""
-    xi_, yi = mode_coords(spec, i)
-    xj, yj = mode_coords(spec, j)
-    dx = abs(xi_ - xj)
-    dy = abs(yi - yj)
-    if spec.boundary == "torus":
-        dx = min(dx, spec.rows - dx)
-        dy = min(dy, spec.cols - dy)
+    dx, dy = wrapped_offsets(spec.rows, spec.cols, spec.boundary,
+                             mode_coords(spec, i), mode_coords(spec, j))
     return float(np.hypot(dx, dy))
 
 
@@ -108,13 +99,9 @@ def verify_bound(cov, spec, bound=None, min_distance=3):
     n = cov.n_modes
     if n != spec.n_nodes:
         raise ValidationError("state size does not match the mode grid")
-    coords = np.array([mode_coords(spec, i) for i in range(n)])
-    dx = np.abs(coords[:, 0][:, None] - coords[:, 0][None, :])
-    dy = np.abs(coords[:, 1][:, None] - coords[:, 1][None, :])
-    if spec.boundary == "torus":
-        dx = np.minimum(dx, spec.rows - dx)
-        dy = np.minimum(dy, spec.cols - dy)
-    dist = np.maximum(dx, dy)
+    x, y = np.divmod(np.arange(n), spec.cols)
+    dist = np.maximum(*wrapped_offsets(spec.rows, spec.cols, spec.boundary,
+                                       (x[:, None], y[:, None]), (x, y)))
     mask = dist >= min_distance
     corr = np.abs(cov.q_block)
     envelope = cov.kappa * bound.envelope(dist)

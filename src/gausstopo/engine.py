@@ -64,6 +64,10 @@ class GaussGraph:
             u = 0.5 * (u + u.T)
             w = np.linalg.eigvalsh(u)
             if w[0] <= 0:
+                # within eigvalsh rounding of singular: a numerical failure
+                if -w[0] < n * np.finfo(float).eps * w[-1]:
+                    raise IllConditionedGraphError(
+                        "u_part lost positive definiteness to rounding")
                 raise ValidationError("u_part must be positive definite")
             # 2-norm condition number of the SPD U, read by covariance_from_graph
             self._cond = w[-1] / w[0]

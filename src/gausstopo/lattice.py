@@ -73,26 +73,55 @@ class LatticeSpec:
         return (row - 1) * self.cols + (col - 1)
 
 
+def wrapped_offsets(rows, cols, boundary, a, b):
+    """|dx|, |dy| between coordinates a = (x, y) and b, scalars or broadcasting
+    arrays; on a rows x cols torus each is reduced modulo the wrap."""
+    dx = np.abs(np.subtract(a[0], b[0]))
+    dy = np.abs(np.subtract(a[1], b[1]))
+    if boundary == "torus":
+        dx = np.minimum(dx, rows - dx)
+        dy = np.minimum(dy, cols - dy)
+    return dx, dy
+
+
+# square-lattice links from each corner to its right and lower neighbor
+_SQUARE = (((0, 0), (0, 1)), ((0, 0), (1, 0)))
+
+
+def _stencil_adjacency(spec, links):
+    """Dense 0/1 adjacency of links repeated over the rows x cols grid.
+
+    Each link ((a, b), mask) joins the sites at the non-negative offsets a
+    and b from every corner (r, c) with mask[r, c] true.  Links wrap on a torus and are
+    dropped when they leave a planar grid; repeated links saturate at 1
+    (simple-graph convention).  No link closes on itself, because a torus
+    is at least 2 wide and every link spans one step in some direction.
+    """
+    rows, cols = spec.rows, spec.cols
+    corners = np.indices((rows, cols))
+    adj = np.zeros((rows * cols, rows * cols))
+    for ends, mask in links:
+        r, c = corners[:, mask]
+        ids, inside = [], True
+        for dr, dc in ends:
+            rr, cc = r + dr, c + dc
+            if spec.boundary == "torus":
+                rr, cc = rr % rows, cc % cols
+            inside = inside & (rr < rows) & (cc < cols)
+            ids.append(rr * cols + cc)
+        i, j = ids[0][inside], ids[1][inside]
+        adj[i, j] = adj[j, i] = 1.0
+    return adj
+
+
 def cluster_adjacency(spec):
     """Square-lattice adjacency A_d (4-regular on a torus).
 
     Multi-edges from wrapping dims < 3 saturate at 1 (simple-graph
-    convention); self-loops are dropped.
+    convention).
     """
-    rows, cols = spec.rows, spec.cols
-    n = rows * cols
-    adj = np.zeros((n, n))
-    torus = spec.boundary == "torus"
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            for dr, dc in ((0, 1), (1, 0)):
-                rr, cc = r + dr, c + dc
-                if torus or (rr < rows and cc < cols):
-                    j = (rr % rows) * cols + (cc % cols)
-                    if j != i:
-                        adj[i, j] = adj[j, i] = 1.0
-    return adj
+    every = np.ones((spec.rows, spec.cols), dtype=bool)
+    return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
 
 
 def cluster_graph(spec):
@@ -103,17 +132,10 @@ def cluster_graph(spec):
 
 def measurement_pattern(spec):
     """Return (q_nodes, p_nodes, kept_nodes) as sorted 0-based id lists."""
-    q_nodes, p_nodes, kept = [], [], []
-    for row in range(1, spec.rows + 1):
-        for col in range(1, spec.cols + 1):
-            i = (row - 1) * spec.cols + (col - 1)
-            if row % 2 == 1 and col % 2 == 1:
-                p_nodes.append(i)
-            elif row % 2 == 0 and col % 2 == 0:
-                q_nodes.append(i)
-            else:
-                kept.append(i)
-    return q_nodes, p_nodes, kept
+    odd_row, odd_col = (np.indices((spec.rows, spec.cols)).reshape(2, -1) + 1) % 2
+    return (np.flatnonzero((odd_row | odd_col) == 0).tolist(),
+            np.flatnonzero(odd_row & odd_col).tolist(),
+            np.flatnonzero(odd_row != odd_col).tolist())
 
 
 def surface_code_adjacency(spec):
@@ -123,30 +145,11 @@ def surface_code_adjacency(spec):
     lower-left corner (x, y) has x + y even.  The wrap is consistent only
     for even dimensions on a torus.
     """
-    n, m = spec.rows, spec.cols
-    total = n * m
-    torus = spec.boundary == "torus"
-    adj = np.zeros((total, total))
-
-    def idx(x, y):
-        return (x % n) * m + (y % m)
-
-    for x in range(n):
-        for y in range(m):
-            i = idx(x, y)
-            for dx, dy in ((0, 1), (1, 0)):
-                xx, yy = x + dx, y + dy
-                if torus or (xx < n and yy < m):
-                    j = idx(xx, yy)
-                    if j != i:
-                        adj[i, j] = adj[j, i] = 1.0
-            if (x + y) % 2 == 0 and (torus or (x + 1 < n and y + 1 < m)):
-                for (xa, ya), (xb, yb) in (((x, y), (x + 1, y + 1)),
-                                           ((x + 1, y), (x, y + 1))):
-                    i2, j2 = idx(xa, ya), idx(xb, yb)
-                    if i2 != j2:
-                        adj[i2, j2] = adj[j2, i2] = 1.0
-    return adj
+    every = np.ones((spec.rows, spec.cols), dtype=bool)
+    even = np.indices((spec.rows, spec.cols)).sum(axis=0) % 2 == 0
+    links = [(link, every) for link in _SQUARE]
+    links += [(((0, 0), (1, 1)), even), (((1, 0), (0, 1)), even)]
+    return _stencil_adjacency(spec, links)
 
 
 def surface_code_graph_analytic(spec):
@@ -164,27 +167,30 @@ def surface_code_graph_analytic(spec):
     return GaussGraph(None, u)
 
 
+def _p_kept_incidence(spec):
+    """Incidence B = A_d[P, K] of the p-measured nodes P on the kept nodes K."""
+    _, p_nodes, kept = measurement_pattern(spec)
+    return cluster_adjacency(spec)[np.ix_(p_nodes, kept)]
+
+
+def _off_diagonal_support(mat):
+    """0/1 float matrix of the nonzero off-diagonal entries of `mat`."""
+    support = (mat != 0).astype(float)
+    np.fill_diagonal(support, 0.0)
+    return support
+
+
 def kept_mode_adjacency(spec):
     """Surface-code adjacency on the kept cluster modes.
 
     Two kept modes are adjacent exactly when they neighbor a common
-    p-measured node.  This is the graph the measurement pipeline produces;
+    p-measured node: the off-diagonal support of B^T B, B the p-to-kept
+    incidence.  This is the graph the measurement pipeline produces;
     on a torus it is the same bulk graph as `surface_code_adjacency` with a
     diagonal torus identification.
     """
-    adj_cluster = cluster_adjacency(spec)
-    _, p_nodes, kept = measurement_pattern(spec)
-    pos = {k: i for i, k in enumerate(kept)}
-    m = len(kept)
-    adj = np.zeros((m, m))
-    for pk in p_nodes:
-        nbrs = np.flatnonzero(adj_cluster[pk])
-        nbrs = [pos[j] for j in nbrs if j in pos]
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    adj[a, b] = 1.0
-    return adj
+    inc = _p_kept_incidence(spec)
+    return _off_diagonal_support(inc.T @ inc)
 
 
 def map_cluster_to_surface(spec):
@@ -266,54 +272,28 @@ class SurfaceGraph:
         self._vertex_site = p_nodes
         self._face_site = q_nodes
         self._edge_site = kept
-        kept_pos = {k: i for i, k in enumerate(kept)}
-        cols, rows = spec.cols, spec.rows
-        torus = spec.boundary == "torus"
-
-        def site(r0, c0):
-            # 0-based coordinates with optional wrap; None when off-lattice
-            if torus:
-                r0 %= rows
-                c0 %= cols
-            if not (0 <= r0 < rows and 0 <= c0 < cols):
-                return None
-            return r0 * cols + c0
-
-        # edge endpoints: the (up to) two vertex neighbors of each kept site
-        vertex_pos = {k: i for i, k in enumerate(p_nodes)}
-        self.edge_endpoints = []
-        for k in kept:
-            r0, c0 = k // cols, k % cols
-            ends = []
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                sid = site(r0 + dr, c0 + dc)
-                if sid in vertex_pos:
-                    ends.append(vertex_pos[sid])
-            self.edge_endpoints.append(tuple(sorted(set(ends))))
+        # vertices and edges meet where a p-site neighbors a kept site
+        inc = _p_kept_incidence(spec)
+        self.edge_endpoints = [tuple(np.flatnonzero(col).tolist()) for col in inc.T]
+        self.vertex_edges = [np.flatnonzero(row).tolist() for row in inc]
+        self.vertex_neighbors = [set(np.flatnonzero(row).tolist())
+                                 for row in _off_diagonal_support(inc @ inc.T)]
         # face boundaries with the sign pattern N,S:+ / E,W:- required by
-        # the positive commutator closed form on neighboring faces
+        # the positive commutator closed form on neighboring faces; a 2-wide
+        # torus lists its N = S neighbor twice
+        rows, cols = spec.rows, spec.cols
+        kept_at = {divmod(k, cols): i for i, k in enumerate(kept)}
         self.face_boundaries = []
         for k in q_nodes:
-            r0, c0 = k // cols, k % cols
+            r0, c0 = divmod(k, cols)
             boundary = []
             for dr, dc, sign in ((-1, 0, 1.0), (1, 0, 1.0), (0, -1, -1.0), (0, 1, -1.0)):
-                sid = site(r0 + dr, c0 + dc)
-                if sid in kept_pos:
-                    boundary.append((kept_pos[sid], sign))
+                r1, c1 = r0 + dr, c0 + dc
+                if spec.boundary == "torus":
+                    r1, c1 = r1 % rows, c1 % cols
+                if (r1, c1) in kept_at:
+                    boundary.append((kept_at[r1, c1], sign))
             self.face_boundaries.append(boundary)
-        # edges incident on each vertex
-        self.vertex_edges = [[] for _ in self.vertices]
-        for e, ends in enumerate(self.edge_endpoints):
-            for v in ends:
-                self.vertex_edges[v].append(e)
-        # vertex neighbors through a shared edge
-        self.vertex_neighbors = [set() for _ in self.vertices]
-        for ends in self.edge_endpoints:
-            if len(ends) == 2:
-                a, b = ends
-                self.vertex_neighbors[a].add(b)
-                self.vertex_neighbors[b].add(a)
-        self.adjacency_sc = kept_mode_adjacency(spec)
 
     @property
     def n_modes(self):
@@ -333,15 +313,11 @@ class SurfaceGraph:
         k = self._face_site[f]
         return (k // self.spec.cols - 1) // 2, (k % self.spec.cols - 1) // 2
 
-    def lattice_distance(self, coords_a, coords_b, dual=False):
+    def lattice_distance(self, coords_a, coords_b):
         """Euclidean distance between lattice coordinates, min over wraps."""
-        rows = self.spec.rows // 2
-        cols = self.spec.cols // 2
-        da = abs(coords_a[0] - coords_b[0])
-        db = abs(coords_a[1] - coords_b[1])
-        if self.spec.boundary == "torus":
-            da = min(da, rows - da)
-            db = min(db, cols - db)
+        spec = self.spec
+        da, db = wrapped_offsets(spec.rows // 2, spec.cols // 2, spec.boundary,
+                                 coords_a, coords_b)
         return float(np.hypot(da, db))
 
     def to_json(self):

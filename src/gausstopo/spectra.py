@@ -75,20 +75,15 @@ def cluster_gap(s):
     return float(2.0 * s ** -2)
 
 
-def _cyclic_shift(r):
-    shift = np.zeros((r, r))
-    for k in range(r):
-        shift[(k + 1) % r, k] = 1.0
-    return shift
-
-
 def commutator_matrices(n, m, s):
     """Explicit M_v and M_f from the w(d), x(d) couplings and cyclic shifts.
 
     Their eigenvalues reproduce the cosine closed forms.
     """
-    xn = _cyclic_shift(n)
-    xm = _cyclic_shift(m)
+    # cyclic shifts; Kronecker sums, not a saturating adjacency, because on
+    # 3-wide tori w(1) and w(2) couple the same pair and must add
+    xn = np.roll(np.eye(n), 1, axis=0)
+    xm = np.roll(np.eye(m), 1, axis=0)
     eye_n = np.eye(n)
     eye_m = np.eye(m)
     ring_n = xn + xn.T

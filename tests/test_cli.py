@@ -57,6 +57,15 @@ class TestBuild:
         assert code == cli.EXIT_NUMERICAL
         assert "pivot" in stderr
 
+    @pytest.mark.parametrize("argv", [("map", "--rows", "4", "--cols", "4", "--log-s", "13"),
+                                      ("tee", "--rows", "8", "--cols", "8", "--log-s", "14")])
+    def test_rounding_loss_of_definiteness_exits_numerical(self, tmp_path, capsys, argv):
+        if argv[0] == "map":
+            argv += ("--out", str(tmp_path / "sc.json"))
+        code, _, stderr = run(capsys, *argv)
+        assert code == cli.EXIT_NUMERICAL
+        assert "positive definite" in stderr
+
 
 class TestDiagnostics:
     def test_tee_matches_library(self, capsys, surface_state):
@@ -74,6 +83,13 @@ class TestDiagnostics:
         assert code == 0
         record = json.loads(stdout)
         assert record["tmi_lower"] <= record["tmi"] + 1e-9
+
+    def test_tmi_rejects_kappa_below_one(self, capsys):
+        code, stdout, stderr = run(capsys, "tmi", "--rows", "12", "--cols", "12",
+                                   "--log-s", "1.0", "--kappa", "0.5")
+        assert code == cli.EXIT_VALIDATION
+        assert stdout == ""
+        assert "kappa" in stderr
 
     def test_upper_bound(self, capsys):
         code, stdout, _ = run(capsys, "upper-bound", "--log-s", "0.0")

@@ -29,6 +29,17 @@ class TestGaussGraph:
         with pytest.raises(ValidationError):
             engine.GaussGraph(np.eye(3), np.eye(2))  # shape mismatch
 
+    def test_rounding_loss_of_definiteness(self):
+        # a smallest eigenvalue within n eps w_max of zero is a numerical
+        # failure; a clearly indefinite or zero U is invalid input
+        eps = np.finfo(float).eps
+        with pytest.raises(IllConditionedGraphError):
+            engine.GaussGraph(None, np.diag([1.0, -eps]))
+        with pytest.raises(ValidationError):
+            engine.GaussGraph(None, np.diag([1.0, -4 * eps]))
+        with pytest.raises(ValidationError):
+            engine.GaussGraph(None, np.zeros((2, 2)))
+
     def test_v_defaults_to_zero(self):
         g = engine.GaussGraph(None, np.eye(2))
         assert g.is_v_zero()

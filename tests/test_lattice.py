@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gausstopo as gt
 from gausstopo import engine, lattice
-from gausstopo.errors import SingularPivotError, ValidationError
+from gausstopo.errors import IllConditionedGraphError, SingularPivotError, ValidationError
 
 from conftest import star_pipeline_graph
 
@@ -21,6 +21,92 @@ def sequential_pipeline(spec):
     for node in sorted(kind, reverse=True):
         graph = kind[node](graph, node)
     return graph, [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
+
+
+def loop_measurement_pattern(spec):
+    """Reference pattern: one parity test per 1-based (row, col) site."""
+    q_nodes, p_nodes, kept = [], [], []
+    for row in range(1, spec.rows + 1):
+        for col in range(1, spec.cols + 1):
+            i = (row - 1) * spec.cols + (col - 1)
+            if row % 2 == 1 and col % 2 == 1:
+                p_nodes.append(i)
+            elif row % 2 == 0 and col % 2 == 0:
+                q_nodes.append(i)
+            else:
+                kept.append(i)
+    return q_nodes, p_nodes, kept
+
+
+def loop_surface_code_adjacency(spec, diagonals=True):
+    """Reference adjacency: per-site square links and, when `diagonals`,
+    both diagonals of every plaquette with corner x + y even."""
+    n, m = spec.rows, spec.cols
+    torus = spec.boundary == "torus"
+    adj = np.zeros((n * m, n * m))
+
+    def link(xa, ya, xb, yb):
+        i, j = (xa % n) * m + ya % m, (xb % n) * m + yb % m
+        if i != j:
+            adj[i, j] = adj[j, i] = 1.0
+
+    for x in range(n):
+        for y in range(m):
+            for dx, dy in ((0, 1), (1, 0)):
+                if torus or (x + dx < n and y + dy < m):
+                    link(x, y, x + dx, y + dy)
+            if diagonals and (x + y) % 2 == 0 and (torus or (x + 1 < n and y + 1 < m)):
+                link(x, y, x + 1, y + 1)
+                link(x + 1, y, x, y + 1)
+    return adj
+
+
+def loop_kept_mode_adjacency(spec):
+    """Reference: join every pair of kept neighbors of each p-node."""
+    adj_cluster = loop_surface_code_adjacency(spec, diagonals=False)
+    _, p_nodes, kept = loop_measurement_pattern(spec)
+    pos = {k: i for i, k in enumerate(kept)}
+    adj = np.zeros((len(kept), len(kept)))
+    for pk in p_nodes:
+        nbrs = [pos[j] for j in np.flatnonzero(adj_cluster[pk]) if j in pos]
+        for a in nbrs:
+            for b in nbrs:
+                if a != b:
+                    adj[a, b] = 1.0
+    return adj
+
+
+def loop_surface_incidence(spec):
+    """Reference (edge_endpoints, vertex_edges, vertex_neighbors) from the
+    four lattice neighbors of each kept site."""
+    q_nodes, p_nodes, kept = loop_measurement_pattern(spec)
+    rows, cols = spec.rows, spec.cols
+    vertex_pos = {k: i for i, k in enumerate(p_nodes)}
+    edge_endpoints = []
+    for k in kept:
+        ends = set()
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            r0, c0 = k // cols + dr, k % cols + dc
+            if spec.boundary == "torus":
+                r0, c0 = r0 % rows, c0 % cols
+            if 0 <= r0 < rows and 0 <= c0 < cols and r0 * cols + c0 in vertex_pos:
+                ends.add(vertex_pos[r0 * cols + c0])
+        edge_endpoints.append(tuple(sorted(ends)))
+    vertex_edges = [[] for _ in p_nodes]
+    vertex_neighbors = [set() for _ in p_nodes]
+    for e, ends in enumerate(edge_endpoints):
+        for v in ends:
+            vertex_edges[v].append(e)
+        if len(ends) == 2:
+            vertex_neighbors[ends[0]].add(ends[1])
+            vertex_neighbors[ends[1]].add(ends[0])
+    return edge_endpoints, vertex_edges, vertex_neighbors
+
+
+def valid_specs(boundary, sizes=range(1, 11)):
+    low = 2 if boundary == "torus" else 1
+    return [gt.LatticeSpec(r, c, boundary, 0.0) for r in sizes for c in sizes
+            if r >= low and c >= low]
 
 
 class TestLatticeSpec:
@@ -67,6 +153,30 @@ class TestClusterAdjacency:
     def test_single_edge(self):
         adj = gt.cluster_adjacency(gt.LatticeSpec(1, 2, "planar", 0.0))
         assert np.array_equal(adj, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("boundary", lattice.BOUNDARIES)
+class TestGeometryMatchesLoops:
+    """The stencil and incidence builders against per-site loops on every
+    valid 1..10 x 1..10 spec, including the 2-wide wraps where links
+    saturate and the 1-wide planar strips."""
+
+    def test_adjacencies(self, boundary):
+        for spec in valid_specs(boundary):
+            assert np.array_equal(gt.cluster_adjacency(spec),
+                                  loop_surface_code_adjacency(spec, diagonals=False))
+            assert np.array_equal(gt.surface_code_adjacency(spec),
+                                  loop_surface_code_adjacency(spec))
+            assert np.array_equal(gt.kept_mode_adjacency(spec), loop_kept_mode_adjacency(spec))
+            assert gt.measurement_pattern(spec) == loop_measurement_pattern(spec)
+
+    def test_surface_graph_incidence(self, boundary):
+        for spec in valid_specs(boundary):
+            if boundary == "torus" and not spec.even_parity:
+                continue
+            sg = lattice.SurfaceGraph(spec)
+            assert (sg.edge_endpoints, sg.vertex_edges, sg.vertex_neighbors) \
+                == loop_surface_incidence(spec)
 
 
 class TestClusterGraph:
@@ -199,10 +309,11 @@ class TestPipeline:
 
     @pytest.mark.parametrize("pipeline", [gt.map_cluster_to_surface, sequential_pipeline])
     @pytest.mark.parametrize("log_s,error", [(14.0, SingularPivotError),
-                                             (13.0, ValidationError)])
+                                             (13.0, IllConditionedGraphError)])
     def test_error_paths(self, pipeline, log_s, error):
         # s^-2 = e^-28 is below the 1e-12 pivot tolerance; e^-26 passes it,
-        # but the smallest eigenvalue of U, s^-2, is below eps * s^2
+        # but the smallest eigenvalue of U, s^-2, is below eps * s^2, so U
+        # loses positive definiteness to rounding
         with pytest.raises(error):
             pipeline(gt.LatticeSpec(4, 4, "torus", log_s))
 
