@@ -10,6 +10,7 @@ from .engine import (
     log_negativity,
     measure_p,
     measure_q,
+    pure_log_negativity,
     purity,
     symplectic_form,
     symplectic_spectrum,

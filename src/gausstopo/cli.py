@@ -125,6 +125,8 @@ def cmd_tln(args):
 
 
 def cmd_tmi(args):
+    if args.kappa < 1.0:
+        raise ValidationError("kappa must be >= 1")
     spec = _spec(args)
     cov_pure = _surface_cov(spec)
     regions = _kp(spec, args)
@@ -139,7 +141,7 @@ def cmd_tmi(args):
 
 def _sweep_point(spec_base, log_s, kappas, args):
     """Reports for one log s, one per kappa in `kappas`, sharing one
-    covariance, one TLN and one set of KP spectra of the pure state."""
+    covariance and one set of KP spectra of the pure state."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
     cov_pure = _surface_cov(spec)
@@ -147,7 +149,7 @@ def _sweep_point(spec_base, log_s, kappas, args):
     geometry = dict(regions.geometry)
     metrics = set(args.metrics.split(","))
     shared = {}
-    if metrics & {"tee_kp", "tmi", "tmi_lower"}:
+    if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         spectra = topo._kp_spectra(cov_pure, regions)
     if "tee_kp" in metrics:
         shared["tee_kp"] = topo._kp_entropy(spectra, 1.0)
@@ -155,13 +157,13 @@ def _sweep_point(spec_base, log_s, kappas, args):
         lw = topo.lw_regions(spec, inner=args.inner, width=args.width)
         shared["tee_lw"] = topo.tee_lw(cov_pure, lw)
         geometry.update({"inner": args.inner, "width": args.width})
-    if "tln" in metrics:
-        shared["tln_kp"] = topo.tln_kp(cov_pure, regions)
     if "tmi_lower" in metrics:
         shared["tmi_lower"] = topo._kp_log_sum(spectra)
     if "tee_upper" in metrics:
         shared["tee_upper"] = topo.tee_upper_bound(spec.s)
     return [topo.TopoReport(log_s=log_s, kappa=kappa, geometry=dict(geometry),
+                            tln_kp=topo._kp_log_negativity(spectra, kappa)
+                            if "tln" in metrics else None,
                             tmi=topo._kp_entropy(spectra, kappa) if "tmi" in metrics else None,
                             **shared)
             for kappa in kappas]
@@ -188,6 +190,9 @@ def cmd_sweep(args):
         grid = [args.log_s_min]
     else:
         grid = list(np.linspace(args.log_s_min, args.log_s_max, args.steps))
+    unknown = set(args.metrics.split(",")) - set(SWEEP_COLUMNS[1:-1])
+    if unknown:
+        raise ValidationError("unknown metrics: %s" % ",".join(sorted(unknown)))
     kappas = [float(k) for k in args.kappas.split(",")]
     if min(kappas) < 1.0:
         raise ValidationError("kappas must be >= 1")

@@ -171,7 +171,7 @@ class CovMatrix:
         """True when the q-p cross block vanishes."""
         if self.n_modes == 0:
             return True
-        scale = max(1.0, np.abs(self.gamma).max())
+        scale = max(1.0, self.gamma.max(), -self.gamma.min())  # max |gamma|, no copy
         return np.abs(self.qp_block).max() <= tol * scale
 
 
@@ -342,6 +342,16 @@ def von_neumann_entropy(spectrum):
     return float(np.sum(hi * np.log2(hi) - lo * np.log2(lo)))
 
 
+def pure_log_negativity(spectrum, kappa):
+    """Log-negativity (bits) across X|Xc of the kappa-scaled pure state whose
+    region X has the pure-state `spectrum`: each sigma = cosh(2r)/2 above
+    1/2 + tol_half is one two-mode squeezed pair across the cut (Botero &
+    Reznik 2003) and adds max(0, 2r - ln kappa) / ln 2 (Vidal & Werner 2002).
+    A pair within tol_half of 1/2 (2r < 2 sqrt(tol_half)) counts as product."""
+    sigma = spectrum.values[spectrum.values > 0.5 + spectrum.tol_half]
+    return float(np.sum(np.maximum(np.arccosh(2.0 * sigma) - np.log(kappa), 0.0)) / np.log(2.0))
+
+
 def purity(spectrum):
     """Gaussian purity tr[rho^2] = prod (2 sigma_i)^-1."""
     return float(np.prod(1.0 / (2.0 * spectrum.values)))
@@ -350,10 +360,10 @@ def purity(spectrum):
 def log_negativity(cov, region):
     """Log-negativity (bits) of a q/p block-diagonal state across `region`.
 
-    N = -1/2 sum log2 min(1, lambda_i(4 Q mu P mu)) with Q and P the q and p
-    covariance blocks and mu = -1 on the region, +1 on the complement.  A
-    marked kappa-scaled pure state has lambda = kappa^2 lambda(U^-1 mu U mu).
-    Only the block-diagonal form is supported.
+    A marked kappa-scaled pure state takes `pure_log_negativity` of the
+    region's pure-state spectrum.  Otherwise N = -1/2 sum log2 min(1,
+    lambda_i(4 Q mu P mu)) with Q and P the q and p covariance blocks and
+    mu = -1 on the region, +1 on the complement.
     """
     region = sorted(set(int(i) for i in region))
     n = cov.n_modes
@@ -361,17 +371,16 @@ def log_negativity(cov, region):
         raise ValidationError("region must be a non-empty subset of the modes")
     if not cov.is_block_diagonal():
         raise UnsupportedStateError("log_negativity requires a q/p block-diagonal state")
+    if cov._scaled_pure:
+        pure = SymplecticSpectrum(symplectic_spectrum(cov, region).values / cov.kappa)
+        return pure_log_negativity(pure, cov.kappa)
     if len(region) == n:
         return 0.0
     mu = np.ones(n)
     mu[region] = -1.0
-    p2 = 2.0 * cov.p_block
-    mpm = mu[:, None] * p2 * mu[None, :]
-    # generalized symmetric problems, which keep lambda real:
-    if cov._scaled_pure:  # (mu U mu) x = lambda U x
-        lam = cov.kappa ** 2 * sla.eigvalsh(mpm, p2)
-    else:  # (M 2Q M) x = lambda M x with M = mu 2P mu
-        lam = sla.eigvalsh(mpm @ (2.0 * cov.q_block) @ mpm, mpm)
+    mpm = mu[:, None] * (2.0 * cov.p_block) * mu[None, :]
+    # generalized symmetric problem (M 2Q M) x = lambda M x with M = mu 2P mu
+    lam = sla.eigvalsh(mpm @ (2.0 * cov.q_block) @ mpm, mpm)
     lam = lam[lam < 1.0]
     if lam.size == 0:
         return 0.0
@@ -436,14 +445,3 @@ def apply_symplectic(graph, a, b, c, d, tol=1e-10):
     z_new = (c + d @ z) @ np.linalg.inv(denom)
     z_new = 0.5 * (z_new + z_new.T)
     return GaussGraph(z_new.real, z_new.imag)
-
-
-def phase_shift_blocks(n_modes, nodes):
-    """Blocks of a pi/2 phase shift (q -> p, p -> -q) on the given modes."""
-    diag = np.zeros(n_modes)
-    diag[list(nodes)] = 1.0
-    a = np.diag(1.0 - diag)
-    b = np.diag(diag)
-    c = np.diag(-diag)
-    d = np.diag(1.0 - diag)
-    return a, b, c, d

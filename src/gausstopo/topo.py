@@ -161,6 +161,11 @@ def _kp_entropy(spectra, kappa):
     return _kp_sum(lambda spec: von_neumann_entropy(spec.scaled(kappa)), spectra)
 
 
+def _kp_log_negativity(spectra, kappa):
+    """-sum sign N_X of the kappa-scaled state, from `_kp_spectra`."""
+    return _kp_sum(lambda spec: engine.pure_log_negativity(spec, kappa), spectra)
+
+
 def _kp_log_sum(spectra):
     """-sum sign sum_i log2(2 sigma_i^X), from `_kp_spectra`."""
     return _kp_sum(lambda spec: float(np.sum(np.log2(2.0 * spec.values))), spectra)
@@ -182,7 +187,8 @@ def tee_lw(cov, regions):
 
 
 def tln_kp(cov, regions):
-    """KP combination with log-negativity substituted for entropy."""
+    """KP combination with log-negativity substituted for entropy; on a marked
+    state each union's value comes from its pure-state spectrum."""
     if regions.kind != "KP":
         raise ValidationError("tln_kp requires KP regions")
     return _kp_sum(lambda names: engine.log_negativity(cov, regions.union(*names)))

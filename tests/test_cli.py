@@ -1,13 +1,18 @@
 """Command-line driver tests (run in-process via main)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import gausstopo as gt
-from gausstopo import cli, topo
+from gausstopo import cli, engine, topo
 from gausstopo.engine import GaussGraph
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gt.__file__)))
 
 
 def run(capsys, *argv):
@@ -84,7 +89,11 @@ class TestDiagnostics:
         record = json.loads(stdout)
         assert record["tmi_lower"] <= record["tmi"] + 1e-9
 
-    def test_tmi_rejects_kappa_below_one(self, capsys):
+    def test_tmi_rejects_kappa_below_one(self, capsys, monkeypatch):
+        def no_setup(spec):
+            raise AssertionError("kappa must be rejected before the covariance is built")
+
+        monkeypatch.setattr(cli, "_surface_cov", no_setup)
         code, stdout, stderr = run(capsys, "tmi", "--rows", "12", "--cols", "12",
                                    "--log-s", "1.0", "--kappa", "0.5")
         assert code == cli.EXIT_VALIDATION
@@ -224,10 +233,18 @@ class TestSweep:
         assert [(r[col["log_s"]], r[col["kappa"]]) for r in rows] == [
             ("0.5", "1"), ("0.5", "10"), ("1.5", "1"), ("1.5", "10")]
         for pure, hot in (rows[:2], rows[2:]):
-            for name in ("tee_kp", "tln", "tmi_lower"):
+            for name in ("tee_kp", "tmi_lower"):
                 assert pure[col[name]] == hot[col[name]] != ""
             assert pure[col["tmi"]] == pure[col["tee_kp"]]
             assert float(hot[col["tmi"]]) < float(pure[col["tmi"]])
+            # the TLN follows kappa, as the library does on the scaled state
+            spec = gt.LatticeSpec(8, 8, "torus", float(pure[col["log_s"]]))
+            cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+            for row in (pure, hot):
+                expected = topo.tln_kp(engine.thermal_scale(cov, float(row[col["kappa"]])),
+                                       topo.kp_regions(spec))
+                assert float(row[col["tln"]]) == pytest.approx(expected, abs=1e-10)
+            assert float(hot[col["tln"]]) < float(pure[col["tln"]])
 
     def test_resume_appends_only_missing_kappa(self, tmp_path, capsys):
         out = tmp_path / "k.csv"
@@ -254,6 +271,33 @@ class TestSweep:
         assert [row.split(",")[0] for row in rows] == ["1", "1"]
         assert stderr.count("failed") == 2
         assert "log_s=8 kappa=10" in stderr
+
+    def test_unknown_metric_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_point", None)  # no point may run
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, *SWEEP_ARGS[:-1], "tee,tln_kp", "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert "tee,tln_kp" in stderr
+        assert not out.exists()
+
+    def test_blas_thread_count_invariance(self, tmp_path):
+        # a BLAS thread count may move the dense U^-1 in its last digits
+        # (about 1e-10 in these columns), never further
+        argv = ["sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
+                "--log-s-max", "3.2", "--steps", "4", "--kappas", "1,2,10",
+                "--metrics", ",".join(cli.SWEEP_COLUMNS[1:-1])]
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / ("t%s.csv" % threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       GAUSSTOPO_THREADS="1",
+                       PYTHONPATH=os.pathsep.join([SRC] + sys.path))
+            subprocess.run([sys.executable, "-m", "gausstopo.cli", *argv, "--out", str(out)],
+                           env=env, check=True, timeout=300)
+            _, rows = read_rows(out)
+            tables.append(np.array([[float(x) for x in row.split(",")] for row in rows]))
+        assert tables[0].shape == (12, len(cli.SWEEP_COLUMNS))
+        assert np.abs(tables[0] - tables[1]).max() <= 1e-9
 
     def test_kappa_below_one_rejected(self, tmp_path, capsys):
         code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", "1,0.5",

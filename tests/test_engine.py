@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausstopo import engine
 from gausstopo.errors import (
@@ -18,6 +19,13 @@ from conftest import random_graph, star_pipeline_graph
 
 def two_mode_cluster(s):
     return engine.GaussGraph([[0.0, 1.0], [1.0, 0.0]], s ** -2 * np.eye(2))
+
+
+def phase_shift_blocks(n_modes, nodes):
+    """Blocks of a pi/2 phase shift (q -> p, p -> -q) on the given modes."""
+    diag = np.zeros(n_modes)
+    diag[list(nodes)] = 1.0
+    return np.diag(1.0 - diag), np.diag(diag), np.diag(-diag), np.diag(1.0 - diag)
 
 
 class TestGaussGraph:
@@ -302,6 +310,22 @@ class TestLogNegativity:
         for state in (cov, engine.CovMatrix(cov.gamma, kappa=kappa)):
             assert engine.log_negativity(state, region) == pytest.approx(expected, abs=1e-9)
 
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9),
+           kappa=st.floats(1.0, 20.0))
+    def test_marked_vs_partial_transpose_and_oracle(self, seed, n, kappa):
+        # closed form over the pure spectrum against the brute-force
+        # transpose and the generalized eigensolve of the unmarked copy
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        pure = engine.covariance_from_graph(engine.GaussGraph(None, m @ m.T + 0.5 * np.eye(n)))
+        cov = engine.thermal_scale(pure, kappa)
+        region = np.flatnonzero(rng.random(n) < 0.5).tolist() or [int(rng.integers(n))]
+        value = engine.log_negativity(cov, region)
+        assert value == pytest.approx(self.partial_transpose_negativity(cov, region), abs=1e-10)
+        plain = engine.CovMatrix(cov.gamma, kappa=kappa)
+        assert value == pytest.approx(engine.log_negativity(plain, region), abs=1e-10)
+
     def test_thermal_product_state_zero(self):
         cov = engine.thermal_scale(engine.CovMatrix(0.5 * np.eye(8)), 2.0)
         assert engine.log_negativity(cov, [0, 2]) == 0.0
@@ -386,7 +410,7 @@ class TestMeasurements:
             g = random_graph(rng)
             node = int(rng.integers(g.n_modes))
             direct = engine.measure_p(g, node)
-            blocks = engine.phase_shift_blocks(g.n_modes, [node])
+            blocks = phase_shift_blocks(g.n_modes, [node])
             rotated = engine.apply_symplectic(g, *blocks)
             oracle = engine.measure_q(rotated, node)
             assert np.allclose(direct.z_matrix, oracle.z_matrix, atol=1e-9)
@@ -412,7 +436,7 @@ class TestApplySymplectic:
     def test_fourier_squared_is_parity(self):
         rng = np.random.default_rng(17)
         g = random_graph(rng, n=1)
-        blocks = engine.phase_shift_blocks(1, [0])
+        blocks = phase_shift_blocks(1, [0])
         out = engine.apply_symplectic(
             engine.apply_symplectic(g, *blocks), *blocks)
         assert np.allclose(out.z_matrix, g.z_matrix, atol=1e-10)

@@ -57,6 +57,19 @@ REF_16 = {
     "lower": 1.0995760195335098,
 }
 
+# TLN of the kappa-scaled 12x12 torus state (default KP disk), keyed by
+# log s, for kappa = 1, 2, 10.  Computed in mpmath at 40 digits, with U built
+# at exact s = e^{log s}, from the cut identity
+# (1 - lambda)/2 = eig((U^-1)_BB C_BB), C the U entries on edges crossing the
+# cut and B their endpoints, which shares no step with the spectral path;
+# rounded to 12 decimals.  The same computation from the float64 U moves
+# the values by up to 3.7e-11 (at log s 3.25, cond(U) = 1 + 8 s^4).
+REF_12_TLN = {
+    2.4: (6.217757814820, 5.436006490577, 3.114078395690),
+    2.8: (7.371789888477, 6.590035088870, 4.268106993983),
+    3.25: (8.670189247870, 7.888433714293, 5.566505619405),
+}
+
 
 class TestKPRegions:
     def test_empty_disk_rejected(self):
@@ -160,6 +173,14 @@ class TestTLN:
         spec, cov = surface_state(16, 16, 1.0)
         assert topo.tln_kp(cov, topo.kp_regions(spec)) == pytest.approx(
             REF_16["tln"], abs=1e-7)
+
+    @pytest.mark.parametrize("log_s", sorted(REF_12_TLN))
+    def test_high_precision_reference(self, surface_state, log_s):
+        spec, cov = surface_state(12, 12, log_s)
+        kp = topo.kp_regions(spec)
+        for kappa, expected in zip((1.0, 2.0, 10.0), REF_12_TLN[log_s]):
+            assert topo.tln_kp(engine.thermal_scale(cov, kappa), kp) == pytest.approx(
+                expected, abs=1e-9)
 
 
 class TestMutualInformation:
