@@ -31,10 +31,9 @@ SWEEP_COLUMNS = ("log_s", "tee_kp", "tee_lw", "tln", "tmi", "tmi_lower",
 def _worker_count():
     value = os.environ.get("GAUSSTOPO_THREADS")
     if value:
-        try:
-            return max(1, int(value))
-        except ValueError:
-            raise ValidationError("GAUSSTOPO_THREADS must be an integer")
+        if not value.strip().isdecimal() or int(value) < 1:
+            raise ValidationError("GAUSSTOPO_THREADS must be a positive integer")
+        return int(value)
     # BLAS already threads the dense algebra; more workers oversubscribe cores
     return 1
 
@@ -125,8 +124,7 @@ def cmd_tln(args):
 
 
 def cmd_tmi(args):
-    if args.kappa < 1.0:
-        raise ValidationError("kappa must be >= 1")
+    engine._check_kappa(args.kappa)
     spec = _spec(args)
     cov_pure = _surface_cov(spec)
     regions = _kp(spec, args)
@@ -193,9 +191,10 @@ def cmd_sweep(args):
     unknown = set(args.metrics.split(",")) - set(SWEEP_COLUMNS[1:-1])
     if unknown:
         raise ValidationError("unknown metrics: %s" % ",".join(sorted(unknown)))
-    kappas = [float(k) for k in args.kappas.split(",")]
-    if min(kappas) < 1.0:
-        raise ValidationError("kappas must be >= 1")
+    try:
+        kappas = [engine._check_kappa(float(k)) for k in args.kappas.split(",")]
+    except ValueError:
+        raise ValidationError("kappas must be comma-separated numbers")
     done = _existing_points(args.out)
     pending = {log_s: [k for k in kappas if ("%.12g" % log_s, "%.12g" % k) not in done]
                for log_s in grid}

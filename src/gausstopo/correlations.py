@@ -46,7 +46,7 @@ def dms_bound(s):
 
 
 def _require_block_diagonal(cov):
-    if not cov.is_block_diagonal():
+    if not cov.block_diagonal:
         raise UnsupportedStateError("correlations require a q/p block-diagonal state")
 
 
@@ -84,8 +84,8 @@ def euclidean_distance(spec, i, j):
     return float(np.hypot(dx, dy))
 
 
-def verify_bound(cov, spec, bound=None, min_distance=3):
-    """Check the decay bound on all pairs with graph distance > 2.
+def verify_bound(cov, spec):
+    """Check the `dms_bound` envelope on all pairs with graph distance > 2.
 
     Violations are reported, not raised.
 
@@ -94,17 +94,15 @@ def verify_bound(cov, spec, bound=None, min_distance=3):
     dict with keys n_pairs, n_violations, max_violation, max_ratio.
     """
     _require_block_diagonal(cov)
-    if bound is None:
-        bound = dms_bound(spec.s)
     n = cov.n_modes
     if n != spec.n_nodes:
         raise ValidationError("state size does not match the mode grid")
     x, y = np.divmod(np.arange(n), spec.cols)
     dist = np.maximum(*wrapped_offsets(spec.rows, spec.cols, spec.boundary,
                                        (x[:, None], y[:, None]), (x, y)))
-    mask = dist >= min_distance
+    mask = dist > 2
     corr = np.abs(cov.q_block)
-    envelope = cov.kappa * bound.envelope(dist)
+    envelope = cov.kappa * dms_bound(spec.s).envelope(dist)
     excess = np.where(mask, corr - envelope, -np.inf)
     n_viol = int(np.count_nonzero(excess > 0))
     max_viol = float(excess.max()) if mask.any() else 0.0
@@ -146,13 +144,12 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
     return np.array(seps, dtype=float), np.array(vals, dtype=float)
 
 
-def fit_correlation_length(separations, correlations, xi_init=(0.5, 3.0),
-                           max_iterations=500, residual_threshold=1e-4):
+def fit_correlation_length(separations, correlations):
     """Fit |<q q>| = a e^{-d/xi_a} + b e^{-d/xi_b} by separable least squares.
 
     Variable projection: for each (xi_a, xi_b) iterate, the amplitudes are
     solved by linear least squares and the outer residual is taken in the
-    log domain.  Initialization is fixed, so the fit is deterministic.
+    log domain.  Initialization is fixed at (0.5, 3.0), so the fit is deterministic.
 
     Returns
     -------
@@ -176,10 +173,9 @@ def fit_correlation_length(separations, correlations, xi_init=(0.5, 3.0),
         model = np.clip(basis @ coef, 1e-300, None)
         return np.log(model) - np.log(y)
 
-    sol = least_squares(resid, list(xi_init), max_nfev=max_iterations)
+    sol = least_squares(resid, [0.5, 3.0], max_nfev=500)
     if not sol.success:
-        raise FitFailedError("fit did not converge in %d iterations" % max_iterations,
-                             residuals=sol.fun)
+        raise FitFailedError("fit did not converge in 500 iterations", residuals=sol.fun)
     xi_a, xi_b = sol.x
     (amp_a, amp_b), _ = amplitudes(sol.x)
     if xi_a > xi_b:

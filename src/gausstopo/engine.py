@@ -7,6 +7,7 @@ form Omega = [[0, I], [-I, 0]].  All objects are immutable after
 construction and all operations are pure functions.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
 SERIALIZATION_VERSION = 1
 
 _SYM_TOL = 1e-12
+PIVOT_TOL = 1e-12  # smallest |Z_kk| a p-measurement divides by
 
 
 def symplectic_form(n_modes):
@@ -54,11 +56,12 @@ class GaussGraph:
         n = u.shape[0]
         self._cond = 1.0
         if n > 0:
-            scale_v = max(1.0, np.abs(v).max())
-            scale_u = max(1.0, np.abs(u).max())
-            if np.abs(v - v.T).max() > _SYM_TOL * scale_v:
+            max_v, max_u = np.abs(v).max(), np.abs(u).max()  # NaN and inf propagate
+            if not (np.isfinite(max_v) and np.isfinite(max_u)):
+                raise ValidationError("v_part and u_part must be finite")
+            if np.abs(v - v.T).max() > _SYM_TOL * max(1.0, max_v):
                 raise ValidationError("v_part is not symmetric to within 1e-12")
-            if np.abs(u - u.T).max() > _SYM_TOL * scale_u:
+            if np.abs(u - u.T).max() > _SYM_TOL * max(1.0, max_u):
                 raise ValidationError("u_part is not symmetric to within 1e-12")
             v = 0.5 * (v + v.T)
             u = 0.5 * (u + u.T)
@@ -82,10 +85,8 @@ class GaussGraph:
         """Complex symmetric Z = V + iU."""
         return self.v_part + 1j * self.u_part
 
-    def is_v_zero(self, tol=0.0):
-        if self.n_modes == 0:
-            return True
-        return np.abs(self.v_part).max() <= tol
+    def is_v_zero(self):
+        return not self.v_part.any()
 
     def to_json(self):
         """Serialize to the JSON state record (dense row-major arrays)."""
@@ -134,13 +135,14 @@ class CovMatrix:
     """
 
     _scaled_pure = False
+    block_diagonal = property(lambda self: self._block_diagonal,
+                              doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
 
     def __init__(self, gamma, kappa=1.0):
         g = np.atleast_2d(np.asarray(gamma, dtype=float))
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValidationError("gamma must be a square 2N x 2N matrix")
-        if kappa < 1.0:
-            raise ValidationError("kappa must be >= 1")
+        self.kappa = _check_kappa(kappa)
         if np.array_equal(g, g.T):
             self.gamma = g.copy()
         else:
@@ -150,7 +152,12 @@ class CovMatrix:
             self.gamma = 0.5 * (g + g.T)
         self.n_modes = g.shape[0] // 2
         self.gamma.setflags(write=False)
-        self.kappa = float(kappa)
+        # max |gamma| = max(hi, -lo) without a copy; initial=0 covers N = 0
+        hi, lo = self.gamma.max(initial=0.0), self.gamma.min(initial=0.0)
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise ValidationError("gamma must be finite")
+        self._block_diagonal = bool(
+            np.abs(self.qp_block).max(initial=0.0) <= 1e-12 * max(1.0, hi, -lo))
 
     @property
     def q_block(self):
@@ -167,13 +174,6 @@ class CovMatrix:
         n = self.n_modes
         return self.gamma[:n, n:]
 
-    def is_block_diagonal(self, tol=1e-12):
-        """True when the q-p cross block vanishes."""
-        if self.n_modes == 0:
-            return True
-        scale = max(1.0, self.gamma.max(), -self.gamma.min())  # max |gamma|, no copy
-        return np.abs(self.qp_block).max() <= tol * scale
-
 
 class SymplecticSpectrum:
     """Sorted positive symplectic eigenvalues of a reduced state.
@@ -182,20 +182,19 @@ class SymplecticSpectrum:
     ----------
     values : array_like
         Positive symplectic eigenvalues; sorted descending on construction.
-    tol_half : float, optional
-        Classification tolerance around sigma = 1/2.
     """
 
-    def __init__(self, values, tol_half=1e-9):
+    tol_half = 1e-9  # classification tolerance around sigma = 1/2
+
+    def __init__(self, values):
         vals = np.sort(np.asarray(values, dtype=float))[::-1]
         # validation scales with the spectral norm: eigensolver undershoot of
         # sigma = 1/2 grows with the covariance norm for strongly squeezed states
         scale = max(1.0, float(vals[0])) if vals.size else 1.0
-        if vals.size and vals.min() < 0.5 - tol_half * scale:
+        if vals.size and vals.min() < 0.5 - self.tol_half * scale:
             raise ValidationError("symplectic eigenvalue below 1/2 - tol_half")
         self.values = np.maximum(vals, 0.5)
         self.values.setflags(write=False)
-        self.tol_half = float(tol_half)
 
     def __len__(self):
         return self.values.size
@@ -214,7 +213,7 @@ class SymplecticSpectrum:
         """Spectrum of the kappa-scaled state (sigma -> kappa * sigma); values
         within tol_half of 1/2 map to exactly kappa/2."""
         vals = np.where(self.values <= 0.5 + self.tol_half, 0.5, self.values)
-        return SymplecticSpectrum(kappa * vals, tol_half=self.tol_half)
+        return SymplecticSpectrum(kappa * vals)
 
 
 def covariance_from_graph(graph, cond_threshold=1e12):
@@ -296,7 +295,7 @@ def _spectrum_general(gamma_red):
     return ev[ev > 0]
 
 
-def symplectic_spectrum(cov, region, tol_half=1e-9, force_general=False):
+def symplectic_spectrum(cov, region, force_general=False):
     """Symplectic spectrum of the reduction of `cov` to `region`.
 
     Parameters
@@ -304,8 +303,6 @@ def symplectic_spectrum(cov, region, tol_half=1e-9, force_general=False):
     cov : CovMatrix
     region : iterable of int
         Mode indices to keep.
-    tol_half : float, optional
-        Classification tolerance around 1/2.
     force_general : bool, optional
         Skip the block-diagonal fast path (used as a cross-check oracle).
 
@@ -318,13 +315,13 @@ def symplectic_spectrum(cov, region, tol_half=1e-9, force_general=False):
         raise ValidationError("region must be non-empty")
     if region[0] < 0 or region[-1] >= cov.n_modes:
         raise ValidationError("region indices out of range")
-    if not force_general and cov.is_block_diagonal():
+    if not force_general and cov.block_diagonal:
         sigma = _spectrum_block_diagonal(cov, region)
     else:
         n = cov.n_modes
         idx = np.array(region + [n + i for i in region])
         sigma = _spectrum_general(cov.gamma[np.ix_(idx, idx)])
-    return SymplecticSpectrum(sigma, tol_half=tol_half)
+    return SymplecticSpectrum(sigma)
 
 
 def von_neumann_entropy(spectrum):
@@ -369,7 +366,7 @@ def log_negativity(cov, region):
     n = cov.n_modes
     if not region or region[0] < 0 or region[-1] >= n:
         raise ValidationError("region must be a non-empty subset of the modes")
-    if not cov.is_block_diagonal():
+    if not cov.block_diagonal:
         raise UnsupportedStateError("log_negativity requires a q/p block-diagonal state")
     if cov._scaled_pure:
         pure = SymplecticSpectrum(symplectic_spectrum(cov, region).values / cov.kappa)
@@ -387,12 +384,21 @@ def log_negativity(cov, region):
     return float(-0.5 * np.sum(np.log2(np.clip(lam, 1e-300, 1.0))))
 
 
+def _check_kappa(kappa):
+    """kappa as a float; ValidationError unless 1 <= kappa < inf (NaN fails)."""
+    if not 1.0 <= kappa < np.inf:
+        raise ValidationError("kappa must be finite and >= 1")
+    return float(kappa)
+
+
 def thermal_scale(cov, kappa):
-    """Scale the covariance by kappa (thermal cluster-state noise model)."""
-    if kappa < 1.0:
-        raise ValidationError("kappa must be >= 1")
-    scaled = CovMatrix(kappa * cov.gamma, kappa=kappa * cov.kappa)
-    scaled._scaled_pure = cov._scaled_pure
+    """Scale the covariance by kappa (thermal cluster-state noise model): a copy
+    of `cov` that keeps its mark and `block_diagonal`, as kappa * gamma stays symmetric."""
+    kappa = _check_kappa(kappa)
+    scaled = copy.copy(cov)
+    scaled.gamma = kappa * cov.gamma
+    scaled.gamma.setflags(write=False)
+    scaled.kappa = kappa * cov.kappa
     return scaled
 
 
@@ -407,7 +413,7 @@ def measure_q(graph, node):
     return GaussGraph(graph.v_part[sel], graph.u_part[sel])
 
 
-def measure_p(graph, node, pivot_tol=1e-12):
+def measure_p(graph, node):
     """Measure p on `node`: Schur complement Z' = Z_minor - z z^T / Z_kk."""
     n = graph.n_modes
     node = int(node)
@@ -415,7 +421,7 @@ def measure_p(graph, node, pivot_tol=1e-12):
         raise ValidationError("node %d out of range for %d modes" % (node, n))
     z = graph.z_matrix
     zkk = z[node, node]
-    if abs(zkk) < pivot_tol:
+    if abs(zkk) < PIVOT_TOL:
         raise SingularPivotError("Z[%d,%d] is below pivot tolerance" % (node, node))
     keep = [i for i in range(n) if i != node]
     col = z[keep, node]
@@ -423,11 +429,11 @@ def measure_p(graph, node, pivot_tol=1e-12):
     return GaussGraph(z_new.real, z_new.imag)
 
 
-def apply_symplectic(graph, a, b, c, d, tol=1e-10):
+def apply_symplectic(graph, a, b, c, d):
     """Graph update Z' = (C + D Z)(A + B Z)^-1 for symplectic [[A,B],[C,D]].
 
     The blocks act on (q, p) with S (q, p)^T ordering; the symplectic
-    condition S Omega S^T = Omega is checked to `tol`.
+    condition S Omega S^T = Omega is checked to 1e-10.
     """
     n = graph.n_modes
     blocks = [np.asarray(m, dtype=float) for m in (a, b, c, d)]
@@ -436,7 +442,7 @@ def apply_symplectic(graph, a, b, c, d, tol=1e-10):
     a, b, c, d = blocks
     s = np.block([[a, b], [c, d]])
     omega = symplectic_form(n)
-    if np.abs(s @ omega @ s.T - omega).max() > tol:
+    if np.abs(s @ omega @ s.T - omega).max() > 1e-10:
         raise ValidationError("blocks do not satisfy the symplectic condition")
     z = graph.z_matrix
     denom = a + b @ z

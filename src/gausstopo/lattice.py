@@ -213,7 +213,7 @@ def map_cluster_to_surface(spec):
     _, p_nodes, kept = measurement_pattern(spec)
     z_pp = z[np.ix_(p_nodes, p_nodes)]
     z_pk = z[np.ix_(p_nodes, kept)]
-    if (np.abs(np.diag(z_pp)) < 1e-12).any():
+    if (np.abs(np.diag(z_pp)) < engine.PIVOT_TOL).any():
         raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
     try:
         z_new = z[np.ix_(kept, kept)] - z_pk.T @ np.linalg.solve(z_pp, z_pk)

@@ -138,9 +138,9 @@ def lw_regions(spec, center=None, inner=6, width=3):
                                    "width": float(width), "rows": n, "cols": m})
 
 
-def region_entropy(cov, region, tol_half=1e-9):
+def region_entropy(cov, region):
     """Von Neumann entropy (bits) of the reduction to `region`."""
-    return von_neumann_entropy(symplectic_spectrum(cov, region, tol_half=tol_half))
+    return von_neumann_entropy(symplectic_spectrum(cov, region))
 
 
 def _kp_spectra(cov, regions):
@@ -194,19 +194,17 @@ def tln_kp(cov, regions):
     return _kp_sum(lambda names: engine.log_negativity(cov, regions.union(*names)))
 
 
-def mutual_information(cov, region, tol_half=1e-9):
+def mutual_information(cov, region):
     """I_X = S_X + S_Xc - S_total."""
     region = sorted(set(region))
     if not region:
         raise ValidationError("region must be non-empty")
     n = cov.n_modes
     comp = sorted(set(range(n)) - set(region))
-    s_x = region_entropy(cov, region, tol_half)
+    s_x = region_entropy(cov, region)
     if not comp:
         return 0.0
-    s_xc = region_entropy(cov, comp, tol_half)
-    s_tot = region_entropy(cov, range(n), tol_half)
-    return s_x + s_xc - s_tot
+    return s_x + region_entropy(cov, comp) - region_entropy(cov, range(n))
 
 
 def tmi(cov, regions):

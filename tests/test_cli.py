@@ -1,5 +1,6 @@
 """Command-line driver tests (run in-process via main)."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -94,11 +95,12 @@ class TestDiagnostics:
             raise AssertionError("kappa must be rejected before the covariance is built")
 
         monkeypatch.setattr(cli, "_surface_cov", no_setup)
-        code, stdout, stderr = run(capsys, "tmi", "--rows", "12", "--cols", "12",
-                                   "--log-s", "1.0", "--kappa", "0.5")
-        assert code == cli.EXIT_VALIDATION
-        assert stdout == ""
-        assert "kappa" in stderr
+        for kappa in ("0.5", "nan", "inf"):
+            code, stdout, stderr = run(capsys, "tmi", "--rows", "12", "--cols", "12",
+                                       "--log-s", "1.0", "--kappa", kappa)
+            assert code == cli.EXIT_VALIDATION
+            assert stdout == ""
+            assert "kappa" in stderr
 
     def test_upper_bound(self, capsys):
         code, stdout, _ = run(capsys, "upper-bound", "--log-s", "0.0")
@@ -211,9 +213,10 @@ class TestSweep:
         assert {"log_s", "tee_kp", "tee_upper", "geometry"} <= set(records[0])
 
     def test_invalid_thread_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GAUSSTOPO_THREADS", "many")
-        code, _, _ = run(capsys, *SWEEP_ARGS, "--out", str(tmp_path / "x.csv"))
-        assert code == cli.EXIT_VALIDATION
+        for value in ("many", "0", "-1"):
+            monkeypatch.setenv("GAUSSTOPO_THREADS", value)
+            code, _, _ = run(capsys, *SWEEP_ARGS, "--out", str(tmp_path / "x.csv"))
+            assert code == cli.EXIT_VALIDATION
 
     def test_invalid_range(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--rows", "8", "--cols", "8",
@@ -300,6 +303,22 @@ class TestSweep:
         assert np.abs(tables[0] - tables[1]).max() <= 1e-9
 
     def test_kappa_below_one_rejected(self, tmp_path, capsys):
-        code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", "1,0.5",
-                         "--out", str(tmp_path / "x.csv"))
-        assert code == cli.EXIT_VALIDATION
+        out = tmp_path / "x.csv"
+        for kappas in ("1,0.5", "1,nan", "1,inf", "1,x"):
+            code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", kappas, "--out", str(out))
+            assert code == cli.EXIT_VALIDATION
+            assert not out.exists()
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    """Every function perfbench/tracing.py patches still exists, so a renamed
+    or removed public name breaks this test and not only the traced benchmark."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for key, attr, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module("gausstopo." + key), attr, None)), \
+            (key, attr)

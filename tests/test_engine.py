@@ -37,6 +37,14 @@ class TestGaussGraph:
         with pytest.raises(ValidationError):
             engine.GaussGraph(np.eye(3), np.eye(2))  # shape mismatch
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["u", "v"])
+    def test_rejects_non_finite(self, bad, part):
+        m = np.eye(2)
+        m[0, 0] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            engine.GaussGraph(None, m) if part == "u" else engine.GaussGraph(m, np.eye(2))
+
     def test_rounding_loss_of_definiteness(self):
         # a smallest eigenvalue within n eps w_max of zero is a numerical
         # failure; a clearly indefinite or zero U is invalid input
@@ -98,24 +106,37 @@ class TestCovarianceFromGraph:
         # V = 1, U = 1: Gamma = 1/2 [[1, 1], [1, 2]]
         cov = engine.covariance_from_graph(engine.GaussGraph([[1.0]], [[1.0]]))
         assert np.allclose(cov.gamma, 0.5 * np.array([[1.0, 1.0], [1.0, 2.0]]))
-        assert not cov.is_block_diagonal()
+        assert not cov.block_diagonal
 
     def test_block_diagonal_when_v_zero(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 4))
         u = m @ m.T + np.eye(4)
         cov = engine.covariance_from_graph(engine.GaussGraph(None, u))
-        assert cov.is_block_diagonal()
+        assert cov.block_diagonal
         assert np.allclose(cov.q_block, 0.5 * np.linalg.inv(u))
         assert np.allclose(cov.p_block, 0.5 * u)
 
-    def test_marks_pure_state(self):
-        cov = engine.covariance_from_graph(two_mode_cluster(1.0))
-        assert cov._scaled_pure
-        assert engine.thermal_scale(cov, 3.0)._scaled_pure
-        hand_built = engine.CovMatrix(cov.gamma)
-        assert not hand_built._scaled_pure
-        assert not engine.thermal_scale(hand_built, 3.0)._scaled_pure
+    def test_marks_pure_state(self, monkeypatch):
+        parents = []
+        for v_part in (None, [[0.0, 1.0], [1.0, 0.0]]):
+            cov = engine.covariance_from_graph(engine.GaussGraph(v_part, np.eye(2)))
+            hand_built = engine.CovMatrix(cov.gamma)
+            assert cov._scaled_pure
+            assert not hand_built._scaled_pure
+            assert cov.block_diagonal == hand_built.block_diagonal == (v_part is None)
+            parents += [cov, hand_built]
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("thermal_scale must copy, not re-validate")
+
+        monkeypatch.setattr(engine.CovMatrix, "__init__", no_init)
+        for parent in parents:
+            scaled = engine.thermal_scale(engine.thermal_scale(parent, 3.0), 2.0)
+            assert scaled._scaled_pure == parent._scaled_pure
+            assert scaled.block_diagonal == parent.block_diagonal
+            assert scaled.kappa == 6.0
+            assert np.array_equal(scaled.gamma, 2.0 * (3.0 * parent.gamma))
 
     def test_ill_conditioned(self):
         with pytest.raises(IllConditionedGraphError):
@@ -150,6 +171,32 @@ class TestCovMatrix:
         gamma[0, 1] = 1e-9
         with pytest.raises(ValidationError):
             engine.CovMatrix(gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        gamma = 0.5 * np.eye(2)
+        gamma[0, 0] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            engine.CovMatrix(gamma)
+
+    @pytest.mark.parametrize("kappa", [0.5, np.nan, np.inf])
+    def test_rejects_bad_kappa(self, kappa):
+        with pytest.raises(ValidationError, match="kappa"):
+            engine.CovMatrix(0.5 * np.eye(2), kappa=kappa)
+
+    @pytest.mark.parametrize("diag", [0.5, 3.0])
+    @pytest.mark.parametrize("rel", [0.0, 0.5e-12, 2e-12])
+    def test_block_diagonal_matches_per_call_rule(self, diag, rel):
+        # the rule the flag records: max|gamma_qp| <= 1e-12 max(1, max|gamma|)
+        gamma = diag * np.eye(4)
+        gamma[0, 2] = gamma[2, 0] = rel * max(1.0, diag)
+        cov = engine.CovMatrix(gamma)
+        scale = max(1.0, np.abs(gamma).max())
+        assert cov.block_diagonal == (np.abs(gamma[:2, 2:]).max() <= 1e-12 * scale)
+        assert cov.block_diagonal == (rel < 1e-12)
+
+    def test_empty_state_block_diagonal(self):
+        assert engine.CovMatrix(np.zeros((0, 0))).block_diagonal
 
 
 class TestSymplecticSpectrum:
@@ -361,8 +408,18 @@ class TestThermalScale:
         assert twice.kappa == once.kappa == 4.0
 
     def test_rejects_sub_unity(self):
-        with pytest.raises(ValidationError):
-            engine.thermal_scale(engine.CovMatrix(0.5 * np.eye(2)), 0.5)
+        for kappa in (0.5, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                engine.thermal_scale(engine.CovMatrix(0.5 * np.eye(2)), kappa)
+
+    def test_read_only_copy(self, surface_state):
+        _, cov = surface_state(8, 8, 1.0)
+        scaled = engine.thermal_scale(cov, 2.0)
+        assert not scaled.gamma.flags.writeable
+        assert not np.shares_memory(scaled.gamma, cov.gamma)
+        assert cov.kappa == 1.0 and scaled.kappa == 2.0
+        with pytest.raises(ValueError):
+            scaled.gamma[0, 0] = 0.0
 
 
 class TestMeasurements:
