@@ -13,6 +13,7 @@ from .engine import (
     pure_log_negativity,
     purity,
     symplectic_form,
+    symplectic_spectra,
     symplectic_spectrum,
     thermal_scale,
     von_neumann_entropy,

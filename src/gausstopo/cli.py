@@ -142,13 +142,19 @@ def _sweep_point(spec_base, log_s, kappas, args):
     covariance and one set of KP spectra of the pure state."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
-    cov_pure = _surface_cov(spec)
+    graph = lattice.surface_code_graph_analytic(spec)
+    cov_pure = engine.covariance_from_graph(graph)
     regions = _kp(spec, args)
     geometry = dict(regions.geometry)
     metrics = set(args.metrics.split(","))
+    meta = {"path": "dense" if cov_pure._u is None else "factor", "cond_u": graph._cond}
     shared = {}
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         spectra = topo._kp_spectra(cov_pure, regions)
+        meta["kp_unions"] = {
+            "".join(names): {"small_side": min(len(union), spec.n_nodes - len(union)),
+                             "n_above": union.n_above, "n_half": union.n_half}
+            for names, union in zip(topo.KP_SUBSETS, spectra)}
     if "tee_kp" in metrics:
         shared["tee_kp"] = topo._kp_entropy(spectra, 1.0)
     if "tee_lw" in metrics:
@@ -160,6 +166,7 @@ def _sweep_point(spec_base, log_s, kappas, args):
     if "tee_upper" in metrics:
         shared["tee_upper"] = topo.tee_upper_bound(spec.s)
     return [topo.TopoReport(log_s=log_s, kappa=kappa, geometry=dict(geometry),
+                            spectra_meta=meta,
                             tln_kp=topo._kp_log_negativity(spectra, kappa)
                             if "tln" in metrics else None,
                             tmi=topo._kp_entropy(spectra, kappa) if "tmi" in metrics else None,

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
+from .engine import symplectic_spectra, von_neumann_entropy
 from .errors import FitFailedError, UnsupportedStateError, ValidationError
 from .lattice import wrapped_offsets
 
@@ -53,7 +54,7 @@ def _require_block_diagonal(cov):
 def qq_correlation(cov, i, j):
     """<q_i q_j> (kappa-scaled for thermal states)."""
     _require_block_diagonal(cov)
-    return float(cov.q_block[i, j])
+    return float(cov.q_columns([j])[i, 0])
 
 
 def pp_correlation(cov, i, j):
@@ -132,6 +133,7 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
     cx, cy = n // 2 - 1, m // 2 - 1
     if max_separation is None:
         max_separation = max(min(n, m) // 2 - 5, 8)
+    column = cov.q_columns([cx * m + cy])[:, 0]
     seps, vals = [], []
     for d in range(1, max_separation + 1):
         x, y = cx + dx * d, cy + dy * d
@@ -140,7 +142,7 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
         elif not (0 <= x < n and 0 <= y < m):
             break
         seps.append(d)
-        vals.append(abs(cov.q_block[cx * m + cy, x * m + y]))
+        vals.append(abs(column[x * m + y]))
     return np.array(seps, dtype=float), np.array(vals, dtype=float)
 
 
@@ -195,8 +197,6 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
     -------
     (alpha, gamma) from the least-squares line.
     """
-    from .topo import region_entropy
-
     if sizes is None:
         sizes = range(2, 11)
     n, m = spec.rows, spec.cols
@@ -204,12 +204,13 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
         kmax = max(sizes)
         offset = ((n - kmax) // 2, (m - kmax) // 2)
     ox, oy = offset
-    perims, entropies = [], []
+    perims, squares = [], []
     for k in sizes:
         if ox + k > n or oy + k > m:
             raise ValidationError("square of side %d does not fit" % k)
-        region = [(ox + x) * m + (oy + y) for x in range(k) for y in range(k)]
         perims.append(4 * k)
-        entropies.append(region_entropy(cov, region))
+        squares.append([(ox + x) * m + (oy + y) for x in range(k) for y in range(k)])
+    # one batched call: a U-native state serves every square from one solve
+    entropies = [von_neumann_entropy(sp) for sp in symplectic_spectra(cov, squares)]
     slope, intercept = np.polyfit(perims, entropies, 1)
     return float(slope), float(-intercept)

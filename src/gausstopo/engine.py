@@ -46,6 +46,17 @@ class GaussGraph:
     """
 
     def __init__(self, v_part, u_part):
+        self._setup(v_part, u_part, None)
+
+    @classmethod
+    def _with_extremes(cls, u_part, lam_min, lam_max):
+        """V = 0 graph whose U has extreme eigenvalues lam_min, lam_max known
+        from its structure: the same checks, without the dense eigvalsh."""
+        graph = cls.__new__(cls)
+        graph._setup(None, u_part, (lam_min, lam_max))
+        return graph
+
+    def _setup(self, v_part, u_part, extremes):
         u = np.atleast_2d(np.asarray(u_part, dtype=float))
         if v_part is None:
             v = np.zeros_like(u)
@@ -65,15 +76,18 @@ class GaussGraph:
                 raise ValidationError("u_part is not symmetric to within 1e-12")
             v = 0.5 * (v + v.T)
             u = 0.5 * (u + u.T)
-            w = np.linalg.eigvalsh(u)
-            if w[0] <= 0:
-                # within eigvalsh rounding of singular: a numerical failure
-                if -w[0] < n * np.finfo(float).eps * w[-1]:
+            if extremes is None:
+                w = np.linalg.eigvalsh(u)
+                extremes = w[0], w[-1]
+            lam_min, lam_max = extremes
+            if lam_min <= 0:
+                # within rounding of singular: a numerical failure
+                if -lam_min < n * np.finfo(float).eps * lam_max:
                     raise IllConditionedGraphError(
                         "u_part lost positive definiteness to rounding")
                 raise ValidationError("u_part must be positive definite")
             # 2-norm condition number of the SPD U, read by covariance_from_graph
-            self._cond = w[-1] / w[0]
+            self._cond = lam_max / lam_min
         self.n_modes = n
         self.v_part = v
         self.u_part = u
@@ -132,9 +146,14 @@ class CovMatrix:
 
     `covariance_from_graph` marks its result as a kappa-scaled pure state
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
+    A marked V = 0 state is U-native: it holds U, kappa and one Cholesky
+    factor of U instead of gamma, builds `gamma`, `q_block` and `p_block`
+    on first read and keeps them, and memoises the pure-state spectra of
+    its regions.
     """
 
     _scaled_pure = False
+    _u = None  # U of a U-native state; None when gamma is dense
     block_diagonal = property(lambda self: self._block_diagonal,
                               doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
 
@@ -144,35 +163,85 @@ class CovMatrix:
             raise ValidationError("gamma must be a square 2N x 2N matrix")
         self.kappa = _check_kappa(kappa)
         if np.array_equal(g, g.T):
-            self.gamma = g.copy()
+            self._gamma = g.copy()
         else:
             scale = max(1.0, np.abs(g).max())
             if np.abs(g - g.T).max() > 1e-10 * scale:
                 raise ValidationError("gamma is not symmetric")
-            self.gamma = 0.5 * (g + g.T)
+            self._gamma = 0.5 * (g + g.T)
         self.n_modes = g.shape[0] // 2
-        self.gamma.setflags(write=False)
+        self._gamma.setflags(write=False)
         # max |gamma| = max(hi, -lo) without a copy; initial=0 covers N = 0
-        hi, lo = self.gamma.max(initial=0.0), self.gamma.min(initial=0.0)
+        hi, lo = self._gamma.max(initial=0.0), self._gamma.min(initial=0.0)
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValidationError("gamma must be finite")
         self._block_diagonal = bool(
             np.abs(self.qp_block).max(initial=0.0) <= 1e-12 * max(1.0, hi, -lo))
 
+    @classmethod
+    def _from_factor(cls, u, factor):
+        """Marked U-native pure state of the graph V = 0, U with `factor`
+        from `scipy.linalg.cho_factor(U)`."""
+        cov = cls.__new__(cls)
+        cov.kappa = 1.0
+        cov.n_modes = u.shape[0]
+        cov._scaled_pure = cov._block_diagonal = True
+        cov._u, cov._factor, cov._memo = u, factor, {}
+        cov._gamma = cov._q = cov._p = None
+        return cov
+
+    def _inverse_columns(self, cols):
+        """Columns `cols` of U^-1 from one multi-right-hand-side solve."""
+        rhs = np.zeros((self.n_modes, len(cols)))
+        rhs[cols, np.arange(len(cols))] = 1.0
+        return sla.cho_solve(self._factor, rhs, check_finite=False)
+
+    @property
+    def gamma(self):
+        """The dense 2N x 2N covariance (read-only)."""
+        if self._gamma is None:
+            n = self.n_modes
+            g = np.zeros((2 * n, 2 * n))
+            g[:n, :n] = self.q_block
+            g[n:, n:] = self.p_block
+            self._gamma = _read_only(g)
+        return self._gamma
+
     @property
     def q_block(self):
         n = self.n_modes
-        return self.gamma[:n, :n]
+        if self._u is None:
+            return self.gamma[:n, :n]
+        if self._q is None:
+            u_inv = self._inverse_columns(np.arange(n))
+            self._q = _read_only(0.5 * self.kappa * (0.5 * (u_inv + u_inv.T)))
+        return self._q
 
     @property
     def p_block(self):
         n = self.n_modes
-        return self.gamma[n:, n:]
+        if self._u is None:
+            return self.gamma[n:, n:]
+        if self._p is None:
+            self._p = _read_only(0.5 * self.kappa * self._u)
+        return self._p
 
     @property
     def qp_block(self):
         n = self.n_modes
         return self.gamma[:n, n:]
+
+    def q_columns(self, cols):
+        """Columns `cols` of the q block; a U-native state takes them from
+        one solve with its factor and builds no block."""
+        if self._u is None:
+            return self.q_block[:, cols]
+        return 0.5 * self.kappa * self._inverse_columns(cols)
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 class SymplecticSpectrum:
@@ -224,62 +293,72 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     graph : GaussGraph
     cond_threshold : float, optional
         Maximum allowed 2-norm condition number of U, taken from the
-        eigenvalues of the positive-definiteness check in GaussGraph.
+        extreme eigenvalues of the positive-definiteness check in GaussGraph.
 
     Returns
     -------
     CovMatrix
-        Pure-state covariance (kappa = 1), marked as such.
+        Pure-state covariance (kappa = 1), marked as such.  For V = 0 it is
+        U-native: one Cholesky factor of U and no dense gamma.
     """
     u = graph.u_part
-    n = graph.n_modes
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
+    if graph.is_v_zero():
+        try:
+            factor = sla.cho_factor(u, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise IllConditionedGraphError("Cholesky factorization of U failed") from None
+        return CovMatrix._from_factor(u, factor)
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)
-    if graph.is_v_zero():
-        gamma = np.zeros((2 * n, 2 * n))
-        gamma[:n, :n] = 0.5 * u_inv
-        gamma[n:, n:] = 0.5 * u
-    else:
-        v = graph.v_part
-        uv = u_inv @ v
-        gamma = 0.5 * np.block([[u_inv, uv], [uv.T, u + v @ uv]])
-    cov = CovMatrix(gamma)
+    v = graph.v_part
+    uv = u_inv @ v
+    cov = CovMatrix(0.5 * np.block([[u_inv, uv], [uv.T, u + v @ uv]]))
     cov._scaled_pure = True
     return cov
 
 
-def _spectrum_block_diagonal(cov, region):
-    """Fast path for q/p block-diagonal covariances.
+def _factor_spectra(cov, regions):
+    """Pure-state spectra of the sorted `regions` of a U-native state,
+    memoised by mode tuple.
 
-    For a marked (kappa-scaled pure) state the q and p blocks are
-    kappa/2 U^-1 and kappa/2 U.  The product of the reduced blocks then satisfies the low-rank
-    identity (U^-1)_SS U_SS = I - (U^-1)_SL U_LS with L the complement of S,
-    so the spectrum is computed on the smaller side of the bipartition and
-    the larger side padded with exact kappa/2 entries.  Unmarked states fall
-    back to the symmetrized product of the reduced blocks.
+    The spectra not yet known share one multi-right-hand-side solve for the
+    columns of U^-1 on the union of their small sides.  For a small side S
+    with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS, so the
+    eigenvalues lambda of (U^-1)_SL U_LS give sigma = 1/2 sqrt(max(1,
+    1 - lambda)), and the large side is padded with exact 1/2 entries.
     """
+    memo = cov._memo
     n = cov.n_modes
-    region = sorted(region)
-    gx = cov.q_block
-    gp = cov.p_block
-    if cov._scaled_pure:
-        comp = sorted(set(range(n)) - set(region))
-        kappa = cov.kappa
-        small, large = sorted((region, comp), key=len)
-        if not small:
-            return np.full(len(region), 0.5 * kappa)
-        cross = (4.0 / kappa ** 2) * (gx[np.ix_(small, large)] @ gp[np.ix_(large, small)])
-        lam = np.linalg.eigvals(cross).real
-        sigma = 0.5 * kappa * np.sqrt(np.clip(1.0 - lam, 1.0, None))
-        return np.concatenate([sigma, np.full(len(region) - len(sigma), 0.5 * kappa)])
+    sides = {}
+    for region in regions:
+        key = tuple(region)
+        if key not in memo and key not in sides:
+            inside, outside = np.array(key), np.setdiff1d(np.arange(n), key)
+            sides[key] = (inside, outside) if len(key) <= len(outside) else (outside, inside)
+    if sides:
+        cols = np.unique(np.concatenate([small for small, _ in sides.values()]))
+        u_inv = cov._inverse_columns(cols)
+        for key, (small, large) in sides.items():
+            sigma = np.empty(0)
+            if small.size:
+                cross = (u_inv[np.ix_(large, np.searchsorted(cols, small))].T
+                         @ cov._u[np.ix_(large, small)])
+                lam = np.linalg.eigvals(cross).real
+                sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
+            memo[key] = SymplecticSpectrum(
+                np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
+    return [memo[tuple(region)] for region in regions]
+
+
+def _spectrum_block_diagonal(cov, region):
+    """Spectrum of a dense q/p block-diagonal covariance from the
+    symmetrized product of its reduced q and p blocks."""
     sel = np.ix_(region, region)
-    gx_r = gx[sel]
-    gp_r = gp[sel]
-    w, vecs = np.linalg.eigh(gx_r)
+    w, vecs = np.linalg.eigh(cov.q_block[sel])
     root = (vecs * np.sqrt(np.clip(w, 0.0, None))) @ vecs.T
-    lam = np.linalg.eigvalsh(root @ gp_r @ root)
+    lam = np.linalg.eigvalsh(root @ cov.p_block[sel] @ root)
     return np.sqrt(np.clip(lam, 0.0, None))
 
 
@@ -295,33 +374,63 @@ def _spectrum_general(gamma_red):
     return ev[ev > 0]
 
 
-def symplectic_spectrum(cov, region, force_general=False):
-    """Symplectic spectrum of the reduction of `cov` to `region`.
-
-    Parameters
-    ----------
-    cov : CovMatrix
-    region : iterable of int
-        Mode indices to keep.
-    force_general : bool, optional
-        Skip the block-diagonal fast path (used as a cross-check oracle).
-
-    Returns
-    -------
-    SymplecticSpectrum
-    """
+def _checked_region(cov, region):
     region = sorted(set(int(i) for i in region))
     if not region:
         raise ValidationError("region must be non-empty")
     if region[0] < 0 or region[-1] >= cov.n_modes:
         raise ValidationError("region indices out of range")
-    if not force_general and cov.block_diagonal:
-        sigma = _spectrum_block_diagonal(cov, region)
-    else:
-        n = cov.n_modes
-        idx = np.array(region + [n + i for i in region])
-        sigma = _spectrum_general(cov.gamma[np.ix_(idx, idx)])
-    return SymplecticSpectrum(sigma)
+    return region
+
+
+def symplectic_spectra(cov, regions, force_general=False):
+    """Symplectic spectra of the reductions of `cov` to each of `regions`.
+
+    Parameters
+    ----------
+    cov : CovMatrix
+    regions : iterable of iterables of int
+        Mode indices to keep, one collection per region.
+    force_general : bool, optional
+        Skip the structured paths (used as a cross-check oracle).
+
+    Returns
+    -------
+    list of SymplecticSpectrum
+        A U-native state takes them from its memoised pure-state spectra,
+        computed with one solve for all regions not yet known.  A dense
+        q/p block-diagonal state uses its reduced blocks, any other the
+        reduced gamma.
+    """
+    regions = [_checked_region(cov, region) for region in regions]
+    if cov._u is not None and not force_general:
+        return [SymplecticSpectrum(cov.kappa * pure.values)
+                for pure in _factor_spectra(cov, regions)]
+    n = cov.n_modes
+    spectra = []
+    for region in regions:
+        if not force_general and cov.block_diagonal:
+            sigma = _spectrum_block_diagonal(cov, region)
+        else:
+            idx = np.array(region + [n + i for i in region])
+            sigma = _spectrum_general(cov.gamma[np.ix_(idx, idx)])
+        spectra.append(SymplecticSpectrum(sigma))
+    return spectra
+
+
+def symplectic_spectrum(cov, region, force_general=False):
+    """Symplectic spectrum of the reduction of `cov` to `region`: the
+    one-region case of `symplectic_spectra`."""
+    return symplectic_spectra(cov, [region], force_general)[0]
+
+
+def _pure_spectra(cov, regions):
+    """Spectra of `regions` of `cov` divided by `cov.kappa`: for a marked
+    state, those of its pure state."""
+    if cov._u is not None:
+        return _factor_spectra(cov, [_checked_region(cov, region) for region in regions])
+    return [SymplecticSpectrum(spec.values / cov.kappa)
+            for spec in symplectic_spectra(cov, regions)]
 
 
 def von_neumann_entropy(spectrum):
@@ -369,8 +478,7 @@ def log_negativity(cov, region):
     if not cov.block_diagonal:
         raise UnsupportedStateError("log_negativity requires a q/p block-diagonal state")
     if cov._scaled_pure:
-        pure = SymplecticSpectrum(symplectic_spectrum(cov, region).values / cov.kappa)
-        return pure_log_negativity(pure, cov.kappa)
+        return pure_log_negativity(_pure_spectra(cov, [region])[0], cov.kappa)
     if len(region) == n:
         return 0.0
     mu = np.ones(n)
@@ -393,12 +501,17 @@ def _check_kappa(kappa):
 
 def thermal_scale(cov, kappa):
     """Scale the covariance by kappa (thermal cluster-state noise model): a copy
-    of `cov` that keeps its mark and `block_diagonal`, as kappa * gamma stays symmetric."""
+    of `cov` that keeps its mark and `block_diagonal`, as kappa * gamma stays
+    symmetric.  A U-native copy shares its parent's factor and spectrum memo,
+    since the pure-state spectra do not depend on kappa, and builds its own
+    blocks when they are read."""
     kappa = _check_kappa(kappa)
     scaled = copy.copy(cov)
-    scaled.gamma = kappa * cov.gamma
-    scaled.gamma.setflags(write=False)
     scaled.kappa = kappa * cov.kappa
+    if cov._u is None:
+        scaled._gamma = _read_only(kappa * cov.gamma)
+    else:
+        scaled._gamma = scaled._q = scaled._p = None
     return scaled
 
 

@@ -163,7 +163,13 @@ def surface_code_graph_analytic(spec):
         warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
     s = spec.s
     adj = surface_code_adjacency(spec)
-    u = s ** 2 * adj + (s ** -2 + 2 * s ** 2) * np.eye(spec.n_nodes)
+    c, d = s ** 2, s ** -2 + 2 * s ** 2
+    u = c * adj + d * np.eye(spec.n_nodes)
+    if spec.boundary == "torus" and spec.even_parity and min(spec.rows, spec.cols) >= 4:
+        # U = s^-2 I + s^2 B^T B (B from _p_kept_incidence) with spec(B^T B)
+        # = [0, 8], both ends attained here, so spec(A_SC) = [-2, 6] exactly;
+        # 2-wide tori saturate wrapped links and do not follow it
+        return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
     return GaussGraph(None, u)
 
 

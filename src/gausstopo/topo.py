@@ -145,10 +145,9 @@ def region_entropy(cov, region):
 
 def _kp_spectra(cov, regions):
     """Spectra of the seven KP unions of `cov` divided by `cov.kappa`: for a
-    kappa-scaled pure state, the spectra of the pure state."""
-    return [engine.SymplecticSpectrum(
-        symplectic_spectrum(cov, regions.union(*names)).values / cov.kappa)
-        for names in KP_SUBSETS]
+    kappa-scaled pure state, the spectra of the pure state, requested
+    together (one solve on a U-native state, then memoised)."""
+    return engine._pure_spectra(cov, [regions.union(*names) for names in KP_SUBSETS])
 
 
 def _kp_sum(term, items=KP_SUBSETS):
@@ -188,9 +187,11 @@ def tee_lw(cov, regions):
 
 def tln_kp(cov, regions):
     """KP combination with log-negativity substituted for entropy; on a marked
-    state each union's value comes from its pure-state spectrum."""
+    q/p block-diagonal state it comes from the seven pure-state spectra."""
     if regions.kind != "KP":
         raise ValidationError("tln_kp requires KP regions")
+    if cov._scaled_pure and cov.block_diagonal:
+        return _kp_log_negativity(_kp_spectra(cov, regions), cov.kappa)
     return _kp_sum(lambda names: engine.log_negativity(cov, regions.union(*names)))
 
 

@@ -114,6 +114,17 @@ class TestDiagnostics:
         assert code == cli.EXIT_NUMERICAL
         assert "numerical" in stderr
 
+    @pytest.mark.parametrize("command", ["tee", "tln", "tmi"])
+    @pytest.mark.parametrize("log_s", ["8", "9", "13"])
+    def test_extreme_squeezing_exits_numerical(self, capsys, command, log_s):
+        # cond(U) above 1e12 at log s 8 and 9; at 13 the closed-form smallest
+        # eigenvalue of U rounds to zero
+        code, stdout, stderr = run(capsys, command, "--rows", "12", "--cols", "12",
+                                   "--log-s", log_s)
+        assert code == cli.EXIT_NUMERICAL
+        assert stdout == ""
+        assert "numerical failure" in stderr
+
 
 class TestSpectrum:
     def test_gap_csv(self, tmp_path, capsys):
@@ -212,6 +223,29 @@ class TestSweep:
         assert len(records) == 2
         assert {"log_s", "tee_kp", "tee_upper", "geometry"} <= set(records[0])
 
+    def test_json_report_spectra_meta(self, tmp_path, capsys):
+        jout = tmp_path / "m.jsonl"
+        code, _, _ = run(capsys, "sweep", "--rows", "12", "--cols", "12", "--log-s-min", "1",
+                         "--log-s-max", "2", "--steps", "2", "--kappas", "1,10",
+                         "--out", str(tmp_path / "m.csv"), "--json-out", str(jout))
+        assert code == 0
+        records = [json.loads(line) for line in jout.read_text().splitlines()]
+        assert len(records) == 4
+        spec = gt.LatticeSpec(12, 12, "torus", 1.0)
+        graph = gt.surface_code_graph_analytic(spec)
+        kp = topo.kp_regions(spec)
+        for record in records[:2]:  # log s 1, kappa 1 and 10
+            meta = record["spectra_meta"]
+            assert meta["path"] == "factor"
+            assert meta["cond_u"] == pytest.approx(np.linalg.cond(graph.u_part), rel=1e-9)
+            assert list(meta["kp_unions"]) == ["A", "B", "C", "AB", "BC", "AC", "ABC"]
+            for names, sign in zip(topo.KP_SUBSETS, topo.KP_SIGNS):
+                union = meta["kp_unions"]["".join(names)]
+                size = len(kp.union(*names))
+                assert union["small_side"] == min(size, spec.n_nodes - size)
+                assert union["n_above"] + union["n_half"] == size
+                assert 0 < union["n_above"] <= union["small_side"]
+
     def test_invalid_thread_env(self, tmp_path, capsys, monkeypatch):
         for value in ("many", "0", "-1"):
             monkeypatch.setenv("GAUSSTOPO_THREADS", value)
@@ -275,6 +309,16 @@ class TestSweep:
         assert stderr.count("failed") == 2
         assert "log_s=8 kappa=10" in stderr
 
+    def test_extreme_squeezing_points_exit_numerical(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run(capsys, "sweep", "--rows", "12", "--cols", "12",
+                              "--log-s-min", "8", "--log-s-max", "13", "--steps", "6",
+                              "--out", str(out))
+        assert code == cli.EXIT_NUMERICAL
+        assert read_rows(out)[1] == []
+        for log_s in ("8", "9", "13"):
+            assert "point log_s=%s kappa=1 failed: " % log_s in stderr
+
     def test_unknown_metric_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_sweep_point", None)  # no point may run
         out = tmp_path / "x.csv"
@@ -284,8 +328,8 @@ class TestSweep:
         assert not out.exists()
 
     def test_blas_thread_count_invariance(self, tmp_path):
-        # a BLAS thread count may move the dense U^-1 in its last digits
-        # (about 1e-10 in these columns), never further
+        # a BLAS thread count may move the Cholesky factor of U and the U^-1
+        # columns in their last digits (a few 1e-10 in these columns), never further
         argv = ["sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
                 "--log-s-max", "3.2", "--steps", "4", "--kappas", "1,2,10",
                 "--metrics", ",".join(cli.SWEEP_COLUMNS[1:-1])]

@@ -422,6 +422,60 @@ class TestThermalScale:
             scaled.gamma[0, 0] = 0.0
 
 
+    def test_factored_copy_shares_memo_not_gamma(self, surface_state, monkeypatch):
+        _, cov = surface_state(8, 8, 1.0)
+        region = [0, 1, 2, 8, 9, 10]
+        pure = engine.symplectic_spectrum(cov, region)
+        gamma = cov.gamma  # built and kept by the parent
+        scaled = engine.thermal_scale(cov, 2.0)
+        assert scaled._memo is cov._memo
+        with monkeypatch.context() as patch:
+            def no_solve(*args, **kwargs):
+                raise AssertionError("a memoised spectrum needs no solve")
+
+            patch.setattr(engine.sla, "cho_solve", no_solve)
+            assert np.array_equal(engine.symplectic_spectrum(scaled, region).values,
+                                  2.0 * pure.values)
+        assert not np.shares_memory(scaled.gamma, gamma)
+        assert np.array_equal(scaled.gamma, 2.0 * gamma)
+        assert cov.gamma is gamma
+
+
+class TestFactoredState:
+    """A V = 0 covariance holds U and its Cholesky factor, not gamma."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 3.0])
+    def test_blocks_built_on_first_read(self, kappa):
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((5, 5))
+        u = m @ m.T + np.eye(5)
+        cov = engine.thermal_scale(engine.covariance_from_graph(engine.GaussGraph(None, u)),
+                                   kappa)
+        assert cov._gamma is None
+        assert np.allclose(cov.q_block, 0.5 * kappa * np.linalg.inv(u), rtol=1e-12, atol=0)
+        assert np.array_equal(cov.p_block, 0.5 * kappa * u)
+        assert np.allclose(cov.q_columns([3, 1]), cov.q_block[:, [3, 1]], rtol=1e-12, atol=0)
+        gamma = cov.gamma
+        assert cov.gamma is gamma and cov.q_block is cov.q_block
+        assert np.array_equal(gamma[:5, :5], cov.q_block)
+        assert np.array_equal(gamma[5:, 5:], cov.p_block)
+        assert not gamma[:5, 5:].any()
+        assert not gamma.flags.writeable
+
+    def test_full_region_is_half(self, surface_state):
+        _, cov = surface_state(8, 8, 1.0)
+        assert np.array_equal(engine.symplectic_spectrum(cov, range(64)).values,
+                              np.full(64, 0.5))
+
+    def test_failed_factorization_is_numerical(self, monkeypatch):
+        def not_pd(*args, **kwargs):
+            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+
+        monkeypatch.setattr(engine.sla, "cho_factor", not_pd)
+        with pytest.raises(IllConditionedGraphError):
+            engine.covariance_from_graph(engine.GaussGraph(None, np.eye(2)))
+
+
 class TestMeasurements:
     def test_measure_q_two_mode(self):
         g = engine.measure_q(two_mode_cluster(2.0), 1)

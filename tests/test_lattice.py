@@ -1,5 +1,7 @@
 """Lattice, cluster/surface-code graphs, nullifier tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,6 +226,64 @@ class TestSurfaceCodeGraph:
             ev = np.linalg.eigvalsh(u)
             assert ev.max() == pytest.approx(8 * s ** 2 + s ** -2, abs=1e-9)
             assert ev.min() == pytest.approx(s ** -2, abs=1e-9)
+
+    def test_structural_cond_matches_two_norm_cond(self, monkeypatch):
+        # even tori with sides >= 4 take PD and cond(U) from spec(A_SC) = [-2, 6]
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("an even torus with sides >= 4 needs no eigvalsh")
+
+        sides = range(4, 17, 2)
+        graphs = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+            for rows in sides:
+                for cols in sides:
+                    for log_s in range(-2, 4):
+                        spec = gt.LatticeSpec(rows, cols, "torus", log_s)
+                        graphs.append(gt.surface_code_graph_analytic(spec))
+        for graph in graphs:
+            assert graph._cond == pytest.approx(np.linalg.cond(graph.u_part), rel=1e-9)
+
+    @staticmethod
+    def count_eigvalsh(monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize("rows,cols,boundary,log_s,error", [
+        (2, 4, "torus", 0.0, IllConditionedGraphError),  # wrapped links saturate
+        (4, 2, "torus", 1.0, ValidationError),
+        (2, 2, "torus", 1.0, None),
+        (3, 4, "torus", 1.0, ValidationError),  # odd tori are indefinite
+        (5, 5, "torus", 0.0, None),
+        (6, 6, "planar", 1.0, None),
+    ])
+    def test_other_graphs_run_eigvalsh(self, monkeypatch, rows, cols, boundary, log_s, error):
+        spec = gt.LatticeSpec(rows, cols, boundary, log_s)
+        calls = self.count_eigvalsh(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            if error is None:
+                graph = gt.surface_code_graph_analytic(spec)
+                assert graph._cond == pytest.approx(np.linalg.cond(graph.u_part), rel=1e-9)
+            else:
+                with pytest.raises(error):
+                    gt.surface_code_graph_analytic(spec)
+        assert len(calls) == 1
+
+    def test_json_graph_runs_eigvalsh(self, monkeypatch):
+        calls = self.count_eigvalsh(monkeypatch)
+        graph = gt.surface_code_graph_analytic(gt.LatticeSpec(4, 4, "torus", 1.0))
+        assert not calls
+        loaded = engine.GaussGraph.from_json(graph.to_json())
+        assert len(calls) == 1
+        assert loaded._cond == pytest.approx(graph._cond, rel=1e-9)
 
     def test_unit_squeezing_diagonal(self):
         u = gt.surface_code_graph_analytic(gt.LatticeSpec(6, 6, "torus", 0.0)).u_part

@@ -281,6 +281,58 @@ class TestSpectraSetOracle:
         assert abs(topo.tmi_lower_bound(pure, kp) - oracle) <= 1e-9 + oracle_slack(graph, 1.0)
 
 
+    @settings(max_examples=30)
+    @given(rows=st.sampled_from(range(4, 13, 2)), cols=st.sampled_from(range(4, 13, 2)),
+           log_s=st.floats(0.3, 3.0), kappa=st.floats(1.0, 20.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_factor_path_matches_dense_oracles(self, rows, cols, log_s, kappa, seed):
+        spec = gt.LatticeSpec(rows, cols, "torus", log_s)
+        graph = gt.surface_code_graph_analytic(spec)
+        cov = engine.thermal_scale(engine.covariance_from_graph(graph), kappa)
+        n = graph.n_modes
+        rng = np.random.default_rng(seed)
+        # a region below N/2, one above (its small side is the complement)
+        # and one of any size up to all modes
+        sizes = (rng.integers(1, n // 2 + 1), rng.integers(n // 2 + 1, n + 1),
+                 rng.integers(1, n + 1))
+        regions = [sorted(rng.choice(n, size=k, replace=False).tolist()) for k in sizes]
+        plain = engine.CovMatrix(cov.gamma, kappa=kappa)
+        tol = 1e-9 + oracle_slack(graph, kappa)
+        for region, fast in zip(regions, engine.symplectic_spectra(cov, regions)):
+            for oracle in (engine.symplectic_spectrum(cov, region, force_general=True),
+                           engine.symplectic_spectrum(plain, region)):
+                assert len(oracle) == len(fast) == len(region)
+                assert abs(engine.von_neumann_entropy(fast)
+                           - engine.von_neumann_entropy(oracle)) <= tol
+                assert abs(np.sum(np.log2(2 * fast.values / kappa))
+                           - np.sum(np.log2(2 * oracle.values / kappa))) <= tol
+
+
+class TestFactoredKPPass:
+    def test_one_factor_one_solve_no_gamma(self, monkeypatch):
+        counts = {"cho_factor": 0, "cho_solve": 0}
+        for name in counts:
+            def counted(*args, _name=name, _call=getattr(engine.sla, name), **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(engine.sla, name, counted)
+
+        def no_gamma(cov):
+            raise AssertionError("the KP diagnostics of a marked V = 0 state build no gamma")
+
+        monkeypatch.setattr(engine.CovMatrix, "gamma", property(no_gamma))
+        spec = gt.LatticeSpec(12, 12, "torus", 2.8)
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+        kp = topo.kp_regions(spec)
+        hot = engine.thermal_scale(cov, 10.0)
+        values = [topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),
+                  topo.tmi(hot, kp), topo.tln_kp(hot, kp), topo.tmi_lower_bound(cov, kp)]
+        assert counts == {"cho_factor": 1, "cho_solve": 1}
+        assert values[0] == values[2]
+        assert values[5] <= values[3] <= values[2] <= values[1]
+
+
 class TestSandwichBounds:
     def test_product_state(self):
         spec = gt.LatticeSpec(16, 16, "torus", 0.0)
