@@ -149,12 +149,16 @@ def _sweep_point(spec_base, log_s, kappas, args):
     metrics = set(args.metrics.split(","))
     meta = {"path": "dense" if cov_pure._u is None else "factor", "cond_u": graph._cond}
     shared = {}
+    entropies = {}
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         spectra = topo._kp_spectra(cov_pure, regions)
+        unions = dict(zip(("".join(names) for names in topo.KP_SUBSETS), spectra))
         meta["kp_unions"] = {
-            "".join(names): {"small_side": min(len(union), spec.n_nodes - len(union)),
-                             "n_above": union.n_above, "n_half": union.n_half}
-            for names, union in zip(topo.KP_SUBSETS, spectra)}
+            name: {"small_side": min(len(union), spec.n_nodes - len(union)),
+                   "n_above": union.n_above, "n_half": union.n_half}
+            for name, union in unions.items()}
+        # pure-state entropy of each KP union, from the same spectra
+        entropies = {name: engine.von_neumann_entropy(union) for name, union in unions.items()}
     if "tee_kp" in metrics:
         shared["tee_kp"] = topo._kp_entropy(spectra, 1.0)
     if "tee_lw" in metrics:
@@ -166,7 +170,7 @@ def _sweep_point(spec_base, log_s, kappas, args):
     if "tee_upper" in metrics:
         shared["tee_upper"] = topo.tee_upper_bound(spec.s)
     return [topo.TopoReport(log_s=log_s, kappa=kappa, geometry=dict(geometry),
-                            spectra_meta=meta,
+                            spectra_meta=meta, region_entropies=entropies,
                             tln_kp=topo._kp_log_negativity(spectra, kappa)
                             if "tln" in metrics else None,
                             tmi=topo._kp_entropy(spectra, kappa) if "tmi" in metrics else None,

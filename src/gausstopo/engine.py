@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     IllConditionedGraphError,
@@ -25,6 +27,22 @@ SERIALIZATION_VERSION = 1
 
 _SYM_TOL = 1e-12
 PIVOT_TOL = 1e-12  # smallest |Z_kk| a p-measurement divides by
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _symmetrized(mat, name):
+    """(mat + mat^T) / 2 of a dense or sparse `mat` that is finite and
+    symmetric to within 1e-12 of its largest entry."""
+    scale = np.abs(mat.data if sp.issparse(mat) else mat).max(initial=0.0)  # NaN propagates
+    if not np.isfinite(scale):
+        raise ValidationError("v_part and u_part must be finite")
+    if abs(mat - mat.T).max() > _SYM_TOL * max(1.0, scale):
+        raise ValidationError("%s is not symmetric to within 1e-12" % name)
+    return 0.5 * (mat + mat.T)
 
 
 def symplectic_form(n_modes):
@@ -43,56 +61,62 @@ class GaussGraph:
         Real symmetric part of Z.  May be None for V = 0.
     u_part : (N, N) array_like
         Imaginary part of Z; must be symmetric positive definite.
+
+    A graph may hold U as a sparse matrix (the analytic surface code on an
+    even torus); `u_part` and a zero `v_part` are then built on first read.
     """
 
     def __init__(self, v_part, u_part):
-        self._setup(v_part, u_part, None)
+        u = np.atleast_2d(np.asarray(u_part, dtype=float))
+        v = None if v_part is None else np.atleast_2d(np.asarray(v_part, dtype=float))
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or (v is not None and v.shape != u.shape):
+            raise ValidationError("v_part and u_part must be square matrices of equal shape")
+        self.n_modes = u.shape[0]
+        self._u_csc = None
+        self._cond = 1.0
+        if u.size:
+            v = None if v is None else _symmetrized(v, "v_part")
+            u = _symmetrized(u, "u_part")
+            w = np.linalg.eigvalsh(u)
+            self._check_extremes(w[0], w[-1])
+        self._u = _read_only(u)
+        self._v = None if v is None else _read_only(v)
 
     @classmethod
-    def _with_extremes(cls, u_part, lam_min, lam_max):
-        """V = 0 graph whose U has extreme eigenvalues lam_min, lam_max known
-        from its structure: the same checks, without the dense eigvalsh."""
+    def _with_extremes(cls, u_csc, lam_min, lam_max):
+        """V = 0 graph of the sparse `u_csc` whose extreme eigenvalues lam_min,
+        lam_max are known from its structure: the same checks on the stored
+        entries, without a dense array or eigvalsh."""
         graph = cls.__new__(cls)
-        graph._setup(None, u_part, (lam_min, lam_max))
+        graph.n_modes = u_csc.shape[0]
+        graph._u_csc = _symmetrized(u_csc, "u_part").tocsc()
+        graph._u = graph._v = None
+        graph._check_extremes(lam_min, lam_max)
         return graph
 
-    def _setup(self, v_part, u_part, extremes):
-        u = np.atleast_2d(np.asarray(u_part, dtype=float))
-        if v_part is None:
-            v = np.zeros_like(u)
-        else:
-            v = np.atleast_2d(np.asarray(v_part, dtype=float))
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or v.shape != u.shape:
-            raise ValidationError("v_part and u_part must be square matrices of equal shape")
-        n = u.shape[0]
-        self._cond = 1.0
-        if n > 0:
-            max_v, max_u = np.abs(v).max(), np.abs(u).max()  # NaN and inf propagate
-            if not (np.isfinite(max_v) and np.isfinite(max_u)):
-                raise ValidationError("v_part and u_part must be finite")
-            if np.abs(v - v.T).max() > _SYM_TOL * max(1.0, max_v):
-                raise ValidationError("v_part is not symmetric to within 1e-12")
-            if np.abs(u - u.T).max() > _SYM_TOL * max(1.0, max_u):
-                raise ValidationError("u_part is not symmetric to within 1e-12")
-            v = 0.5 * (v + v.T)
-            u = 0.5 * (u + u.T)
-            if extremes is None:
-                w = np.linalg.eigvalsh(u)
-                extremes = w[0], w[-1]
-            lam_min, lam_max = extremes
-            if lam_min <= 0:
-                # within rounding of singular: a numerical failure
-                if -lam_min < n * np.finfo(float).eps * lam_max:
-                    raise IllConditionedGraphError(
-                        "u_part lost positive definiteness to rounding")
-                raise ValidationError("u_part must be positive definite")
-            # 2-norm condition number of the SPD U, read by covariance_from_graph
-            self._cond = lam_max / lam_min
-        self.n_modes = n
-        self.v_part = v
-        self.u_part = u
-        self.v_part.setflags(write=False)
-        self.u_part.setflags(write=False)
+    def _check_extremes(self, lam_min, lam_max):
+        """Positive definiteness and the 2-norm cond(U) from U's extreme
+        eigenvalues."""
+        if lam_min <= 0:
+            # within rounding of singular: a numerical failure
+            if -lam_min < self.n_modes * np.finfo(float).eps * lam_max:
+                raise IllConditionedGraphError("u_part lost positive definiteness to rounding")
+            raise ValidationError("u_part must be positive definite")
+        self._cond = lam_max / lam_min  # read by covariance_from_graph
+
+    @property
+    def u_part(self):
+        """Imaginary part U (dense, read-only)."""
+        if self._u is None:
+            self._u = _read_only(self._u_csc.toarray())
+        return self._u
+
+    @property
+    def v_part(self):
+        """Real part V (dense, read-only)."""
+        if self._v is None:
+            self._v = _read_only(np.zeros((self.n_modes, self.n_modes)))
+        return self._v
 
     @property
     def z_matrix(self):
@@ -100,7 +124,7 @@ class GaussGraph:
         return self.v_part + 1j * self.u_part
 
     def is_v_zero(self):
-        return not self.v_part.any()
+        return self._v is None or not self._v.any()
 
     def to_json(self):
         """Serialize to the JSON state record (dense row-major arrays)."""
@@ -146,14 +170,14 @@ class CovMatrix:
 
     `covariance_from_graph` marks its result as a kappa-scaled pure state
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
-    A marked V = 0 state is U-native: it holds U, kappa and one Cholesky
-    factor of U instead of gamma, builds `gamma`, `q_block` and `p_block`
-    on first read and keeps them, and memoises the pure-state spectra of
-    its regions.
+    A marked V = 0 state is U-native: it holds the sparse U, kappa and one
+    sparse LU factor of U instead of gamma, builds `gamma`, `q_block` and
+    `p_block` on first read and keeps them, and memoises the pure-state
+    spectra of its regions.
     """
 
     _scaled_pure = False
-    _u = None  # U of a U-native state; None when gamma is dense
+    _u = None  # sparse (CSC) U of a U-native state; None when gamma is dense
     block_diagonal = property(lambda self: self._block_diagonal,
                               doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
 
@@ -180,8 +204,8 @@ class CovMatrix:
 
     @classmethod
     def _from_factor(cls, u, factor):
-        """Marked U-native pure state of the graph V = 0, U with `factor`
-        from `scipy.linalg.cho_factor(U)`."""
+        """Marked U-native pure state of the graph V = 0, U (CSC) with its
+        SuperLU `factor`."""
         cov = cls.__new__(cls)
         cov.kappa = 1.0
         cov.n_modes = u.shape[0]
@@ -194,7 +218,7 @@ class CovMatrix:
         """Columns `cols` of U^-1 from one multi-right-hand-side solve."""
         rhs = np.zeros((self.n_modes, len(cols)))
         rhs[cols, np.arange(len(cols))] = 1.0
-        return sla.cho_solve(self._factor, rhs, check_finite=False)
+        return self._factor.solve(rhs)
 
     @property
     def gamma(self):
@@ -223,7 +247,7 @@ class CovMatrix:
         if self._u is None:
             return self.gamma[n:, n:]
         if self._p is None:
-            self._p = _read_only(0.5 * self.kappa * self._u)
+            self._p = _read_only(0.5 * self.kappa * self._u.toarray())
         return self._p
 
     @property
@@ -237,11 +261,6 @@ class CovMatrix:
         if self._u is None:
             return self.q_block[:, cols]
         return 0.5 * self.kappa * self._inverse_columns(cols)
-
-
-def _read_only(array):
-    array.setflags(write=False)
-    return array
 
 
 class SymplecticSpectrum:
@@ -299,17 +318,20 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     -------
     CovMatrix
         Pure-state covariance (kappa = 1), marked as such.  For V = 0 it is
-        U-native: one Cholesky factor of U and no dense gamma.
+        U-native: one sparse LU factor of U and no dense gamma.
     """
-    u = graph.u_part
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
     if graph.is_v_zero():
+        u = graph._u_csc if graph._u_csc is not None else sp.csc_matrix(graph.u_part)
         try:
-            factor = sla.cho_factor(u, check_finite=False)
-        except np.linalg.LinAlgError:
-            raise IllConditionedGraphError("Cholesky factorization of U failed") from None
+            # a symmetric ordering and no pivoting, which positive definiteness keeps stable
+            factor = spla.splu(u, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+        except RuntimeError:
+            raise IllConditionedGraphError("sparse LU factorization of U failed") from None
         return CovMatrix._from_factor(u, factor)
+    u = graph.u_part
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)
     v = graph.v_part
@@ -328,6 +350,8 @@ def _factor_spectra(cov, regions):
     with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS, so the
     eigenvalues lambda of (U^-1)_SL U_LS give sigma = 1/2 sqrt(max(1,
     1 - lambda)), and the large side is padded with exact 1/2 entries.
+    U_LS is zero outside the boundary rows dS (the modes of L coupled to
+    S), so the cross product runs over dS only.
     """
     memo = cov._memo
     n = cov.n_modes
@@ -335,16 +359,18 @@ def _factor_spectra(cov, regions):
     for region in regions:
         key = tuple(region)
         if key not in memo and key not in sides:
-            inside, outside = np.array(key), np.setdiff1d(np.arange(n), key)
-            sides[key] = (inside, outside) if len(key) <= len(outside) else (outside, inside)
+            outside = np.setdiff1d(np.arange(n), key)
+            sides[key] = np.array(key) if len(key) <= len(outside) else outside
     if sides:
-        cols = np.unique(np.concatenate([small for small, _ in sides.values()]))
+        cols = np.unique(np.concatenate(list(sides.values())))
         u_inv = cov._inverse_columns(cols)
-        for key, (small, large) in sides.items():
+        for key, small in sides.items():
             sigma = np.empty(0)
             if small.size:
-                cross = (u_inv[np.ix_(large, np.searchsorted(cols, small))].T
-                         @ cov._u[np.ix_(large, small)])
+                u_small = cov._u[:, small]
+                edge = np.setdiff1d(u_small.indices, small)
+                cross = (u_inv[np.ix_(edge, np.searchsorted(cols, small))].T
+                         @ u_small[edge].toarray())
                 lam = np.linalg.eigvals(cross).real
                 sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
             memo[key] = SymplecticSpectrum(

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .engine import GaussGraph, symplectic_form
 from .errors import SingularPivotError, ValidationError
@@ -89,7 +90,7 @@ _SQUARE = (((0, 0), (0, 1)), ((0, 0), (1, 0)))
 
 
 def _stencil_adjacency(spec, links):
-    """Dense 0/1 adjacency of links repeated over the rows x cols grid.
+    """Sparse (CSC) 0/1 adjacency of links repeated over the rows x cols grid.
 
     Each link ((a, b), mask) joins the sites at the non-negative offsets a
     and b from every corner (r, c) with mask[r, c] true.  Links wrap on a torus and are
@@ -99,7 +100,7 @@ def _stencil_adjacency(spec, links):
     """
     rows, cols = spec.rows, spec.cols
     corners = np.indices((rows, cols))
-    adj = np.zeros((rows * cols, rows * cols))
+    ends_i, ends_j = [], []
     for ends, mask in links:
         r, c = corners[:, mask]
         ids, inside = [], True
@@ -109,8 +110,11 @@ def _stencil_adjacency(spec, links):
                 rr, cc = rr % rows, cc % cols
             inside = inside & (rr < rows) & (cc < cols)
             ids.append(rr * cols + cc)
-        i, j = ids[0][inside], ids[1][inside]
-        adj[i, j] = adj[j, i] = 1.0
+        ends_i.append(ids[0][inside])
+        ends_j.append(ids[1][inside])
+    i, j = np.concatenate(ends_i + ends_j), np.concatenate(ends_j + ends_i)
+    adj = sp.csc_matrix((np.ones(i.size), (i, j)), shape=(rows * cols,) * 2)
+    adj.data[:] = 1.0  # the constructor summed repeated links
     return adj
 
 
@@ -121,7 +125,7 @@ def cluster_adjacency(spec):
     convention).
     """
     every = np.ones((spec.rows, spec.cols), dtype=bool)
-    return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
+    return _stencil_adjacency(spec, [(link, every) for link in _SQUARE]).toarray()
 
 
 def cluster_graph(spec):
@@ -138,13 +142,8 @@ def measurement_pattern(spec):
             np.flatnonzero(odd_row != odd_col).tolist())
 
 
-def surface_code_adjacency(spec):
-    """Degree-6 surface-code mode adjacency A_SC on the rows x cols mode grid.
-
-    Square lattice plus both diagonals through every plaquette whose
-    lower-left corner (x, y) has x + y even.  The wrap is consistent only
-    for even dimensions on a torus.
-    """
+def _surface_code_links(spec):
+    """A_SC as a sparse matrix; `surface_code_adjacency` is its dense form."""
     every = np.ones((spec.rows, spec.cols), dtype=bool)
     even = np.indices((spec.rows, spec.cols)).sum(axis=0) % 2 == 0
     links = [(link, every) for link in _SQUARE]
@@ -152,25 +151,36 @@ def surface_code_adjacency(spec):
     return _stencil_adjacency(spec, links)
 
 
+def surface_code_adjacency(spec):
+    """Degree-6 surface-code mode adjacency A_SC on the rows x cols mode grid.
+
+    Square lattice plus both diagonals through every plaquette whose
+    lower-left corner (x, y) has x + y even.  The wrap is consistent only
+    for even dimensions on a torus.
+    """
+    return _surface_code_links(spec).toarray()
+
+
 def surface_code_graph_analytic(spec):
     """Closed-form surface-code graph V = 0, U = s^2 A_SC + (s^-2 + 2s^2) I.
 
     `spec` dimensions count surface-code modes.  Exact on an even x even
-    torus; a planar spec returns the bulk pattern and warns that the
-    boundary rows are approximate.
+    torus, where U stays sparse (7 entries per row) and its dense form is
+    built only when `u_part` is read; a planar spec returns the bulk
+    pattern and warns that the boundary rows are approximate.
     """
     if spec.boundary == "planar":
         warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
     s = spec.s
-    adj = surface_code_adjacency(spec)
+    adj = _surface_code_links(spec)
     c, d = s ** 2, s ** -2 + 2 * s ** 2
-    u = c * adj + d * np.eye(spec.n_nodes)
     if spec.boundary == "torus" and spec.even_parity and min(spec.rows, spec.cols) >= 4:
         # U = s^-2 I + s^2 B^T B (B from _p_kept_incidence) with spec(B^T B)
         # = [0, 8], both ends attained here, so spec(A_SC) = [-2, 6] exactly;
         # 2-wide tori saturate wrapped links and do not follow it
+        u = c * adj + d * sp.identity(spec.n_nodes, format="csc")
         return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
-    return GaussGraph(None, u)
+    return GaussGraph(None, c * adj.toarray() + d * np.eye(spec.n_nodes))
 
 
 def _p_kept_incidence(spec):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .engine import symplectic_spectrum, von_neumann_entropy
+from .engine import symplectic_spectra, symplectic_spectrum, von_neumann_entropy
 from .errors import ValidationError
 
 KP_SUBSETS = (("A",), ("B",), ("C",), ("A", "B"), ("B", "C"), ("A", "C"),
@@ -143,6 +143,12 @@ def region_entropy(cov, region):
     return von_neumann_entropy(symplectic_spectrum(cov, region))
 
 
+def _entropies(cov, regions):
+    """Von Neumann entropies (bits) of `regions`, requested together (one
+    solve on a U-native state)."""
+    return [von_neumann_entropy(spec) for spec in symplectic_spectra(cov, regions)]
+
+
 def _kp_spectra(cov, regions):
     """Spectra of the seven KP unions of `cov` divided by `cov.kappa`: for a
     kappa-scaled pure state, the spectra of the pure state, requested
@@ -181,8 +187,8 @@ def tee_lw(cov, regions):
     """Levin-Wen combination -1/2 [(S_A - S_B) - (S_C - S_D)]."""
     if regions.kind != "LW":
         raise ValidationError("tee_lw requires LW regions")
-    s = {name: region_entropy(cov, regions.regions[name]) for name in "ABCD"}
-    return -0.5 * ((s["A"] - s["B"]) - (s["C"] - s["D"]))
+    s_a, s_b, s_c, s_d = _entropies(cov, [regions.regions[name] for name in "ABCD"])
+    return -0.5 * ((s_a - s_b) - (s_c - s_d))
 
 
 def tln_kp(cov, regions):
@@ -202,10 +208,11 @@ def mutual_information(cov, region):
         raise ValidationError("region must be non-empty")
     n = cov.n_modes
     comp = sorted(set(range(n)) - set(region))
-    s_x = region_entropy(cov, region)
     if not comp:
+        engine._checked_region(cov, region)  # rejects indices out of range
         return 0.0
-    return s_x + region_entropy(cov, comp) - region_entropy(cov, range(n))
+    s_x, s_comp, s_all = _entropies(cov, [region, comp, range(n)])
+    return s_x + s_comp - s_all
 
 
 def tmi(cov, regions):
@@ -261,9 +268,8 @@ def bipartite_mutual_information(cov, region_x, region_y):
     """I_{X,Y} = S_X + S_Y - S_XY for disjoint regions."""
     if set(region_x) & set(region_y):
         raise ValidationError("bound regions must be disjoint")
-    s_x = region_entropy(cov, region_x)
-    s_y = region_entropy(cov, region_y)
-    s_xy = region_entropy(cov, sorted(set(region_x) | set(region_y)))
+    s_x, s_y, s_xy = _entropies(cov, [region_x, region_y,
+                                      sorted(set(region_x) | set(region_y))])
     return s_x + s_y - s_xy
 
 

@@ -60,3 +60,26 @@ def star_pipeline_graph(s):
     adj[1:, 0] = 1.0
     hub = engine.GaussGraph(adj, s ** -2 * np.eye(4))
     return engine.measure_p(hub, 0)
+
+
+@pytest.fixture
+def factor_counts(monkeypatch):
+    """Live {"factor": n, "solve": n} counts of the sparse LU factorizations
+    of U and of the solves with those factors, made after the fixture runs."""
+    counts = {"factor": 0, "solve": 0}
+    splu = engine.spla.splu
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            counts["solve"] += 1
+            return self._lu.solve(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        counts["factor"] += 1
+        return CountedFactor(splu(*args, **kwargs))
+
+    monkeypatch.setattr(engine.spla, "splu", counted)
+    return counts

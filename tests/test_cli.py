@@ -246,6 +246,24 @@ class TestSweep:
                 assert union["n_above"] + union["n_half"] == size
                 assert 0 < union["n_above"] <= union["small_side"]
 
+    def test_json_report_region_entropies(self, tmp_path, capsys):
+        out, jout = tmp_path / "e.csv", tmp_path / "e.jsonl"
+        code, _, _ = run(capsys, "sweep", "--rows", "12", "--cols", "12", "--log-s-min", "1",
+                         "--log-s-max", "2.8", "--steps", "3", "--kappas", "1,10",
+                         "--out", str(out), "--json-out", str(jout))
+        assert code == 0
+        assert read_rows(out)[0] == ",".join(cli.SWEEP_COLUMNS)
+        records = [json.loads(line) for line in jout.read_text().splitlines()]
+        assert len(records) == 6
+        for record in records:
+            entropies = record["region_entropies"]
+            assert list(entropies) == ["A", "B", "C", "AB", "BC", "AC", "ABC"]
+            signed = -sum(sign * entropies["".join(names)]
+                          for names, sign in zip(topo.KP_SUBSETS, topo.KP_SIGNS))
+            tee = [r["tee_kp"] for r in records
+                   if r["log_s"] == record["log_s"] and r["kappa"] == 1.0]
+            assert abs(signed - tee[0]) <= 1e-12
+
     def test_invalid_thread_env(self, tmp_path, capsys, monkeypatch):
         for value in ("many", "0", "-1"):
             monkeypatch.setenv("GAUSSTOPO_THREADS", value)

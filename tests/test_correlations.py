@@ -163,35 +163,29 @@ class TestAreaLaw:
 
 
 class TestFactoredReads:
-    def test_columns_from_one_solve_per_call(self, monkeypatch):
+    def test_columns_from_one_solve_per_call(self, monkeypatch, request):
         # a V = 0 state serves the axis samples and the nested squares from
         # one solve each and builds neither gamma nor the q block
         spec = gt.LatticeSpec(20, 20, "planar", 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the planar closed form warns
             graph = gt.surface_code_graph_analytic(spec)
-        cov = engine.covariance_from_graph(graph)
         dense = engine.CovMatrix(engine.covariance_from_graph(graph).gamma)
         seps_ref, vals_ref = corr.axis_samples(dense, spec)
         fit_ref = corr.area_law_fit(dense, spec)
 
-        solves = []
-        cho_solve = engine.sla.cho_solve
-
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return cho_solve(*args, **kwargs)
+        counts = request.getfixturevalue("factor_counts")
+        cov = engine.covariance_from_graph(graph)
 
         def no_block(cov):
             raise AssertionError("a U-native state reads columns, not blocks")
 
-        monkeypatch.setattr(engine.sla, "cho_solve", counted)
         for name in ("gamma", "q_block"):
             monkeypatch.setattr(engine.CovMatrix, name, property(no_block))
         seps, vals = corr.axis_samples(cov, spec)
-        assert len(solves) == 1
+        assert counts == {"factor": 1, "solve": 1}
         fit = corr.area_law_fit(cov, spec)
-        assert len(solves) == 2
+        assert counts == {"factor": 1, "solve": 2}
         assert np.array_equal(seps, seps_ref)
         assert vals == pytest.approx(vals_ref, rel=1e-10)
         assert fit == pytest.approx(fit_ref, abs=1e-8)

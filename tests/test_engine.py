@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausstopo import engine
+from gausstopo import engine, lattice
 from gausstopo.errors import (
     IllConditionedGraphError,
     SingularPivotError,
@@ -422,27 +422,26 @@ class TestThermalScale:
             scaled.gamma[0, 0] = 0.0
 
 
-    def test_factored_copy_shares_memo_not_gamma(self, surface_state, monkeypatch):
-        _, cov = surface_state(8, 8, 1.0)
+    def test_factored_copy_shares_memo_not_gamma(self, factor_counts):
+        cov = engine.covariance_from_graph(
+            lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 1.0)))
         region = [0, 1, 2, 8, 9, 10]
         pure = engine.symplectic_spectrum(cov, region)
         gamma = cov.gamma  # built and kept by the parent
         scaled = engine.thermal_scale(cov, 2.0)
         assert scaled._memo is cov._memo
-        with monkeypatch.context() as patch:
-            def no_solve(*args, **kwargs):
-                raise AssertionError("a memoised spectrum needs no solve")
-
-            patch.setattr(engine.sla, "cho_solve", no_solve)
-            assert np.array_equal(engine.symplectic_spectrum(scaled, region).values,
-                                  2.0 * pure.values)
+        before = dict(factor_counts)
+        assert np.array_equal(engine.symplectic_spectrum(scaled, region).values,
+                              2.0 * pure.values)
+        assert factor_counts == before, "a memoised spectrum needs no solve"
+        assert before == {"factor": 1, "solve": 2}  # the region, then the q block
         assert not np.shares_memory(scaled.gamma, gamma)
         assert np.array_equal(scaled.gamma, 2.0 * gamma)
         assert cov.gamma is gamma
 
 
 class TestFactoredState:
-    """A V = 0 covariance holds U and its Cholesky factor, not gamma."""
+    """A V = 0 covariance holds U and its sparse LU factor, not gamma."""
 
     @pytest.mark.parametrize("kappa", [1.0, 3.0])
     def test_blocks_built_on_first_read(self, kappa):
@@ -468,10 +467,10 @@ class TestFactoredState:
                               np.full(64, 0.5))
 
     def test_failed_factorization_is_numerical(self, monkeypatch):
-        def not_pd(*args, **kwargs):
-            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(engine.sla, "cho_factor", not_pd)
+        monkeypatch.setattr(engine.spla, "splu", singular)
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(engine.GaussGraph(None, np.eye(2)))
 

@@ -1,5 +1,6 @@
 """Lattice, cluster/surface-code graphs, nullifier tests."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -284,6 +285,36 @@ class TestSurfaceCodeGraph:
         loaded = engine.GaussGraph.from_json(graph.to_json())
         assert len(calls) == 1
         assert loaded._cond == pytest.approx(graph._cond, rel=1e-9)
+
+    def test_sparse_build_matches_dense(self, monkeypatch):
+        # an even torus with sides >= 4 keeps U sparse; its dense parts, built
+        # on first read, and its JSON record are those of the dense build
+        digest = hashlib.sha256()
+        graphs = []
+        for rows in range(4, 17, 2):
+            for cols in range(4, 17, 2):
+                for log_s in range(-2, 4):
+                    spec = gt.LatticeSpec(rows, cols, "torus", log_s)
+                    graph = gt.surface_code_graph_analytic(spec)
+                    assert graph._u is None and graph._v is None
+                    s = spec.s
+                    u = s ** 2 * gt.surface_code_adjacency(spec) + \
+                        (s ** -2 + 2 * s ** 2) * np.eye(spec.n_nodes)
+                    assert np.array_equal(graph.u_part, u)
+                    assert not graph.v_part.any() and graph.v_part.shape == u.shape
+                    for part in (graph.u_part, graph.v_part):
+                        assert not part.flags.writeable
+                    record = graph.to_json()
+                    assert record == engine.GaussGraph(None, u).to_json()
+                    digest.update(record.encode())
+                    graphs.append((graph, record))
+        # digest of the same 294 records written by the dense build
+        assert digest.hexdigest() == \
+            "57b15d81e27812cb4f94da4f7c0e54b9e706634329e10e96d29eb1d3ddd0b026"
+        calls = self.count_eigvalsh(monkeypatch)
+        for graph, record in graphs:
+            assert engine.GaussGraph.from_json(record) == graph
+        assert len(calls) == len(graphs)
 
     def test_unit_squeezing_diagonal(self):
         u = gt.surface_code_graph_analytic(gt.LatticeSpec(6, 6, "torus", 0.0)).u_part

@@ -1,5 +1,8 @@
 """Region construction and topological diagnostics tests."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -309,15 +312,7 @@ class TestSpectraSetOracle:
 
 
 class TestFactoredKPPass:
-    def test_one_factor_one_solve_no_gamma(self, monkeypatch):
-        counts = {"cho_factor": 0, "cho_solve": 0}
-        for name in counts:
-            def counted(*args, _name=name, _call=getattr(engine.sla, name), **kwargs):
-                counts[_name] += 1
-                return _call(*args, **kwargs)
-
-            monkeypatch.setattr(engine.sla, name, counted)
-
+    def test_one_factor_one_solve_no_gamma(self, monkeypatch, factor_counts):
         def no_gamma(cov):
             raise AssertionError("the KP diagnostics of a marked V = 0 state build no gamma")
 
@@ -328,9 +323,74 @@ class TestFactoredKPPass:
         hot = engine.thermal_scale(cov, 10.0)
         values = [topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),
                   topo.tmi(hot, kp), topo.tln_kp(hot, kp), topo.tmi_lower_bound(cov, kp)]
-        assert counts == {"cho_factor": 1, "cho_solve": 1}
+        assert factor_counts == {"factor": 1, "solve": 1}
         assert values[0] == values[2]
         assert values[5] <= values[3] <= values[2] <= values[1]
+
+    @pytest.mark.parametrize("rows,cols", [(12, 12), (16, 12), (24, 24)])
+    def test_pass_builds_no_dense_matrix(self, monkeypatch, factor_counts, rows, cols):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a KP pass on an even torus needs no dense N x N "
+                                 "array and no eigvalsh")
+
+        for cls, names in ((engine.GaussGraph, ("u_part", "v_part")),
+                           (engine.CovMatrix, ("gamma", "q_block", "p_block"))):
+            for name in names:
+                monkeypatch.setattr(cls, name, property(refuse))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        spec = gt.LatticeSpec(rows, cols, "torus", 2.8)
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+        kp = topo.kp_regions(spec)
+        hot = engine.thermal_scale(cov, 10.0)
+        tee, tln, tmi1, tmi10, lower = (topo.tee_kp(cov, kp), topo.tln_kp(cov, kp),
+                                        topo.tmi(cov, kp), topo.tmi(hot, kp),
+                                        topo.tmi_lower_bound(cov, kp))
+        assert factor_counts == {"factor": 1, "solve": 1}
+        assert lower <= tmi10 <= tmi1 == tee <= tln
+
+    def test_values_identical_across_blas_threads(self):
+        # SuperLU and the small boundary products give the same bits under
+        # any BLAS thread count
+        script = "\n".join([
+            "from gausstopo import engine, lattice, topo",
+            "for log_s in (1.0, 2.4, 2.8, 3.2):",
+            "    spec = lattice.LatticeSpec(16, 16, 'torus', log_s)",
+            "    cov = engine.covariance_from_graph(lattice.surface_code_graph_analytic(spec))",
+            "    kp = topo.kp_regions(spec)",
+            "    print(repr([topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),",
+            "                topo.tmi(engine.thermal_scale(cov, 10.0), kp),",
+            "                topo.tmi_lower_bound(cov, kp)]))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gt.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src] + sys.path))
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                          capture_output=True, text=True, timeout=300).stdout)
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
+
+    def test_lw_entropies_from_one_solve(self, factor_counts):
+        spec = gt.LatticeSpec(24, 24, "torus", 2.0)
+        graph = gt.surface_code_graph_analytic(spec)
+        lw = topo.lw_regions(spec)
+        cov = engine.covariance_from_graph(graph)
+        value = topo.tee_lw(cov, lw)
+        assert factor_counts == {"factor": 1, "solve": 1}
+        # one fresh state, and so one solve, per region
+        single = {name: topo.region_entropy(engine.covariance_from_graph(graph),
+                                            lw.regions[name]) for name in "ABCD"}
+        assert factor_counts == {"factor": 5, "solve": 5}
+        assert abs(value + 0.5 * ((single["A"] - single["B"])
+                                  - (single["C"] - single["D"]))) <= 1e-12
+        for name in "ABCD":
+            assert abs(topo.region_entropy(cov, lw.regions[name]) - single[name]) <= 1e-12
+        fresh = engine.covariance_from_graph(graph)
+        topo.mutual_information(fresh, lw.regions["A"])
+        bound = topo.sandwich_regions(lw)
+        topo.bipartite_mutual_information(fresh, bound["E"], bound["F"])
+        assert factor_counts == {"factor": 6, "solve": 7}
 
 
 class TestSandwichBounds:
