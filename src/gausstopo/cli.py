@@ -6,6 +6,7 @@ topological diagnostics over squeezing sweeps.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -34,7 +35,8 @@ def _worker_count():
         if not value.strip().isdecimal() or int(value) < 1:
             raise ValidationError("GAUSSTOPO_THREADS must be a positive integer")
         return int(value)
-    # BLAS already threads the dense algebra; more workers oversubscribe cores
+    # SuperLU and small eigensolves gain nothing from BLAS threads; more
+    # workers pay off with OPENBLAS_NUM_THREADS=1 (timings in README)
     return 1
 
 
@@ -151,8 +153,10 @@ def _sweep_point(spec_base, log_s, kappas, args):
     shared = {}
     entropies = {}
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
-        spectra = topo._kp_spectra(cov_pure, regions)
-        unions = dict(zip(("".join(names) for names in topo.KP_SUBSETS), spectra))
+        # the seven KP union spectra, memoised on cov_pure for the calls below
+        names = ["".join(subset) for subset in topo.KP_SUBSETS]
+        unions = dict(zip(names, engine.symplectic_spectra(
+            cov_pure, [regions.union(*subset) for subset in topo.KP_SUBSETS])))
         meta["kp_unions"] = {
             name: {"small_side": min(len(union), spec.n_nodes - len(union)),
                    "n_above": union.n_above, "n_half": union.n_half}
@@ -160,22 +164,22 @@ def _sweep_point(spec_base, log_s, kappas, args):
         # pure-state entropy of each KP union, from the same spectra
         entropies = {name: engine.von_neumann_entropy(union) for name, union in unions.items()}
     if "tee_kp" in metrics:
-        shared["tee_kp"] = topo._kp_entropy(spectra, 1.0)
+        shared["tee_kp"] = topo.tee_kp(cov_pure, regions)
     if "tee_lw" in metrics:
         lw = topo.lw_regions(spec, inner=args.inner, width=args.width)
         shared["tee_lw"] = topo.tee_lw(cov_pure, lw)
         geometry.update({"inner": args.inner, "width": args.width})
     if "tmi_lower" in metrics:
-        shared["tmi_lower"] = topo._kp_log_sum(spectra)
+        shared["tmi_lower"] = topo.tmi_lower_bound(cov_pure, regions)
     if "tee_upper" in metrics:
         shared["tee_upper"] = topo.tee_upper_bound(spec.s)
+    scaled = [(kappa, engine.thermal_scale(cov_pure, kappa)) for kappa in kappas]
     return [topo.TopoReport(log_s=log_s, kappa=kappa, geometry=dict(geometry),
                             spectra_meta=meta, region_entropies=entropies,
-                            tln_kp=topo._kp_log_negativity(spectra, kappa)
-                            if "tln" in metrics else None,
-                            tmi=topo._kp_entropy(spectra, kappa) if "tmi" in metrics else None,
+                            tln_kp=topo.tln_kp(cov, regions) if "tln" in metrics else None,
+                            tmi=topo.tmi(cov, regions) if "tmi" in metrics else None,
                             **shared)
-            for kappa in kappas]
+            for kappa, cov in scaled]
 
 
 def _existing_points(path):
@@ -216,31 +220,34 @@ def cmd_sweep(args):
         except (GaussTopoError, np.linalg.LinAlgError) as exc:
             return log_s, [], exc
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        outcomes = list(pool.map(run, [log_s for log_s, ks in pending.items() if ks]))
-    failures = [(log_s, exc) for log_s, _, exc in outcomes if exc is not None]
-
-    stream, close = _open_out(args.out, "a" if done else "w")
-    try:
+    workers = _worker_count()
+    mode = "a" if done else "w"
+    failures = []
+    with contextlib.ExitStack() as stack:
+        stream, close = _open_out(args.out, mode)
+        if close:
+            stack.enter_context(stream)
+        json_stream = (stack.enter_context(open(args.json_out, mode, encoding="utf-8"))
+                       if args.json_out else None)
         writer = csv.writer(stream)
         if not done:
             stream.write(_timestamp_header() + "\n")
             writer.writerow(SWEEP_COLUMNS)
-        json_stream = None
-        if args.json_out:
-            json_stream = open(args.json_out, "a" if done else "w", encoding="utf-8")
-        for _, reports, _ in outcomes:
+        pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+        # each point's rows go out in grid order as soon as it is done, so an
+        # interrupted sweep keeps them and a rerun resumes after them
+        for log_s, reports, exc in pool.map(run, [log_s for log_s, ks in pending.items() if ks]):
+            if exc is not None:
+                failures.append((log_s, exc))
             for report in reports:
                 record = report.to_dict()
                 writer.writerow(["" if record[c] is None else "%.12g" % record[c]
                                  for c in SWEEP_COLUMNS])
                 if json_stream:
                     json_stream.write(json.dumps(record) + "\n")
-        if json_stream:
-            json_stream.close()
-    finally:
-        if close:
-            stream.close()
+            stream.flush()
+            if json_stream:
+                json_stream.flush()
     for log_s, exc in failures:
         for kappa in pending[log_s]:
             print("point log_s=%.12g kappa=%.12g failed: %s" % (log_s, kappa, exc),

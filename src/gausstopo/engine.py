@@ -186,15 +186,12 @@ class CovMatrix:
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValidationError("gamma must be a square 2N x 2N matrix")
         self.kappa = _check_kappa(kappa)
-        if np.array_equal(g, g.T):
-            self._gamma = g.copy()
-        else:
-            scale = max(1.0, np.abs(g).max())
-            if np.abs(g - g.T).max() > 1e-10 * scale:
-                raise ValidationError("gamma is not symmetric")
-            self._gamma = 0.5 * (g + g.T)
+        with np.errstate(invalid="ignore"):  # inf - inf; a non-finite gamma fails below
+            asymmetry = np.abs(g - g.T).max(initial=0.0)
+        if asymmetry > 1e-10 * max(1.0, np.abs(g).max(initial=0.0)):
+            raise ValidationError("gamma is not symmetric")
+        self._gamma = _read_only(0.5 * (g + g.T))
         self.n_modes = g.shape[0] // 2
-        self._gamma.setflags(write=False)
         # max |gamma| = max(hi, -lo) without a copy; initial=0 covers N = 0
         hi, lo = self._gamma.max(initial=0.0), self._gamma.min(initial=0.0)
         if not (np.isfinite(hi) and np.isfinite(lo)):
@@ -342,8 +339,8 @@ def covariance_from_graph(graph, cond_threshold=1e12):
 
 
 def _factor_spectra(cov, regions):
-    """Pure-state spectra of the sorted `regions` of a U-native state,
-    memoised by mode tuple.
+    """Pure-state spectra of `regions` of a U-native state, memoised by the
+    sorted mode tuple.
 
     The spectra not yet known share one multi-right-hand-side solve for the
     columns of U^-1 on the union of their small sides.  For a small side S
@@ -355,9 +352,11 @@ def _factor_spectra(cov, regions):
     """
     memo = cov._memo
     n = cov.n_modes
+    # every memo key is a checked region, so a hit needs no check
+    keys = [key if key in memo else tuple(_checked_region(cov, key))
+            for key in map(tuple, regions)]
     sides = {}
-    for region in regions:
-        key = tuple(region)
+    for key in keys:
         if key not in memo and key not in sides:
             outside = np.setdiff1d(np.arange(n), key)
             sides[key] = np.array(key) if len(key) <= len(outside) else outside
@@ -375,7 +374,7 @@ def _factor_spectra(cov, regions):
                 sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
             memo[key] = SymplecticSpectrum(
                 np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
-    return [memo[tuple(region)] for region in regions]
+    return [memo[key] for key in keys]
 
 
 def _spectrum_block_diagonal(cov, region):
@@ -401,6 +400,8 @@ def _spectrum_general(gamma_red):
 
 
 def _checked_region(cov, region):
+    """The sorted distinct mode ids of `region`: the one place a region is
+    normalized and checked to be a non-empty subset of cov's modes."""
     region = sorted(set(int(i) for i in region))
     if not region:
         raise ValidationError("region must be non-empty")
@@ -428,10 +429,10 @@ def symplectic_spectra(cov, regions, force_general=False):
         q/p block-diagonal state uses its reduced blocks, any other the
         reduced gamma.
     """
-    regions = [_checked_region(cov, region) for region in regions]
     if cov._u is not None and not force_general:
         return [SymplecticSpectrum(cov.kappa * pure.values)
                 for pure in _factor_spectra(cov, regions)]
+    regions = [_checked_region(cov, region) for region in regions]
     n = cov.n_modes
     spectra = []
     for region in regions:
@@ -454,7 +455,7 @@ def _pure_spectra(cov, regions):
     """Spectra of `regions` of `cov` divided by `cov.kappa`: for a marked
     state, those of its pure state."""
     if cov._u is not None:
-        return _factor_spectra(cov, [_checked_region(cov, region) for region in regions])
+        return _factor_spectra(cov, regions)
     return [SymplecticSpectrum(spec.values / cov.kappa)
             for spec in symplectic_spectra(cov, regions)]
 
@@ -497,14 +498,12 @@ def log_negativity(cov, region):
     lambda_i(4 Q mu P mu)) with Q and P the q and p covariance blocks and
     mu = -1 on the region, +1 on the complement.
     """
-    region = sorted(set(int(i) for i in region))
-    n = cov.n_modes
-    if not region or region[0] < 0 or region[-1] >= n:
-        raise ValidationError("region must be a non-empty subset of the modes")
+    if cov._scaled_pure and cov.block_diagonal:
+        return pure_log_negativity(_pure_spectra(cov, [region])[0], cov.kappa)
+    region = _checked_region(cov, region)
     if not cov.block_diagonal:
         raise UnsupportedStateError("log_negativity requires a q/p block-diagonal state")
-    if cov._scaled_pure:
-        return pure_log_negativity(_pure_spectra(cov, [region])[0], cov.kappa)
+    n = cov.n_modes
     if len(region) == n:
         return 0.0
     mu = np.ones(n)

@@ -287,7 +287,6 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        self._edge_site = kept
         # vertices and edges meet where a p-site neighbors a kept site
         inc = _p_kept_incidence(spec)
         self.edge_endpoints = [tuple(np.flatnonzero(col).tolist()) for col in inc.T]

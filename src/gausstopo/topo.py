@@ -71,6 +71,13 @@ def _check_margin(spec, center, reach, need):
         raise ValidationError("region of reach %g does not fit with margin %g" % (reach, need))
 
 
+def _offsets(spec, center):
+    """Offsets (dx, dy) of every grid site from `center`, as two (rows, cols)
+    arrays whose flat C order is the mode-id order."""
+    x, y = np.indices((spec.rows, spec.cols))
+    return x - center[0], y - center[1]
+
+
 def kp_regions(spec, center=None, radius=None):
     """Disk split into three 120-degree sectors A, B, C about `center`.
 
@@ -84,15 +91,10 @@ def kp_regions(spec, center=None, radius=None):
     if radius is None:
         radius = min(n, m) / 6.0 + 0.5
     _check_margin(spec, center, radius, radius / 2.0)
-    cx, cy = center
-    parts = {"A": [], "B": [], "C": []}
-    for x in range(n):
-        for y in range(m):
-            dx, dy = x - cx, y - cy
-            if dx * dx + dy * dy <= radius * radius:
-                ang = np.degrees(np.arctan2(dy, dx)) % 360.0
-                name = "A" if ang < 120 else ("B" if ang < 240 else "C")
-                parts[name].append(x * m + y)
+    dx, dy = _offsets(spec, center)
+    disk = dx * dx + dy * dy <= radius * radius
+    sector = np.digitize(np.degrees(np.arctan2(dy, dx)) % 360.0, [120.0, 240.0])
+    parts = {name: np.flatnonzero(disk & (sector == k)).tolist() for k, name in enumerate("ABC")}
     if any(not v for v in parts.values()):
         raise ValidationError("radius %g spans an empty sector" % radius)
     return RegionSet("KP", parts, {"center": tuple(center), "radius": float(radius),
@@ -113,24 +115,12 @@ def lw_regions(spec, center=None, inner=6, width=3):
         center = ((n - 1) / 2.0, (m - 1) / 2.0)
     h = inner / 2.0
     _check_margin(spec, center, h + width, 0.0)
-    cx, cy = center
-    parts = {"A": [], "B": [], "C": [], "D": []}
-    for x in range(n):
-        for y in range(m):
-            dx, dy = x - cx, y - cy
-            cheb = max(abs(dx), abs(dy))
-            if not h < cheb <= h + width:
-                continue
-            i = x * m + y
-            top = dx < -h
-            bot = dx > h
-            parts["A"].append(i)
-            if not top:
-                parts["B"].append(i)
-            if not bot:
-                parts["C"].append(i)
-            if not top and not bot:
-                parts["D"].append(i)
+    dx, dy = _offsets(spec, center)
+    cheb = np.maximum(np.abs(dx), np.abs(dy))
+    ring = (h < cheb) & (cheb <= h + width)
+    top, bot = dx < -h, dx > h
+    masks = {"A": ring, "B": ring & ~top, "C": ring & ~bot, "D": ring & ~top & ~bot}
+    parts = {name: np.flatnonzero(mask).tolist() for name, mask in masks.items()}
     sizes = {k: len(v) for k, v in parts.items()}
     if sizes["A"] - sizes["B"] != sizes["C"] - sizes["D"]:
         raise ValidationError("annulus strips are unbalanced: %s" % sizes)
@@ -203,13 +193,10 @@ def tln_kp(cov, regions):
 
 def mutual_information(cov, region):
     """I_X = S_X + S_Xc - S_total."""
-    region = sorted(set(region))
-    if not region:
-        raise ValidationError("region must be non-empty")
+    region = engine._checked_region(cov, region)
     n = cov.n_modes
     comp = sorted(set(range(n)) - set(region))
     if not comp:
-        engine._checked_region(cov, region)  # rejects indices out of range
         return 0.0
     s_x, s_comp, s_all = _entropies(cov, [region, comp, range(n)])
     return s_x + s_comp - s_all

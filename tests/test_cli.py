@@ -315,6 +315,38 @@ class TestSweep:
         assert code == 0
         assert out.read_text().splitlines() == lines[:3] + lines[4:] + [dropped]
 
+    def test_interrupted_sweep_keeps_finished_points(self, tmp_path, capsys, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        monkeypatch.delenv("GAUSSTOPO_THREADS", raising=False)  # one worker, grid order
+        args = ("sweep", "--rows", "8", "--cols", "8", "--log-s-min", "0",
+                "--log-s-max", "1.5", "--steps", "4", "--kappas", "1,10")
+        full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
+        assert run(capsys, *args, "--out", str(full), "--json-out", str(full) + ".jsonl")[0] == 0
+        point, calls = cli._sweep_point, []
+
+        def interrupted(spec_base, log_s, kappas, point_args):
+            calls.append(log_s)
+            if len(calls) == 3:
+                raise Interrupt
+            return point(spec_base, log_s, kappas, point_args)
+
+        monkeypatch.setattr(cli, "_sweep_point", interrupted)
+        with pytest.raises(Interrupt):
+            cli.main([*args, "--out", str(cut), "--json-out", str(cut) + ".jsonl"])
+        header, rows = read_rows(full)
+        assert read_rows(cut) == (header, rows[:4])  # both kappa rows of log s 0 and 0.5
+        records = (tmp_path / "full.csv.jsonl").read_text().splitlines()
+        assert (tmp_path / "cut.csv.jsonl").read_text().splitlines() == records[:4]
+
+        calls.clear()
+        monkeypatch.setattr(cli, "_sweep_point", lambda *a: calls.append(a[1]) or point(*a))
+        assert run(capsys, *args, "--out", str(cut), "--json-out", str(cut) + ".jsonl")[0] == 0
+        assert calls == [1.0, 1.5]
+        assert read_rows(cut) == (header, rows)
+        assert (tmp_path / "cut.csv.jsonl").read_text().splitlines() == records
+
     def test_failed_point_exits_numerical(self, tmp_path, capsys):
         # U is too ill-conditioned at log s = 8; log s = 1 still succeeds
         out = tmp_path / "f.csv"
@@ -346,8 +378,8 @@ class TestSweep:
         assert not out.exists()
 
     def test_blas_thread_count_invariance(self, tmp_path):
-        # a BLAS thread count may move the Cholesky factor of U and the U^-1
-        # columns in their last digits (a few 1e-10 in these columns), never further
+        # the KP path (SuperLU factor of U, small boundary eigensolves) prints the
+        # same bits under 1 and 2 BLAS threads; the gate leaves room for last digits
         argv = ["sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
                 "--log-s-max", "3.2", "--steps", "4", "--kappas", "1,2,10",
                 "--metrics", ",".join(cli.SWEEP_COLUMNS[1:-1])]

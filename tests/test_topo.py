@@ -74,6 +74,112 @@ REF_12_TLN = {
 }
 
 
+def loop_kp_regions(spec, center=None, radius=None):
+    """Per-site loop form of kp_regions, kept as its oracle."""
+    n, m = spec.rows, spec.cols
+    if center is None:
+        center = ((n - 1) / 2.0, (m - 1) / 2.0)
+    if radius is None:
+        radius = min(n, m) / 6.0 + 0.5
+    topo._check_margin(spec, center, radius, radius / 2.0)
+    cx, cy = center
+    parts = {"A": [], "B": [], "C": []}
+    for x in range(n):
+        for y in range(m):
+            dx, dy = x - cx, y - cy
+            if dx * dx + dy * dy <= radius * radius:
+                ang = np.degrees(np.arctan2(dy, dx)) % 360.0
+                name = "A" if ang < 120 else ("B" if ang < 240 else "C")
+                parts[name].append(x * m + y)
+    if any(not v for v in parts.values()):
+        raise ValidationError("radius %g spans an empty sector" % radius)
+    return topo.RegionSet("KP", parts, {"center": tuple(center), "radius": float(radius),
+                                        "rows": n, "cols": m})
+
+
+def loop_lw_regions(spec, center=None, inner=6, width=3):
+    """Per-site loop form of lw_regions, kept as its oracle."""
+    if width <= 0:
+        raise ValidationError("width must be positive")
+    n, m = spec.rows, spec.cols
+    if center is None:
+        center = ((n - 1) / 2.0, (m - 1) / 2.0)
+    h = inner / 2.0
+    topo._check_margin(spec, center, h + width, 0.0)
+    cx, cy = center
+    parts = {"A": [], "B": [], "C": [], "D": []}
+    for x in range(n):
+        for y in range(m):
+            dx, dy = x - cx, y - cy
+            cheb = max(abs(dx), abs(dy))
+            if not h < cheb <= h + width:
+                continue
+            i = x * m + y
+            top = dx < -h
+            bot = dx > h
+            parts["A"].append(i)
+            if not top:
+                parts["B"].append(i)
+            if not bot:
+                parts["C"].append(i)
+            if not top and not bot:
+                parts["D"].append(i)
+    sizes = {k: len(v) for k, v in parts.items()}
+    if sizes["A"] - sizes["B"] != sizes["C"] - sizes["D"]:
+        raise ValidationError("annulus strips are unbalanced: %s" % sizes)
+    return topo.RegionSet("LW", parts, {"center": tuple(center), "inner": float(inner),
+                                        "width": float(width), "rows": n, "cols": m})
+
+
+def outcome(build, *args, **kwargs):
+    """(regions with key order, geometry) of a region builder, or its
+    ValidationError message."""
+    try:
+        regions = build(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return list(regions.regions.items()), regions.geometry
+
+
+class TestRegionsMatchLoops:
+    """The index-array region builders against their per-site loops: mode ids,
+    order, geometry and errors, on tori and planar grids with default, integer
+    (exact ties) and random centres and radii."""
+
+    SHAPES = [(n, n, "torus") for n in (6, 7, 12, 16, 23, 36, 40)] + [
+        (9, 14, "planar"), (20, 11, "torus"), (16, 16, "planar")]
+
+    @staticmethod
+    def centres(rng, n, m):
+        yield None
+        yield (n // 2, m // 2)
+        yield (n // 2, m // 2 + np.sqrt(3))  # a site at exactly 240 degrees
+        yield ((n - 1) / 2.0 + 0.5, (m - 1) / 2.0)
+        yield tuple(rng.uniform(0, [n - 1, m - 1]))
+        for _ in range(4):
+            yield tuple(rng.uniform([0.3 * n, 0.3 * m], [0.7 * n, 0.7 * m]))
+
+    def test_kp(self):
+        rng = np.random.default_rng(7)
+        for n, m, boundary in self.SHAPES:
+            spec = gt.LatticeSpec(n, m, boundary, 0.0)
+            for center in self.centres(rng, n, m):
+                for radius in (None, 0.4, 1, 2.5, 5, min(n, m) / 4.0,
+                               rng.uniform(0.5, min(n, m) / 3.0)):
+                    assert outcome(topo.kp_regions, spec, center, radius) \
+                        == outcome(loop_kp_regions, spec, center, radius)
+
+    def test_lw(self):
+        rng = np.random.default_rng(11)
+        for n, m, boundary in self.SHAPES:
+            spec = gt.LatticeSpec(n, m, boundary, 0.0)
+            for center in self.centres(rng, n, m):
+                for inner, width in ((6, 3), (4, 2), (2, 1), (5, 2.5), (3, 0), (-3, 2),
+                                     (rng.uniform(0, n / 3.0), rng.uniform(0.5, n / 4.0))):
+                    assert outcome(topo.lw_regions, spec, center, inner, width) \
+                        == outcome(loop_lw_regions, spec, center, inner, width)
+
+
 class TestKPRegions:
     def test_empty_disk_rejected(self):
         spec = gt.LatticeSpec(16, 16, "torus", 0.0)
@@ -347,6 +453,34 @@ class TestFactoredKPPass:
                                         topo.tmi_lower_bound(cov, kp))
         assert factor_counts == {"factor": 1, "solve": 1}
         assert lower <= tmi10 <= tmi1 == tee <= tln
+
+    def test_each_union_checked_once(self, monkeypatch):
+        checked = engine._checked_region
+        calls = []
+
+        def counted(cov, region):
+            calls.append(len(region))
+            return checked(cov, region)
+
+        monkeypatch.setattr(engine, "_checked_region", counted)
+        spec = gt.LatticeSpec(12, 12, "torus", 2.8)
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+        kp = topo.kp_regions(spec)
+        for state in (cov, engine.thermal_scale(cov, 10.0)):
+            topo.tee_kp(state, kp), topo.tln_kp(state, kp), topo.tmi(state, kp)
+        topo.tmi_lower_bound(cov, kp)
+        assert calls == [len(kp.union(*names)) for names in topo.KP_SUBSETS]
+
+    def test_memo_hit_matches_checked_region(self):
+        spec = gt.LatticeSpec(12, 12, "torus", 2.0)
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+        region = topo.kp_regions(spec).regions["A"]
+        first = engine.symplectic_spectrum(cov, region)
+        shuffled = np.array(region[::-1] + region[:3])
+        assert np.array_equal(engine.symplectic_spectrum(cov, shuffled).values, first.values)
+        for bad in ([], [-1] + region, region + [spec.n_nodes]):
+            with pytest.raises(ValidationError):
+                engine.symplectic_spectrum(cov, bad)
 
     def test_values_identical_across_blas_threads(self):
         # SuperLU and the small boundary products give the same bits under
