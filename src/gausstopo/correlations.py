@@ -8,7 +8,6 @@ Mode coordinates are grid coordinates (x, y) with mode id = x * cols + y.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .engine import symplectic_spectra, von_neumann_entropy
 from .errors import FitFailedError, UnsupportedStateError, ValidationError
@@ -158,6 +157,7 @@ def fit_correlation_length(separations, correlations):
     (a, xi_a, b, xi_b, residual) with xi_a <= xi_b and residual the RMS
     log-domain misfit.
     """
+    from scipy.optimize import least_squares  # slow to import, and used only here
     d = np.asarray(separations, dtype=float)
     y = np.asarray(correlations, dtype=float)
     if d.size < 8:

@@ -62,8 +62,8 @@ class GaussGraph:
     u_part : (N, N) array_like
         Imaginary part of Z; must be symmetric positive definite.
 
-    A graph may hold U as a sparse matrix (the analytic surface code on an
-    even torus); `u_part` and a zero `v_part` are then built on first read.
+    A graph may hold U as a sparse matrix (the analytic surface code);
+    `u_part` and a zero `v_part` are then built on first read.
     """
 
     def __init__(self, v_part, u_part):
@@ -84,9 +84,9 @@ class GaussGraph:
 
     @classmethod
     def _with_extremes(cls, u_csc, lam_min, lam_max):
-        """V = 0 graph of the sparse `u_csc` whose extreme eigenvalues lam_min,
-        lam_max are known from its structure: the same checks on the stored
-        entries, without a dense array or eigvalsh."""
+        """V = 0 graph of the sparse `u_csc` whose spectrum lies in [lam_min,
+        lam_max], known from its structure (`_cond` is then an upper bound on
+        cond(U)): the same checks on the stored entries, without eigvalsh."""
         graph = cls.__new__(cls)
         graph.n_modes = u_csc.shape[0]
         graph._u_csc = _symmetrized(u_csc, "u_part").tocsc()
@@ -308,8 +308,9 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     ----------
     graph : GaussGraph
     cond_threshold : float, optional
-        Maximum allowed 2-norm condition number of U, taken from the
-        extreme eigenvalues of the positive-definiteness check in GaussGraph.
+        Maximum allowed 2-norm condition number of U, taken from the extreme
+        eigenvalues of GaussGraph's positive-definiteness check (the upper
+        bound 1 + 8 s^4 on a planar analytic graph).
 
     Returns
     -------
@@ -342,36 +343,32 @@ def _factor_spectra(cov, regions):
     """Pure-state spectra of `regions` of a U-native state, memoised by the
     sorted mode tuple.
 
+    For a region S with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS,
+    and U_LS is zero outside the cut boundary dS (the modes of L coupled to
+    S).  So the eigenvalues lambda of the |dS| x |dS| matrix
+    U[dS, S] (U^-1)[S, dS], which are the nonzero ones of (U^-1)_SL U_LS,
+    give sigma = 1/2 sqrt(max(1, 1 - lambda)).  The largest min(|S|, |dS|)
+    of them are kept and the rest of S is padded with exact 1/2 entries.
     The spectra not yet known share one multi-right-hand-side solve for the
-    columns of U^-1 on the union of their small sides.  For a small side S
-    with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS, so the
-    eigenvalues lambda of (U^-1)_SL U_LS give sigma = 1/2 sqrt(max(1,
-    1 - lambda)), and the large side is padded with exact 1/2 entries.
-    U_LS is zero outside the boundary rows dS (the modes of L coupled to
-    S), so the cross product runs over dS only.
+    columns of U^-1 on the union of their boundaries.
     """
     memo = cov._memo
-    n = cov.n_modes
     # every memo key is a checked region, so a hit needs no check
     keys = [key if key in memo else tuple(_checked_region(cov, key))
             for key in map(tuple, regions)]
-    sides = {}
+    cuts = {}
     for key in keys:
-        if key not in memo and key not in sides:
-            outside = np.setdiff1d(np.arange(n), key)
-            sides[key] = np.array(key) if len(key) <= len(outside) else outside
-    if sides:
-        cols = np.unique(np.concatenate(list(sides.values())))
+        if key not in memo and key not in cuts:
+            u_s = cov._u[:, key]
+            edge = np.setdiff1d(u_s.indices, key)
+            cuts[key] = edge, u_s[edge]
+    if cuts:
+        cols = np.unique(np.concatenate([edge for edge, _ in cuts.values()]))
         u_inv = cov._inverse_columns(cols)
-        for key, small in sides.items():
-            sigma = np.empty(0)
-            if small.size:
-                u_small = cov._u[:, small]
-                edge = np.setdiff1d(u_small.indices, small)
-                cross = (u_inv[np.ix_(edge, np.searchsorted(cols, small))].T
-                         @ u_small[edge].toarray())
-                lam = np.linalg.eigvals(cross).real
-                sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
+        for key, (edge, coupling) in cuts.items():
+            cross = coupling @ u_inv[np.ix_(key, np.searchsorted(cols, edge))]
+            lam = np.sort(np.linalg.eigvals(cross).real)[:min(len(key), edge.size)]
+            sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
             memo[key] = SymplecticSpectrum(
                 np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
     return [memo[key] for key in keys]

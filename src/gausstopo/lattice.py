@@ -164,23 +164,24 @@ def surface_code_adjacency(spec):
 def surface_code_graph_analytic(spec):
     """Closed-form surface-code graph V = 0, U = s^2 A_SC + (s^-2 + 2s^2) I.
 
-    `spec` dimensions count surface-code modes.  Exact on an even x even
-    torus, where U stays sparse (7 entries per row) and its dense form is
-    built only when `u_part` is read; a planar spec returns the bulk
-    pattern and warns that the boundary rows are approximate.
+    `spec` dimensions count surface-code modes.  U is built sparse (at most
+    7 entries per row); its dense form is built only when `u_part` is read.
+    The closed form is the surface code on an even torus with both sides
+    >= 4; any other torus raises ValidationError.  A planar spec returns the
+    bulk pattern and warns that the boundary rows are approximate.
     """
+    if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
+        # odd tori break the plaquette parity; 2-wide ones saturate wrapped links
+        raise ValidationError("the closed-form surface code needs a torus with even sides >= 4")
     if spec.boundary == "planar":
         warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
     s = spec.s
-    adj = _surface_code_links(spec)
     c, d = s ** 2, s ** -2 + 2 * s ** 2
-    if spec.boundary == "torus" and spec.even_parity and min(spec.rows, spec.cols) >= 4:
-        # U = s^-2 I + s^2 B^T B (B from _p_kept_incidence) with spec(B^T B)
-        # = [0, 8], both ends attained here, so spec(A_SC) = [-2, 6] exactly;
-        # 2-wide tori saturate wrapped links and do not follow it
-        u = c * adj + d * sp.identity(spec.n_nodes, format="csc")
-        return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
-    return GaussGraph(None, c * adj.toarray() + d * np.eye(spec.n_nodes))
+    # U = s^-2 I + s^2 B^T B (B from _p_kept_incidence) with spec(B^T B) =
+    # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
+    # interlacing on a planar grid, a principal submatrix of a larger torus
+    u = c * _surface_code_links(spec) + d * sp.identity(spec.n_nodes, format="csc")
+    return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
 
 
 def _p_kept_incidence(spec):

@@ -48,6 +48,17 @@ class TestBuild:
         assert code == cli.EXIT_VALIDATION
         assert "even" in stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("tee", "--rows", "5", "--cols", "5", "--log-s", "1"),
+        ("build", "--kind", "surface-analytic", "--rows", "2", "--cols", "2"),
+    ])
+    def test_analytic_refuses_other_tori(self, tmp_path, capsys, argv):
+        if argv[0] == "build":
+            argv += ("--out", str(tmp_path / "x.json"))
+        code, _, stderr = run(capsys, *argv)
+        assert code == cli.EXIT_VALIDATION
+        assert "the closed-form surface code needs a torus with even sides >= 4" in stderr
+
     def test_map_writes_index(self, tmp_path, capsys):
         out = tmp_path / "sc.json"
         code, stdout, _ = run(capsys, "map", "--rows", "6", "--cols", "6",

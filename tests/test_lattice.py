@@ -257,26 +257,37 @@ class TestSurfaceCodeGraph:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         return calls
 
-    @pytest.mark.parametrize("rows,cols,boundary,log_s,error", [
-        (2, 4, "torus", 0.0, IllConditionedGraphError),  # wrapped links saturate
-        (4, 2, "torus", 1.0, ValidationError),
-        (2, 2, "torus", 1.0, None),
-        (3, 4, "torus", 1.0, ValidationError),  # odd tori are indefinite
-        (5, 5, "torus", 0.0, None),
-        (6, 6, "planar", 1.0, None),
-    ])
-    def test_other_graphs_run_eigvalsh(self, monkeypatch, rows, cols, boundary, log_s, error):
-        spec = gt.LatticeSpec(rows, cols, boundary, log_s)
+    @pytest.mark.parametrize("rows,cols", [(2, 4), (4, 2), (2, 2), (3, 4), (5, 5)])
+    def test_other_tori_refused(self, monkeypatch, rows, cols):
+        # odd tori break the plaquette parity and 2-wide ones saturate wrapped
+        # links: the closed form is not the surface code there
         calls = self.count_eigvalsh(monkeypatch)
-        with warnings.catch_warnings():
+        with pytest.raises(ValidationError, match="even sides >= 4"):
+            gt.surface_code_graph_analytic(gt.LatticeSpec(rows, cols, "torus", 1.0))
+        assert not calls
+
+    def test_planar_bounds_need_no_eigvalsh(self, monkeypatch):
+        # a planar A_SC is a principal submatrix of the A_SC of a larger even
+        # torus, so by Cauchy interlacing its spectrum lies in [-2, 6]
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("the planar closed form needs no eigvalsh")
+
+        graphs = []
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
             warnings.simplefilter("ignore")  # the planar closed form warns
-            if error is None:
-                graph = gt.surface_code_graph_analytic(spec)
-                assert graph._cond == pytest.approx(np.linalg.cond(graph.u_part), rel=1e-9)
-            else:
-                with pytest.raises(error):
-                    gt.surface_code_graph_analytic(spec)
-        assert len(calls) == 1
+            for rows in range(1, 13):
+                for cols in range(1, 13):
+                    for log_s in (-2, 0, 3):
+                        spec = gt.LatticeSpec(rows, cols, "planar", log_s)
+                        graphs.append((spec.s, gt.surface_code_graph_analytic(spec)))
+        for s, graph in graphs:
+            c, d = s ** 2, s ** -2 + 2 * s ** 2
+            ev = np.linalg.eigvalsh(graph.u_part)
+            # slack for the rounding of the dense eigensolve
+            slack = 1e-12 * (d + 6 * c)
+            assert d - 2 * c - slack <= ev[0] and ev[-1] <= d + 6 * c + slack
+            assert graph._cond >= np.linalg.cond(graph.u_part) * (1 - 1e-9)
 
     def test_json_graph_runs_eigvalsh(self, monkeypatch):
         calls = self.count_eigvalsh(monkeypatch)

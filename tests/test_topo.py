@@ -400,11 +400,16 @@ class TestSpectraSetOracle:
         cov = engine.thermal_scale(engine.covariance_from_graph(graph), kappa)
         n = graph.n_modes
         rng = np.random.default_rng(seed)
-        # a region below N/2, one above (its small side is the complement)
-        # and one of any size up to all modes
+        # a region below N/2, one above and one of any size up to all modes
         sizes = (rng.integers(1, n // 2 + 1), rng.integers(n // 2 + 1, n + 1),
                  rng.integers(1, n + 1))
         regions = [sorted(rng.choice(n, size=k, replace=False).tolist()) for k in sizes]
+        # cut-boundary edge cases: a single mode and a 1 x k strip (both with
+        # |dS| > |S|), the complement of a single mode, and the whole lattice
+        # (dS empty, every sigma 1/2)
+        mode = int(rng.integers(n))
+        regions += [[mode], list(range(int(rng.integers(1, cols + 1)))),
+                    [i for i in range(n) if i != mode], list(range(n))]
         plain = engine.CovMatrix(cov.gamma, kappa=kappa)
         tol = 1e-9 + oracle_slack(graph, kappa)
         for region, fast in zip(regions, engine.symplectic_spectra(cov, regions)):
