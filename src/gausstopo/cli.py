@@ -35,8 +35,9 @@ def _worker_count():
         if not value.strip().isdecimal() or int(value) < 1:
             raise ValidationError("GAUSSTOPO_THREADS must be a positive integer")
         return int(value)
-    # SuperLU and small eigensolves gain nothing from BLAS threads; more
-    # workers pay off with OPENBLAS_NUM_THREADS=1 (timings in README)
+    # the cell FFT or SuperLU solve and the small eigensolves of the KP path
+    # gain nothing from BLAS threads, and a second worker gains little
+    # (timings in README)
     return 1
 
 
@@ -149,17 +150,18 @@ def _sweep_point(spec_base, log_s, kappas, args):
     regions = _kp(spec, args)
     geometry = dict(regions.geometry)
     metrics = set(args.metrics.split(","))
-    meta = {"path": "dense" if cov_pure._u is None else "factor", "cond_u": graph._cond}
+    path = "dense" if cov_pure._u is None else "factor" if cov_pure._cell is None else "torus"
+    meta = {"path": path, "cond_u": graph._cond}
     shared = {}
     entropies = {}
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         # the seven KP union spectra, memoised on cov_pure for the calls below
         names = ["".join(subset) for subset in topo.KP_SUBSETS]
-        unions = dict(zip(names, engine.symplectic_spectra(
+        unions = dict(zip(names, engine._pure_spectra(
             cov_pure, [regions.union(*subset) for subset in topo.KP_SUBSETS])))
         meta["kp_unions"] = {
-            name: {"small_side": min(len(union), spec.n_nodes - len(union)),
-                   "n_above": union.n_above, "n_half": union.n_half}
+            name: {"boundary": union.boundary, "n_above": union.n_above,
+                   "n_half": union.n_half}
             for name, union in unions.items()}
         # pure-state entropy of each KP union, from the same spectra
         entropies = {name: engine.von_neumann_entropy(union) for name, union in unions.items()}

@@ -66,6 +66,8 @@ class GaussGraph:
     `u_part` and a zero `v_part` are then built on first read.
     """
 
+    _torus = None  # (rows, cols) of an even torus whose U has the 2 x 2-cell symmetry
+
     def __init__(self, v_part, u_part):
         u = np.atleast_2d(np.asarray(u_part, dtype=float))
         v = None if v_part is None else np.atleast_2d(np.asarray(v_part, dtype=float))
@@ -83,14 +85,17 @@ class GaussGraph:
         self._v = None if v is None else _read_only(v)
 
     @classmethod
-    def _with_extremes(cls, u_csc, lam_min, lam_max):
+    def _with_extremes(cls, u_csc, lam_min, lam_max, torus=None):
         """V = 0 graph of the sparse `u_csc` whose spectrum lies in [lam_min,
         lam_max], known from its structure (`_cond` is then an upper bound on
-        cond(U)): the same checks on the stored entries, without eigvalsh."""
+        cond(U)): the same checks on the stored entries, without eigvalsh.
+        `torus` = (rows, cols) records that U on that even torus is invariant
+        under the translations (a, b) with a + b even."""
         graph = cls.__new__(cls)
         graph.n_modes = u_csc.shape[0]
         graph._u_csc = _symmetrized(u_csc, "u_part").tocsc()
         graph._u = graph._v = None
+        graph._torus = torus
         graph._check_extremes(lam_min, lam_max)
         return graph
 
@@ -170,14 +175,16 @@ class CovMatrix:
 
     `covariance_from_graph` marks its result as a kappa-scaled pure state
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
-    A marked V = 0 state is U-native: it holds the sparse U, kappa and one
-    sparse LU factor of U instead of gamma, builds `gamma`, `q_block` and
-    `p_block` on first read and keeps them, and memoises the pure-state
-    spectra of its regions.
+    A marked V = 0 state is U-native: it holds the sparse U, kappa and,
+    instead of gamma, what serves U^-1 (`_u_inv`): the two cell columns of
+    U^-1 on an even torus, one sparse LU factor of U elsewhere.  It builds
+    `gamma`, `q_block` and `p_block` on first read and keeps them, and
+    memoises the pure-state spectra of its regions.
     """
 
     _scaled_pure = False
     _u = None  # sparse (CSC) U of a U-native state; None when gamma is dense
+    _cell = None  # (U^-1 columns of sites (0, 0) and (0, 1), (rows, cols)) on an even torus
     block_diagonal = property(lambda self: self._block_diagonal,
                               doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
 
@@ -200,22 +207,36 @@ class CovMatrix:
             np.abs(self.qp_block).max(initial=0.0) <= 1e-12 * max(1.0, hi, -lo))
 
     @classmethod
-    def _from_factor(cls, u, factor):
-        """Marked U-native pure state of the graph V = 0, U (CSC) with its
-        SuperLU `factor`."""
+    def _u_native(cls, u, factor=None, cell=None):
+        """Marked U-native pure state of the graph V = 0, U (CSC), served by
+        its SuperLU `factor` or, on an even torus, by its `cell` columns."""
         cov = cls.__new__(cls)
         cov.kappa = 1.0
         cov.n_modes = u.shape[0]
         cov._scaled_pure = cov._block_diagonal = True
-        cov._u, cov._factor, cov._memo = u, factor, {}
+        cov._u, cov._factor, cov._cell, cov._memo = u, factor, cell, {}
         cov._gamma = cov._q = cov._p = None
         return cov
 
-    def _inverse_columns(self, cols):
-        """Columns `cols` of U^-1 from one multi-right-hand-side solve."""
-        rhs = np.zeros((self.n_modes, len(cols)))
-        rhs[cols, np.arange(len(cols))] = 1.0
-        return self._factor.solve(rhs)
+    def _u_inv(self, rows, cols):
+        """U^-1[rows, cols] of a U-native state (`rows` may be a slice).
+
+        On an even torus it is a gather: the translation (r_j, c_j - p) with
+        p = (r_j + c_j) mod 2 keeps U and takes site (0, p) to site j, so
+        U^-1[i, j] is entry i - (r_j, c_j - p) of the column of (0, p).
+        Otherwise it is one solve with the factor for the columns `cols`.
+        """
+        cols = np.asarray(cols, dtype=int)
+        if self._cell is None:
+            rhs = np.zeros((self.n_modes, cols.size))
+            rhs[cols, np.arange(cols.size)] = 1.0
+            return self._factor.solve(rhs)[rows]
+        columns, (n_rows, n_cols) = self._cell
+        r_i, c_i = np.divmod(np.arange(self.n_modes)[rows], n_cols)
+        r_j, c_j = np.divmod(cols, n_cols)
+        parity = (r_j + c_j) % 2
+        at = (r_i[:, None] - r_j) % n_rows * n_cols + (c_i[:, None] - c_j + parity) % n_cols
+        return columns[at, parity]
 
     @property
     def gamma(self):
@@ -234,7 +255,7 @@ class CovMatrix:
         if self._u is None:
             return self.gamma[:n, :n]
         if self._q is None:
-            u_inv = self._inverse_columns(np.arange(n))
+            u_inv = self._u_inv(slice(None), np.arange(n))
             self._q = _read_only(0.5 * self.kappa * (0.5 * (u_inv + u_inv.T)))
         return self._q
 
@@ -253,11 +274,11 @@ class CovMatrix:
         return self.gamma[:n, n:]
 
     def q_columns(self, cols):
-        """Columns `cols` of the q block; a U-native state takes them from
-        one solve with its factor and builds no block."""
+        """Columns `cols` of the q block; a U-native state reads them from
+        `_u_inv` and builds no block."""
         if self._u is None:
             return self.q_block[:, cols]
-        return 0.5 * self.kappa * self._inverse_columns(cols)
+        return 0.5 * self.kappa * self._u_inv(slice(None), cols)
 
 
 class SymplecticSpectrum:
@@ -270,6 +291,7 @@ class SymplecticSpectrum:
     """
 
     tol_half = 1e-9  # classification tolerance around sigma = 1/2
+    boundary = None  # |dS|, the eigensolve size, of a U-native pure-state spectrum
 
     def __init__(self, values):
         vals = np.sort(np.asarray(values, dtype=float))[::-1]
@@ -301,6 +323,27 @@ class SymplecticSpectrum:
         return SymplecticSpectrum(kappa * vals)
 
 
+def _cell_columns(u, torus):
+    """U^-1 columns of the sites (0, 0) and (0, 1) of an even rows x cols
+    torus, as an N x 2 array.
+
+    U is block-circulant over the 2 x 2-site cell, so U^-1 is the inverse
+    FFT of the inverted 4 x 4 symbols at the (rows/2) x (cols/2) momenta.
+    The symbols come from the 4 source columns of the cell (0, 0) in U.
+    """
+    rows, cols = torus
+    cells = (rows // 2, cols // 2)
+    # kernel[X, Y, a, b, k]: U between site (2X + a, 2Y + b) and the k-th cell site
+    kernel = u[:, [0, 1, cols, cols + 1]].toarray().reshape(cells[0], 2, cells[1], 2, 4)
+    symbol = np.fft.fft2(kernel.transpose(0, 2, 1, 3, 4).reshape(*cells, 4, 4), axes=(0, 1))
+    try:
+        inverse = np.linalg.inv(symbol)
+    except np.linalg.LinAlgError:
+        raise IllConditionedGraphError("a 2 x 2-cell symbol of U is singular") from None
+    columns = np.fft.ifft2(inverse[..., :2], axes=(0, 1)).real
+    return columns.reshape(*cells, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(rows * cols, 2)
+
+
 def covariance_from_graph(graph, cond_threshold=1e12):
     """Covariance matrix Gamma = 1/2 [[U^-1, U^-1 V], [V U^-1, U + V U^-1 V]].
 
@@ -316,10 +359,15 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     -------
     CovMatrix
         Pure-state covariance (kappa = 1), marked as such.  For V = 0 it is
-        U-native: one sparse LU factor of U and no dense gamma.
+        U-native and holds no dense gamma: on an even torus recorded by the
+        graph's builder it keeps two columns of U^-1 from the 2 x 2-cell FFT,
+        otherwise one sparse LU factor of U.
     """
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
+    if graph._torus is not None:
+        u = graph._u_csc
+        return CovMatrix._u_native(u, cell=(_cell_columns(u, graph._torus), graph._torus))
     if graph.is_v_zero():
         u = graph._u_csc if graph._u_csc is not None else sp.csc_matrix(graph.u_part)
         try:
@@ -328,7 +376,7 @@ def covariance_from_graph(graph, cond_threshold=1e12):
                                options={"SymmetricMode": True})
         except RuntimeError:
             raise IllConditionedGraphError("sparse LU factorization of U failed") from None
-        return CovMatrix._from_factor(u, factor)
+        return CovMatrix._u_native(u, factor=factor)
     u = graph.u_part
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)
@@ -349,8 +397,8 @@ def _factor_spectra(cov, regions):
     U[dS, S] (U^-1)[S, dS], which are the nonzero ones of (U^-1)_SL U_LS,
     give sigma = 1/2 sqrt(max(1, 1 - lambda)).  The largest min(|S|, |dS|)
     of them are kept and the rest of S is padded with exact 1/2 entries.
-    The spectra not yet known share one multi-right-hand-side solve for the
-    columns of U^-1 on the union of their boundaries.
+    The spectra not yet known share one block of U^-1 (`CovMatrix._u_inv`):
+    the union of their regions by the union of their boundaries.
     """
     memo = cov._memo
     # every memo key is a checked region, so a hit needs no check
@@ -363,14 +411,17 @@ def _factor_spectra(cov, regions):
             edge = np.setdiff1d(u_s.indices, key)
             cuts[key] = edge, u_s[edge]
     if cuts:
+        rows = np.unique(np.concatenate(list(cuts)))
         cols = np.unique(np.concatenate([edge for edge, _ in cuts.values()]))
-        u_inv = cov._inverse_columns(cols)
+        u_inv = cov._u_inv(rows, cols)
         for key, (edge, coupling) in cuts.items():
-            cross = coupling @ u_inv[np.ix_(key, np.searchsorted(cols, edge))]
+            cross = coupling @ u_inv[np.ix_(np.searchsorted(rows, key),
+                                            np.searchsorted(cols, edge))]
             lam = np.sort(np.linalg.eigvals(cross).real)[:min(len(key), edge.size)]
             sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
             memo[key] = SymplecticSpectrum(
                 np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
+            memo[key].boundary = edge.size
     return [memo[key] for key in keys]
 
 
@@ -524,9 +575,9 @@ def _check_kappa(kappa):
 def thermal_scale(cov, kappa):
     """Scale the covariance by kappa (thermal cluster-state noise model): a copy
     of `cov` that keeps its mark and `block_diagonal`, as kappa * gamma stays
-    symmetric.  A U-native copy shares its parent's factor and spectrum memo,
-    since the pure-state spectra do not depend on kappa, and builds its own
-    blocks when they are read."""
+    symmetric.  A U-native copy shares its parent's factor or cell columns
+    and its spectrum memo, since the pure-state spectra do not depend on
+    kappa, and builds its own blocks when they are read."""
     kappa = _check_kappa(kappa)
     scaled = copy.copy(cov)
     scaled.kappa = kappa * cov.kappa

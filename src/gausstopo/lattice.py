@@ -181,7 +181,8 @@ def surface_code_graph_analytic(spec):
     # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
     # interlacing on a planar grid, a principal submatrix of a larger torus
     u = c * _surface_code_links(spec) + d * sp.identity(spec.n_nodes, format="csc")
-    return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
+    torus = (spec.rows, spec.cols) if spec.boundary == "torus" else None
+    return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c, torus)
 
 
 def _p_kept_incidence(spec):

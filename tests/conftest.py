@@ -65,9 +65,12 @@ def star_pipeline_graph(s):
 @pytest.fixture
 def factor_counts(monkeypatch):
     """Live {"factor": n, "solve": n} counts of the sparse LU factorizations
-    of U and of the solves with those factors, made after the fixture runs."""
+    of U and of the solves with those factors, made after the fixture runs.
+    The first 2 x 2-cell U^-1 column build of an even torus adds a "cell"
+    count, so a state that builds none compares as before."""
     counts = {"factor": 0, "solve": 0}
     splu = engine.spla.splu
+    cell_columns = engine._cell_columns
 
     class CountedFactor:
         def __init__(self, lu):
@@ -81,5 +84,10 @@ def factor_counts(monkeypatch):
         counts["factor"] += 1
         return CountedFactor(splu(*args, **kwargs))
 
+    def counted_cell(*args, **kwargs):
+        counts["cell"] = counts.get("cell", 0) + 1
+        return cell_columns(*args, **kwargs)
+
     monkeypatch.setattr(engine.spla, "splu", counted)
+    monkeypatch.setattr(engine, "_cell_columns", counted_cell)
     return counts

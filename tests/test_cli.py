@@ -247,15 +247,17 @@ class TestSweep:
         kp = topo.kp_regions(spec)
         for record in records[:2]:  # log s 1, kappa 1 and 10
             meta = record["spectra_meta"]
-            assert meta["path"] == "factor"
+            assert meta["path"] == "torus"
             assert meta["cond_u"] == pytest.approx(np.linalg.cond(graph.u_part), rel=1e-9)
             assert list(meta["kp_unions"]) == ["A", "B", "C", "AB", "BC", "AC", "ABC"]
             for names, sign in zip(topo.KP_SUBSETS, topo.KP_SIGNS):
                 union = meta["kp_unions"]["".join(names)]
-                size = len(kp.union(*names))
-                assert union["small_side"] == min(size, spec.n_nodes - size)
-                assert union["n_above"] + union["n_half"] == size
-                assert 0 < union["n_above"] <= union["small_side"]
+                region = kp.union(*names)
+                # |dS|: the modes outside S that U couples to S
+                coupled = np.flatnonzero(graph.u_part[:, region].any(axis=1))
+                assert union["boundary"] == np.setdiff1d(coupled, region).size
+                assert union["n_above"] + union["n_half"] == len(region)
+                assert 0 < union["n_above"] <= min(len(region), union["boundary"])
 
     def test_json_report_region_entropies(self, tmp_path, capsys):
         out, jout = tmp_path / "e.csv", tmp_path / "e.jsonl"

@@ -429,12 +429,14 @@ class TestThermalScale:
         pure = engine.symplectic_spectrum(cov, region)
         gamma = cov.gamma  # built and kept by the parent
         scaled = engine.thermal_scale(cov, 2.0)
-        assert scaled._memo is cov._memo
+        assert scaled._memo is cov._memo and scaled._cell is cov._cell
         before = dict(factor_counts)
         assert np.array_equal(engine.symplectic_spectrum(scaled, region).values,
                               2.0 * pure.values)
         assert factor_counts == before, "a memoised spectrum needs no solve"
-        assert before == {"factor": 1, "solve": 2}  # the region, then the q block
+        # an even torus gathers the region's block and the q block from one
+        # cell build, with no factor and no solve
+        assert before == {"factor": 0, "solve": 0, "cell": 1}
         assert not np.shares_memory(scaled.gamma, gamma)
         assert np.array_equal(scaled.gamma, 2.0 * gamma)
         assert cov.gamma is gamma
@@ -473,6 +475,58 @@ class TestFactoredState:
         monkeypatch.setattr(engine.spla, "splu", singular)
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(engine.GaussGraph(None, np.eye(2)))
+
+
+class TestTorusCells:
+    """An even torus serves U^-1 from two cell columns, with no factor."""
+
+    @settings(max_examples=40)
+    @given(rows=st.sampled_from(range(4, 21, 2)), cols=st.sampled_from(range(4, 21, 2)),
+           log_s=st.floats(-2.0, 3.25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_gather_matches_dense_inverse(self, rows, cols, log_s, seed):
+        graph = lattice.surface_code_graph_analytic(
+            lattice.LatticeSpec(rows, cols, "torus", log_s))
+        cov = engine.covariance_from_graph(graph)
+        u = graph.u_part
+        inverse = np.linalg.inv(u)
+        n = graph.n_modes
+        rng = np.random.default_rng(seed)
+        sets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                for _ in range(2)]
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(u) * np.abs(inverse).max()
+        assert np.abs(cov._u_inv(*sets) - inverse[np.ix_(*sets)]).max() <= tol
+        assert np.abs(cov.q_block - 0.5 * inverse).max() <= 0.5 * tol
+
+    def test_json_round_trip_takes_factor_route(self, factor_counts):
+        # the route comes from the torus the builder recorded, not from U
+        graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 12, "torus", 2.0))
+        loaded = engine.GaussGraph.from_json(graph.to_json())
+        torus, factored = engine.covariance_from_graph(graph), engine.covariance_from_graph(loaded)
+        assert torus._cell is not None and torus._factor is None
+        assert factored._cell is None and factored._factor is not None
+        region = [0, 1, 2, 12, 13, 14, 25]
+        block = torus._u_inv(region, np.arange(96))
+        tol = 16 * np.finfo(float).eps * graph._cond * np.abs(block).max()
+        assert np.abs(block - factored._u_inv(region, np.arange(96))).max() <= tol
+        assert np.allclose(engine.symplectic_spectrum(torus, region).values,
+                           engine.symplectic_spectrum(factored, region).values,
+                           rtol=1e-9, atol=0)
+        assert factor_counts == {"factor": 1, "solve": 2, "cell": 1}
+
+    def test_cond_threshold_before_fft(self, factor_counts):
+        graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 8.0))
+        with pytest.raises(IllConditionedGraphError):
+            engine.covariance_from_graph(graph)
+        assert factor_counts == {"factor": 0, "solve": 0}
+
+    def test_singular_symbol_is_numerical(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 1.0))
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(IllConditionedGraphError):
+            engine.covariance_from_graph(graph)
 
 
 class TestMeasurements:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -422,41 +423,59 @@ class TestSpectraSetOracle:
                            - np.sum(np.log2(2 * oracle.values / kappa))) <= tol
 
 
+# an even torus builds its two cell columns once and solves nothing; any
+# other U-native state (here a planar grid) factors U once and solves once
+TORUS_COUNTS = {"factor": 0, "solve": 0, "cell": 1}
+FACTOR_COUNTS = {"factor": 1, "solve": 1}
+
+
+def refuse_dense(monkeypatch):
+    """Make every dense N x N array and eigvalsh raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a KP pass on an analytic surface code needs no dense "
+                             "N x N array and no eigvalsh")
+
+    for cls, names in ((engine.GaussGraph, ("u_part", "v_part")),
+                       (engine.CovMatrix, ("gamma", "q_block", "p_block"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def kp_pass(spec):
+    """TEE, TLN, TMI at kappa 1 and 10, TLN at kappa 10 and the TMI lower
+    bound of the analytic surface code of `spec`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the planar closed form warns
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+    kp = topo.kp_regions(spec)
+    hot = engine.thermal_scale(cov, 10.0)
+    return (topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),
+            topo.tmi(hot, kp), topo.tln_kp(hot, kp), topo.tmi_lower_bound(cov, kp))
+
+
 class TestFactoredKPPass:
     def test_one_factor_one_solve_no_gamma(self, monkeypatch, factor_counts):
         def no_gamma(cov):
             raise AssertionError("the KP diagnostics of a marked V = 0 state build no gamma")
 
         monkeypatch.setattr(engine.CovMatrix, "gamma", property(no_gamma))
-        spec = gt.LatticeSpec(12, 12, "torus", 2.8)
-        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
-        kp = topo.kp_regions(spec)
-        hot = engine.thermal_scale(cov, 10.0)
-        values = [topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),
-                  topo.tmi(hot, kp), topo.tln_kp(hot, kp), topo.tmi_lower_bound(cov, kp)]
-        assert factor_counts == {"factor": 1, "solve": 1}
-        assert values[0] == values[2]
-        assert values[5] <= values[3] <= values[2] <= values[1]
+        tee, tln, tmi1, tmi10, _, lower = kp_pass(gt.LatticeSpec(12, 12, "torus", 2.8))
+        assert factor_counts == TORUS_COUNTS
+        assert tee == tmi1
+        assert lower <= tmi10 <= tmi1 <= tln
 
     @pytest.mark.parametrize("rows,cols", [(12, 12), (16, 12), (24, 24)])
     def test_pass_builds_no_dense_matrix(self, monkeypatch, factor_counts, rows, cols):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a KP pass on an even torus needs no dense N x N "
-                                 "array and no eigvalsh")
+        refuse_dense(monkeypatch)
+        tee, tln, tmi1, tmi10, _, lower = kp_pass(gt.LatticeSpec(rows, cols, "torus", 2.8))
+        assert factor_counts == TORUS_COUNTS
+        assert lower <= tmi10 <= tmi1 == tee <= tln
 
-        for cls, names in ((engine.GaussGraph, ("u_part", "v_part")),
-                           (engine.CovMatrix, ("gamma", "q_block", "p_block"))):
-            for name in names:
-                monkeypatch.setattr(cls, name, property(refuse))
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        spec = gt.LatticeSpec(rows, cols, "torus", 2.8)
-        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
-        kp = topo.kp_regions(spec)
-        hot = engine.thermal_scale(cov, 10.0)
-        tee, tln, tmi1, tmi10, lower = (topo.tee_kp(cov, kp), topo.tln_kp(cov, kp),
-                                        topo.tmi(cov, kp), topo.tmi(hot, kp),
-                                        topo.tmi_lower_bound(cov, kp))
-        assert factor_counts == {"factor": 1, "solve": 1}
+    def test_planar_pass_keeps_factor_route(self, monkeypatch, factor_counts):
+        refuse_dense(monkeypatch)
+        tee, tln, tmi1, tmi10, _, lower = kp_pass(gt.LatticeSpec(16, 12, "planar", 2.8))
+        assert factor_counts == FACTOR_COUNTS
         assert lower <= tmi10 <= tmi1 == tee <= tln
 
     def test_each_union_checked_once(self, monkeypatch):
@@ -488,8 +507,8 @@ class TestFactoredKPPass:
                 engine.symplectic_spectrum(cov, bad)
 
     def test_values_identical_across_blas_threads(self):
-        # SuperLU and the small boundary products give the same bits under
-        # any BLAS thread count
+        # the cell FFT, the gather and the small boundary products of these
+        # even tori give the same bits under any BLAS thread count
         script = "\n".join([
             "from gausstopo import engine, lattice, topo",
             "for log_s in (1.0, 2.4, 2.8, 3.2):",
@@ -516,11 +535,11 @@ class TestFactoredKPPass:
         lw = topo.lw_regions(spec)
         cov = engine.covariance_from_graph(graph)
         value = topo.tee_lw(cov, lw)
-        assert factor_counts == {"factor": 1, "solve": 1}
-        # one fresh state, and so one solve, per region
+        assert factor_counts == {"factor": 0, "solve": 0, "cell": 1}
+        # one fresh state, and so one cell build, per region
         single = {name: topo.region_entropy(engine.covariance_from_graph(graph),
                                             lw.regions[name]) for name in "ABCD"}
-        assert factor_counts == {"factor": 5, "solve": 5}
+        assert factor_counts == {"factor": 0, "solve": 0, "cell": 5}
         assert abs(value + 0.5 * ((single["A"] - single["B"])
                                   - (single["C"] - single["D"]))) <= 1e-12
         for name in "ABCD":
@@ -529,7 +548,7 @@ class TestFactoredKPPass:
         topo.mutual_information(fresh, lw.regions["A"])
         bound = topo.sandwich_regions(lw)
         topo.bipartite_mutual_information(fresh, bound["E"], bound["F"])
-        assert factor_counts == {"factor": 6, "solve": 7}
+        assert factor_counts == {"factor": 0, "solve": 0, "cell": 6}
 
 
 class TestSandwichBounds:
