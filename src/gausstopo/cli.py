@@ -160,8 +160,8 @@ def _sweep_point(spec_base, log_s, kappas, args):
         unions = dict(zip(names, engine._pure_spectra(
             cov_pure, [regions.union(*subset) for subset in topo.KP_SUBSETS])))
         meta["kp_unions"] = {
-            name: {"boundary": union.boundary, "n_above": union.n_above,
-                   "n_half": union.n_half}
+            name: {"boundary": union.boundary, "rim": union.rim,
+                   "n_above": union.n_above, "n_half": union.n_half}
             for name, union in unions.items()}
         # pure-state entropy of each KP union, from the same spectra
         entropies = {name: engine.von_neumann_entropy(union) for name, union in unions.items()}

@@ -291,7 +291,8 @@ class SymplecticSpectrum:
     """
 
     tol_half = 1e-9  # classification tolerance around sigma = 1/2
-    boundary = None  # |dS|, the eigensolve size, of a U-native pure-state spectrum
+    # |dS| and |d'S| of a U-native pure-state spectrum; the eigensolve has the smaller size
+    boundary = rim = None
 
     def __init__(self, values):
         vals = np.sort(np.asarray(values, dtype=float))[::-1]
@@ -323,6 +324,33 @@ class SymplecticSpectrum:
         return SymplecticSpectrum(kappa * vals)
 
 
+def _csc_entries(u, cols):
+    """Row ids, positions in `cols` and values of the stored entries of the
+    columns `cols` of the canonical CSC matrix `u`, read from its arrays."""
+    starts = u.indptr[cols]
+    counts = u.indptr[cols + 1] - starts
+    # the t-th entry read, entry e of column k, sits at starts[k] + e, and
+    # t = e + (the entries of the columns before k)
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return u.indices[at], np.repeat(np.arange(cols.size), counts), u.data[at]
+
+
+def _cut(u, region):
+    """The cut of `region` S in the symmetric CSC matrix `u`: its edge dS
+    (the modes outside S that U couples to S), its rim d'S (the modes of S
+    coupled outside S), both sorted, and the dense block U[dS, d'S]."""
+    inside = np.zeros(u.shape[0], dtype=bool)
+    inside[np.asarray(region, dtype=np.intp)] = True
+    members = np.flatnonzero(inside)
+    rows, k, values = _csc_entries(u, members)
+    out = ~inside[rows]
+    edge, at_edge = np.unique(rows[out], return_inverse=True)
+    rim, at_rim = np.unique(members[k[out]], return_inverse=True)
+    coupling = np.zeros((edge.size, rim.size))
+    coupling[at_edge, at_rim] = values[out]
+    return edge, rim, coupling
+
+
 def _cell_columns(u, torus):
     """U^-1 columns of the sites (0, 0) and (0, 1) of an even rows x cols
     torus, as an N x 2 array.
@@ -334,7 +362,10 @@ def _cell_columns(u, torus):
     rows, cols = torus
     cells = (rows // 2, cols // 2)
     # kernel[X, Y, a, b, k]: U between site (2X + a, 2Y + b) and the k-th cell site
-    kernel = u[:, [0, 1, cols, cols + 1]].toarray().reshape(cells[0], 2, cells[1], 2, 4)
+    kernel = np.zeros((rows * cols, 4))
+    at, k, values = _csc_entries(u, np.array([0, 1, cols, cols + 1]))
+    kernel[at, k] = values
+    kernel = kernel.reshape(cells[0], 2, cells[1], 2, 4)
     symbol = np.fft.fft2(kernel.transpose(0, 2, 1, 3, 4).reshape(*cells, 4, 4), axes=(0, 1))
     try:
         inverse = np.linalg.inv(symbol)
@@ -392,36 +423,30 @@ def _factor_spectra(cov, regions):
     sorted mode tuple.
 
     For a region S with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS,
-    and U_LS is zero outside the cut boundary dS (the modes of L coupled to
-    S).  So the eigenvalues lambda of the |dS| x |dS| matrix
-    U[dS, S] (U^-1)[S, dS], which are the nonzero ones of (U^-1)_SL U_LS,
-    give sigma = 1/2 sqrt(max(1, 1 - lambda)).  The largest min(|S|, |dS|)
-    of them are kept and the rest of S is padded with exact 1/2 entries.
-    The spectra not yet known share one block of U^-1 (`CovMatrix._u_inv`):
-    the union of their regions by the union of their boundaries.
+    and U_LS is zero outside the rows dS and the columns d'S of the cut
+    (`_cut`).  So (U^-1)_SL U_LS is block lower-triangular, and its nonzero
+    eigenvalues lambda are those of (U^-1)[d'S, dS] U[dS, d'S], or of the
+    reverse product, whichever is smaller: sigma = 1/2 sqrt(max(1, 1 -
+    lambda)), with the rest of S padded with exact 1/2 entries.  The
+    spectra not yet known share one block of U^-1 (`CovMatrix._u_inv`): the
+    union of their rims by the union of their edges.
     """
     memo = cov._memo
     # every memo key is a checked region, so a hit needs no check
     keys = [key if key in memo else tuple(_checked_region(cov, key))
             for key in map(tuple, regions)]
-    cuts = {}
-    for key in keys:
-        if key not in memo and key not in cuts:
-            u_s = cov._u[:, key]
-            edge = np.setdiff1d(u_s.indices, key)
-            cuts[key] = edge, u_s[edge]
+    cuts = {key: _cut(cov._u, key) for key in dict.fromkeys(keys) if key not in memo}
     if cuts:
-        rows = np.unique(np.concatenate(list(cuts)))
-        cols = np.unique(np.concatenate([edge for edge, _ in cuts.values()]))
+        rows = np.unique(np.concatenate([rim for _, rim, _ in cuts.values()]))
+        cols = np.unique(np.concatenate([edge for edge, _, _ in cuts.values()]))
         u_inv = cov._u_inv(rows, cols)
-        for key, (edge, coupling) in cuts.items():
-            cross = coupling @ u_inv[np.ix_(np.searchsorted(rows, key),
-                                            np.searchsorted(cols, edge))]
-            lam = np.sort(np.linalg.eigvals(cross).real)[:min(len(key), edge.size)]
-            sigma = 0.5 * np.sqrt(np.clip(1.0 - lam, 1.0, None))
+        for key, (edge, rim, coupling) in cuts.items():
+            block = u_inv[np.ix_(np.searchsorted(rows, rim), np.searchsorted(cols, edge))]
+            cross = block @ coupling if rim.size < edge.size else coupling @ block
+            sigma = 0.5 * np.sqrt(np.clip(1.0 - np.linalg.eigvals(cross).real, 1.0, None))
             memo[key] = SymplecticSpectrum(
                 np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
-            memo[key].boundary = edge.size
+            memo[key].boundary, memo[key].rim = edge.size, rim.size
     return [memo[key] for key in keys]
 
 

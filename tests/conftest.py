@@ -53,6 +53,17 @@ def random_graph(rng, n=None, max_modes=12):
     return engine.GaussGraph(v, u)
 
 
+def dense_cut(u, region):
+    """Edge dS (modes outside S coupled to S), rim d'S (modes of S coupled
+    outside S) and U[dS, d'S] of `region` S, read from the dense U."""
+    inside = np.zeros(len(u), dtype=bool)
+    inside[region] = True
+    coupled = u[np.ix_(~inside, inside)] != 0
+    edge = np.flatnonzero(~inside)[coupled.any(axis=1)]
+    rim = np.flatnonzero(inside)[coupled.any(axis=0)]
+    return edge, rim, u[np.ix_(edge, rim)]
+
+
 def star_pipeline_graph(s):
     """3-mode network from measuring p on the hub of a 4-mode star."""
     adj = np.zeros((4, 4))

@@ -256,8 +256,12 @@ class TestSweep:
                 # |dS|: the modes outside S that U couples to S
                 coupled = np.flatnonzero(graph.u_part[:, region].any(axis=1))
                 assert union["boundary"] == np.setdiff1d(coupled, region).size
+                # |d'S|: the modes of S that U couples outside S
+                outside = np.setdiff1d(np.arange(graph.n_modes), region)
+                rim = np.flatnonzero(graph.u_part[np.ix_(outside, region)].any(axis=0))
+                assert union["rim"] == rim.size
                 assert union["n_above"] + union["n_half"] == len(region)
-                assert 0 < union["n_above"] <= min(len(region), union["boundary"])
+                assert 0 < union["n_above"] <= min(union["rim"], union["boundary"])
 
     def test_json_report_region_entropies(self, tmp_path, capsys):
         out, jout = tmp_path / "e.csv", tmp_path / "e.jsonl"

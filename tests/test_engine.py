@@ -1,6 +1,7 @@
 """Gaussian-engine unit tests: graph calculus, spectra, entropies."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gausstopo.errors import (
     ValidationError,
 )
 
-from conftest import random_graph, star_pipeline_graph
+from conftest import dense_cut, random_graph, star_pipeline_graph
 
 
 def two_mode_cluster(s):
@@ -527,6 +528,48 @@ class TestTorusCells:
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(graph)
+
+
+class TestCut:
+    """The cut of a region read from U's CSC arrays against the dense U."""
+
+    @staticmethod
+    def assert_cuts_match(graph, cols, seed):
+        u_csc = engine.covariance_from_graph(graph)._u
+        u = graph.u_part
+        n = graph.n_modes
+        rng = np.random.default_rng(seed)
+        # random regions, unsorted and with repeated ids, then a single mode,
+        # a 1 x k strip, the complement of a single mode and the whole
+        # lattice (dS and d'S empty)
+        regions = [rng.integers(n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(3)]
+        mode = int(rng.integers(n))
+        regions += [[mode], list(range(int(rng.integers(1, cols + 1)))),
+                    [i for i in range(n) if i != mode], list(range(n))]
+        for region in filter(len, regions):
+            for read, oracle in zip(engine._cut(u_csc, region), dense_cut(u, region)):
+                assert read.shape == oracle.shape
+                assert np.array_equal(read, oracle)
+
+    @settings(max_examples=40)
+    @given(shape=st.one_of(
+               st.tuples(st.sampled_from(range(4, 21, 2)), st.sampled_from(range(4, 21, 2)),
+                         st.just("torus")),
+               st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar"))),
+           log_s=st.floats(-2.0, 3.25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_analytic_cuts_match_dense(self, shape, log_s, seed):
+        rows, cols, boundary = shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            graph = lattice.surface_code_graph_analytic(
+                lattice.LatticeSpec(rows, cols, boundary, log_s))
+        self.assert_cuts_match(graph, cols, seed)
+
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_pipeline_cuts_match_dense(self, seed):
+        graph, _ = lattice.map_cluster_to_surface(lattice.LatticeSpec(8, 12, "torus", 0.5))
+        self.assert_cuts_match(graph, 6, seed)
 
 
 class TestMeasurements:

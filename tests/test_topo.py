@@ -8,11 +8,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import gausstopo as gt
 from gausstopo import engine, topo
 from gausstopo.errors import ValidationError
+
+from conftest import dense_cut
 
 
 def product_cov(n_modes, kappa=1.0):
@@ -396,31 +399,55 @@ class TestSpectraSetOracle:
            log_s=st.floats(0.3, 3.0), kappa=st.floats(1.0, 20.0),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_factor_path_matches_dense_oracles(self, rows, cols, log_s, kappa, seed):
-        spec = gt.LatticeSpec(rows, cols, "torus", log_s)
-        graph = gt.surface_code_graph_analytic(spec)
-        cov = engine.thermal_scale(engine.covariance_from_graph(graph), kappa)
-        n = graph.n_modes
-        rng = np.random.default_rng(seed)
-        # a region below N/2, one above and one of any size up to all modes
-        sizes = (rng.integers(1, n // 2 + 1), rng.integers(n // 2 + 1, n + 1),
-                 rng.integers(1, n + 1))
-        regions = [sorted(rng.choice(n, size=k, replace=False).tolist()) for k in sizes]
-        # cut-boundary edge cases: a single mode and a 1 x k strip (both with
-        # |dS| > |S|), the complement of a single mode, and the whole lattice
-        # (dS empty, every sigma 1/2)
-        mode = int(rng.integers(n))
-        regions += [[mode], list(range(int(rng.integers(1, cols + 1)))),
-                    [i for i in range(n) if i != mode], list(range(n))]
-        plain = engine.CovMatrix(cov.gamma, kappa=kappa)
-        tol = 1e-9 + oracle_slack(graph, kappa)
-        for region, fast in zip(regions, engine.symplectic_spectra(cov, regions)):
-            for oracle in (engine.symplectic_spectrum(cov, region, force_general=True),
-                           engine.symplectic_spectrum(plain, region)):
-                assert len(oracle) == len(fast) == len(region)
-                assert abs(engine.von_neumann_entropy(fast)
-                           - engine.von_neumann_entropy(oracle)) <= tol
-                assert abs(np.sum(np.log2(2 * fast.values / kappa))
-                           - np.sum(np.log2(2 * oracle.values / kappa))) <= tol
+        graph = gt.surface_code_graph_analytic(gt.LatticeSpec(rows, cols, "torus", log_s))
+        assert_spectra_match_dense_oracles(graph, cols, kappa, seed)
+
+    @settings(max_examples=30)
+    @given(rows=st.integers(2, 12), cols=st.integers(2, 12), pipeline=st.booleans(),
+           log_s=st.floats(0.3, 3.0), kappa=st.floats(1.0, 20.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_factor_route_matches_dense_oracles(self, rows, cols, pipeline, log_s, kappa, seed):
+        # planar analytic grids and the measurement pipeline on an even torus
+        # take the SuperLU route
+        if pipeline:
+            spec = gt.LatticeSpec(2 * (rows // 2 + 1), 2 * (cols // 2 + 1), "torus", log_s)
+            graph, _ = gt.map_cluster_to_surface(spec)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the planar closed form warns
+                graph = gt.surface_code_graph_analytic(
+                    gt.LatticeSpec(rows, cols, "planar", log_s))
+        assert engine.covariance_from_graph(graph)._factor is not None
+        assert_spectra_match_dense_oracles(graph, cols, kappa, seed)
+
+
+def assert_spectra_match_dense_oracles(graph, cols, kappa, seed):
+    """Spectra of random regions and cut-boundary edge cases of the U-native
+    state of `graph` at `kappa` against the general path and the unmarked
+    dense covariance."""
+    cov = engine.thermal_scale(engine.covariance_from_graph(graph), kappa)
+    n = graph.n_modes
+    rng = np.random.default_rng(seed)
+    # a region below N/2, one above and one of any size up to all modes
+    sizes = (rng.integers(1, n // 2 + 1), rng.integers(n // 2 + 1, n + 1),
+             rng.integers(1, n + 1))
+    regions = [sorted(rng.choice(n, size=k, replace=False).tolist()) for k in sizes]
+    # cut-boundary edge cases: a single mode and a 1 x k strip (both with
+    # |dS| > |S|), the complement of a single mode, and the whole lattice
+    # (dS empty, every sigma 1/2)
+    mode = int(rng.integers(n))
+    regions += [[mode], list(range(int(rng.integers(1, cols + 1)))),
+                [i for i in range(n) if i != mode], list(range(n))]
+    plain = engine.CovMatrix(cov.gamma, kappa=kappa)
+    tol = 1e-9 + oracle_slack(graph, kappa)
+    for region, fast in zip(regions, engine.symplectic_spectra(cov, regions)):
+        for oracle in (engine.symplectic_spectrum(cov, region, force_general=True),
+                       engine.symplectic_spectrum(plain, region)):
+            assert len(oracle) == len(fast) == len(region)
+            assert abs(engine.von_neumann_entropy(fast)
+                       - engine.von_neumann_entropy(oracle)) <= tol
+            assert abs(np.sum(np.log2(2 * fast.values / kappa))
+                       - np.sum(np.log2(2 * oracle.values / kappa))) <= tol
 
 
 # an even torus builds its two cell columns once and solves nothing; any
@@ -477,6 +504,34 @@ class TestFactoredKPPass:
         tee, tln, tmi1, tmi10, _, lower = kp_pass(gt.LatticeSpec(16, 12, "planar", 2.8))
         assert factor_counts == FACTOR_COUNTS
         assert lower <= tmi10 <= tmi1 == tee <= tln
+
+    @pytest.mark.parametrize("rows,cols,boundary", [(16, 16, "torus"), (16, 12, "planar")])
+    def test_eigensolves_take_the_smaller_cut_side(self, monkeypatch, rows, cols, boundary):
+        spec = gt.LatticeSpec(rows, cols, boundary, 2.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            u = gt.surface_code_graph_analytic(spec).u_part
+        kp = topo.kp_regions(spec)
+        cuts = [dense_cut(u, kp.union(*names)) for names in topo.KP_SUBSETS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a KP pass reads U from its CSC arrays, not by indexing")
+
+        # the class that gives every scipy sparse matrix its __getitem__
+        indexing = next(cls for cls in sp.csc_matrix.__mro__ if "__getitem__" in vars(cls))
+        monkeypatch.setattr(indexing, "__getitem__", refuse)
+        eigvals = np.linalg.eigvals
+        shapes = []
+
+        def recorded(a):
+            shapes.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        kp_pass(spec)
+        # one eigensolve per KP union, of size min(|dS|, |d'S|)
+        assert shapes == [(min(edge.size, rim.size),) * 2 for edge, rim, _ in cuts]
+        assert any(rim.size < edge.size for edge, rim, _ in cuts)
 
     def test_each_union_checked_once(self, monkeypatch):
         checked = engine._checked_region
