@@ -41,14 +41,21 @@ def _worker_count():
     return 1
 
 
-def _timestamp_header():
-    return "# generated %s" % datetime.now(timezone.utc).isoformat()
-
-
-def _open_out(path, mode="w"):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, mode, encoding="utf-8", newline=""), True
+@contextlib.contextmanager
+def _csv_out(path, header, mode="w"):
+    """(stream, csv writer) on `path`, or on stdout for None or '-'; a file
+    is closed on exit.  A `header` row, unless None, follows the
+    `# generated <timestamp>` comment line."""
+    with contextlib.ExitStack() as stack:
+        if path in (None, "-"):
+            stream = sys.stdout
+        else:
+            stream = stack.enter_context(open(path, mode, encoding="utf-8", newline=""))
+        writer = csv.writer(stream)
+        if header is not None:
+            stream.write("# generated %s\n" % datetime.now(timezone.utc).isoformat())
+            writer.writerow(header)
+        yield stream, writer
 
 
 def _add_lattice_flags(parser, boundary_default="torus"):
@@ -226,15 +233,10 @@ def cmd_sweep(args):
     mode = "a" if done else "w"
     failures = []
     with contextlib.ExitStack() as stack:
-        stream, close = _open_out(args.out, mode)
-        if close:
-            stack.enter_context(stream)
+        stream, writer = stack.enter_context(
+            _csv_out(args.out, None if done else SWEEP_COLUMNS, mode))
         json_stream = (stack.enter_context(open(args.json_out, mode, encoding="utf-8"))
                        if args.json_out else None)
-        writer = csv.writer(stream)
-        if not done:
-            stream.write(_timestamp_header() + "\n")
-            writer.writerow(SWEEP_COLUMNS)
         pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
         # each point's rows go out in grid order as soon as it is done, so an
         # interrupted sweep keeps them and a rerun resumes after them
@@ -258,19 +260,13 @@ def cmd_sweep(args):
 
 
 def cmd_spectrum(args):
-    gap_val = spectra.gap(args.n, args.m, np.exp(args.log_s))
-    asym = spectra.gap_asymptotic(min(args.n, args.m), np.exp(args.log_s))
-    ratio = gap_val / asym if asym else float("nan")
-    stream, close = _open_out(args.out)
-    try:
-        stream.write(_timestamp_header() + "\n")
-        writer = csv.writer(stream)
-        writer.writerow(["n", "m", "log_s", "gap", "gap_asymptotic", "ratio"])
-        writer.writerow([args.n, args.m, "%.12g" % args.log_s, "%.12g" % gap_val,
+    modes = spectra.normal_modes(args.n, args.m, np.exp(args.log_s))
+    asym = modes.gap_asymptotic
+    ratio = modes.gap / asym if asym else float("nan")
+    header = ["n", "m", "log_s", "gap", "gap_asymptotic", "ratio"]
+    with _csv_out(args.out, header) as (_, writer):
+        writer.writerow([args.n, args.m, "%.12g" % args.log_s, "%.12g" % modes.gap,
                          "%.12g" % asym, "%.12g" % ratio])
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -280,16 +276,9 @@ def cmd_correlations(args):
     bound = corr.dms_bound(spec.s)
     seps, vals = corr.axis_samples(cov, spec, max_separation=args.max_separation,
                                    axis=args.axis)
-    stream, close = _open_out(args.out)
-    try:
-        stream.write(_timestamp_header() + "\n")
-        writer = csv.writer(stream)
-        writer.writerow(["separation", "correlation", "bound_value"])
+    with _csv_out(args.out, ["separation", "correlation", "bound_value"]) as (_, writer):
         for d, v in zip(seps, vals):
             writer.writerow(["%.12g" % d, "%.12g" % v, "%.12g" % bound.envelope(d)])
-    finally:
-        if close:
-            stream.close()
     if args.fit:
         a, xi_a, b, xi_b, residual = corr.fit_correlation_length(seps, vals)
         print(json.dumps({"a": a, "xi_a": xi_a, "b": b, "xi_b": xi_b,

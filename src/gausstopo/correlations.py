@@ -120,8 +120,9 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
     """|<q q>| along a main axis through the lattice center.
 
     Returns (separations, correlations) for separations 1..max_separation
-    from the center mode along the requested axis ('row', 'col',
-    'diagonal' or 'antidiagonal').
+    from the center mode (n//2 - 1, m//2 - 1) along the requested axis
+    ('row', 'col', 'diagonal' or 'antidiagonal').  A lattice with a side of
+    1 has no such center and raises ValidationError.
     """
     _require_block_diagonal(cov)
     steps = {"row": (0, 1), "col": (1, 0), "diagonal": (1, 1), "antidiagonal": (1, -1)}
@@ -130,6 +131,8 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
     dx, dy = steps[axis]
     n, m = spec.rows, spec.cols
     cx, cy = n // 2 - 1, m // 2 - 1
+    if min(cx, cy) < 0:
+        raise ValidationError("axis samples need a lattice at least 2 wide")
     if max_separation is None:
         max_separation = max(min(n, m) // 2 - 5, 8)
     column = cov.q_columns([cx * m + cy])[:, 0]

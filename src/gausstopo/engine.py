@@ -145,14 +145,21 @@ class GaussGraph:
 
     @classmethod
     def from_json(cls, text):
+        """Load a `to_json` record.  Another version or ordering, or u and v
+        entries that do not match n_modes, raise ValidationError."""
         record = json.loads(text)
+        if record.get("version") != SERIALIZATION_VERSION:
+            raise ValidationError("unsupported state record version %r" % record.get("version"))
         n = int(record["n_modes"])
         if record.get("ordering", "qqpp") != "qqpp":
             raise ValidationError("unsupported quadrature ordering %r" % record.get("ordering"))
-        u = np.asarray(record["u"], dtype=float).reshape(n, n)
         v = record.get("v")
-        if v is not None:
-            v = np.asarray(v, dtype=float).reshape(n, n)
+        try:
+            u = np.asarray(record["u"], dtype=float).reshape(n, n)
+            if v is not None:
+                v = np.asarray(v, dtype=float).reshape(n, n)
+        except ValueError as exc:
+            raise ValidationError("u and v need n_modes^2 = %d entries" % (n * n)) from exc
         return cls(v, u)
 
     def __eq__(self, other):

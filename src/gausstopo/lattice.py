@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import GaussGraph, symplectic_form
+from .engine import GaussGraph
 from .errors import SingularPivotError, ValidationError
 from . import engine
 
@@ -118,14 +118,26 @@ def _stencil_adjacency(spec, links):
     return adj
 
 
+def _cluster_links(spec):
+    """A_d as a sparse matrix; `cluster_adjacency` is its dense form."""
+    every = np.ones((spec.rows, spec.cols), dtype=bool)
+    return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
+
+
+def _cluster_blocks(spec, *blocks):
+    """Dense blocks A_d[rows, cols], one per (rows, cols) index pair, sliced
+    from the sparse A_d without densifying it."""
+    adj = _cluster_links(spec).tocsr()
+    return [adj[rows][:, cols].toarray() for rows, cols in blocks]
+
+
 def cluster_adjacency(spec):
     """Square-lattice adjacency A_d (4-regular on a torus).
 
     Multi-edges from wrapping dims < 3 saturate at 1 (simple-graph
     convention).
     """
-    every = np.ones((spec.rows, spec.cols), dtype=bool)
-    return _stencil_adjacency(spec, [(link, every) for link in _SQUARE]).toarray()
+    return _cluster_links(spec).toarray()
 
 
 def cluster_graph(spec):
@@ -188,7 +200,7 @@ def surface_code_graph_analytic(spec):
 def _p_kept_incidence(spec):
     """Incidence B = A_d[P, K] of the p-measured nodes P on the kept nodes K."""
     _, p_nodes, kept = measurement_pattern(spec)
-    return cluster_adjacency(spec)[np.ix_(p_nodes, kept)]
+    return _cluster_blocks(spec, (p_nodes, kept))[0]
 
 
 def _off_diagonal_support(mat):
@@ -226,15 +238,16 @@ def map_cluster_to_surface(spec):
     index_map : list of (row, col)
         1-based cluster coordinates of each kept mode, in mode order.
     """
-    # the cluster graph Z = A_d + i s^-2 I, built without a GaussGraph
-    z = cluster_adjacency(spec) + 1j * spec.s ** -2 * np.eye(spec.n_nodes)
+    # the blocks of the cluster graph Z = A_d + i s^-2 I
     _, p_nodes, kept = measurement_pattern(spec)
-    z_pp = z[np.ix_(p_nodes, p_nodes)]
-    z_pk = z[np.ix_(p_nodes, kept)]
+    a_pp, z_pk, a_kk = _cluster_blocks(spec, (p_nodes, p_nodes), (p_nodes, kept),
+                                       (kept, kept))
+    z_pp = a_pp + 1j * spec.s ** -2 * np.eye(len(p_nodes))
     if (np.abs(np.diag(z_pp)) < engine.PIVOT_TOL).any():
         raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
     try:
-        z_new = z[np.ix_(kept, kept)] - z_pk.T @ np.linalg.solve(z_pp, z_pk)
+        z_new = (a_kk + 1j * spec.s ** -2 * np.eye(len(kept))
+                 - z_pk.T @ np.linalg.solve(z_pp, z_pk))
     except np.linalg.LinAlgError as exc:
         raise SingularPivotError("Z_PP is singular: %s" % exc) from exc
     # exact no-op for a diagonal Z_PP; on odd tori p-sites are adjacent
@@ -276,12 +289,18 @@ class SurfaceGraph:
 
     Vertices are the p-measured cluster sites, faces the q-measured sites
     and edges the kept sites (the surface-code modes, indexed in kept-mode
-    order so nullifier vectors act directly on pipeline states).
+    order so nullifier vectors act directly on pipeline states).  The
+    lattice is held as two incidences sliced from the cluster stencil:
+    `vertex_incidence` B (vertices x edges, 0/1) and `face_incidence` F
+    (faces x edges, +1 on N/S edges and -1 on E/W edges, the sign pattern
+    required by the positive commutator closed form on neighboring faces).
+    A torus needs even sides >= 4, since on 2-wide tori wrapped links
+    coincide.
     """
 
     def __init__(self, spec):
-        if spec.boundary == "torus" and not spec.even_parity:
-            raise ValidationError("torus surface graph requires even dimensions")
+        if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
+            raise ValidationError("torus surface graph requires even sides >= 4")
         self.spec = spec
         q_nodes, p_nodes, kept = measurement_pattern(spec)
         self.vertices = list(range(len(p_nodes)))
@@ -289,28 +308,24 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        # vertices and edges meet where a p-site neighbors a kept site
-        inc = _p_kept_incidence(spec)
-        self.edge_endpoints = [tuple(np.flatnonzero(col).tolist()) for col in inc.T]
-        self.vertex_edges = [np.flatnonzero(row).tolist() for row in inc]
+        b, a_qk = _cluster_blocks(spec, (p_nodes, kept), (q_nodes, kept))
+        # the N/S edges of a face are the kept sites on rows of vertices
+        self.vertex_incidence = b
+        self.face_incidence = np.where(np.array(kept) // spec.cols % 2 == 0, a_qk, -a_qk)
+        self.edge_endpoints = [tuple(np.flatnonzero(col).tolist()) for col in b.T]
+        self.vertex_edges = [np.flatnonzero(row).tolist() for row in b]
         self.vertex_neighbors = [set(np.flatnonzero(row).tolist())
-                                 for row in _off_diagonal_support(inc @ inc.T)]
-        # face boundaries with the sign pattern N,S:+ / E,W:- required by
-        # the positive commutator closed form on neighboring faces; a 2-wide
-        # torus lists its N = S neighbor twice
-        rows, cols = spec.rows, spec.cols
-        kept_at = {divmod(k, cols): i for i, k in enumerate(kept)}
-        self.face_boundaries = []
-        for k in q_nodes:
-            r0, c0 = divmod(k, cols)
-            boundary = []
-            for dr, dc, sign in ((-1, 0, 1.0), (1, 0, 1.0), (0, -1, -1.0), (0, 1, -1.0)):
-                r1, c1 = r0 + dr, c0 + dc
-                if spec.boundary == "torus":
-                    r1, c1 = r1 % rows, c1 % cols
-                if (r1, c1) in kept_at:
-                    boundary.append((kept_at[r1, c1], sign))
-            self.face_boundaries.append(boundary)
+                                 for row in _off_diagonal_support(b @ b.T)]
+        # each face lists its edges N, S, W, E: their steps face - edge mod
+        # (rows, cols) are (1, 0), (rows - 1, 0), (0, 1), (0, cols - 1), which
+        # sort by column step, then row step, in that order
+        face, edge = np.nonzero(self.face_incidence)
+        face_r, face_c = np.divmod(np.take(q_nodes, face), spec.cols)
+        edge_r, edge_c = np.divmod(np.take(kept, edge), spec.cols)
+        order = np.lexsort(((face_r - edge_r) % spec.rows, (face_c - edge_c) % spec.cols, face))
+        pairs = zip(edge[order].tolist(), self.face_incidence[face, edge][order].tolist())
+        self.face_boundaries = [[next(pairs) for _ in range(size)]
+                                for size in np.bincount(face, minlength=len(q_nodes))]
 
     @property
     def n_modes(self):
@@ -370,41 +385,31 @@ def nullifier_vectors(sg, s):
     the edges shared with v); face nullifiers carry the signed p - iq/s^2
     pattern.  Incomplete boundary vertices/faces simply omit missing modes.
     """
-    n = sg.n_modes
-    norm_sv = []
-    vertex_nullifiers = []
-    for v in sg.vertices:
-        val = sg.valence(v)
-        s_v = np.sqrt(val * s ** 2 + s ** -2)
-        norm_sv.append(float(s_v))
-        pref = s_v / np.sqrt(2 * val * (1 + (s / s_v) ** 2))
-        vec = np.zeros(2 * n, dtype=complex)
-        for e in sg.vertex_edges[v]:
-            vec[e] += pref
-            vec[n + e] += pref * 1j / s_v ** 2
-        for v2 in sg.vertex_neighbors[v]:
-            for e in sg.vertex_edges[v2]:
-                vec[e] += pref * s ** 2 / s_v ** 2
-        vertex_nullifiers.append(vec)
-    face_nullifiers = []
-    for fb in sg.face_boundaries:
-        size = len(fb)
-        pref = s / np.sqrt(2 * size)
-        vec = np.zeros(2 * n, dtype=complex)
-        for e, sign in fb:
-            vec[n + e] += pref * sign
-            vec[e] += -1j * pref * sign / s ** 2
-        face_nullifiers.append(vec)
-    return NullifierSet(vertex_nullifiers, face_nullifiers,
-                        float(np.sqrt(5 * s ** 2 + s ** -2)), norm_sv)
+    b, f = sg.vertex_incidence, sg.face_incidence
+    valence = b.sum(axis=1)
+    s_v = np.sqrt(valence * s ** 2 + s ** -2)
+    # a vertex with no edge has a zero row in b and in the next-nearest
+    # terms; max(valence, 1) only keeps its unused prefactor finite
+    pref = (s_v / np.sqrt(2 * np.maximum(valence, 1) * (1 + (s / s_v) ** 2)))[:, None]
+    ratio = (s ** 2 / s_v ** 2)[:, None]
+    next_nearest = _off_diagonal_support(b @ b.T) @ b
+    vertex = np.hstack([pref * (b + ratio * next_nearest), 1j * pref / s_v[:, None] ** 2 * b])
+    pref = s / np.sqrt(2 * np.abs(f).sum(axis=1))[:, None]
+    face = np.hstack([-1j * pref * f / s ** 2, pref * f])
+    return NullifierSet(list(vertex), list(face),
+                        float(np.sqrt(5 * s ** 2 + s ** -2)), s_v.tolist())
 
 
-def commutator(vec_a, vec_b, omega=None):
+def _bracket(a, b):
+    """i (a_q . b_p^T - a_p . b_q^T) = i a Omega b^T for coefficient vectors,
+    or stacks of them as rows, over (q.., p..)."""
+    n = a.shape[-1] // 2
+    return 1j * (a[..., :n] @ b[..., n:].T - a[..., n:] @ b[..., :n].T)
+
+
+def commutator(vec_a, vec_b):
     """[eta_a, eta_b^dagger] for coefficient vectors over (q.., p..)."""
-    if omega is None:
-        omega = symplectic_form(vec_a.size // 2)
-    val = 1j * (vec_a @ omega @ np.conj(vec_b))
-    return complex(val)
+    return complex(_bracket(vec_a, np.conj(vec_b)))
 
 
 def nullifier_commutators(ns):
@@ -415,28 +420,18 @@ def nullifier_commutators(ns):
     dict with keys 'vertex' ([a_v, a_v'^dag]), 'face' ([b_f, b_f'^dag]),
     'cross' ([a_v, b_f]) and 'cross_dagger' ([a_v, b_f^dag]).
     """
-    all_vecs = ns.vertex_nullifiers + ns.face_nullifiers
-    if not all_vecs:
-        return {"vertex": np.zeros((0, 0)), "face": np.zeros((0, 0)),
-                "cross": np.zeros((0, 0)), "cross_dagger": np.zeros((0, 0))}
-    width = all_vecs[0].size
-    va = np.reshape(ns.vertex_nullifiers, (-1, width))
-    vf = np.reshape(ns.face_nullifiers, (-1, width))
-    omega = symplectic_form(width // 2)
-    va_omega = 1j * va @ omega
-    # [a, b] uses the plain (non-conjugated) second vector
-    return {"vertex": va_omega @ va.conj().T,
-            "face": 1j * vf @ omega @ vf.conj().T,
-            "cross": va_omega @ vf.T,
-            "cross_dagger": va_omega @ vf.conj().T}
+    stack = np.array(ns.vertex_nullifiers + ns.face_nullifiers)
+    va, vf = np.split(stack, [len(ns.vertex_nullifiers)])
+    return {"vertex": _bracket(va, va.conj()),
+            "face": _bracket(vf, vf.conj()),
+            "cross": _bracket(va, vf),
+            "cross_dagger": _bracket(va, vf.conj())}
 
 
 def nullifier_expectation(cov, vec):
     """<eta^dagger eta> on the state, from Gamma + (i/2) Omega."""
-    n = cov.n_modes
-    omega = symplectic_form(n)
-    mat = cov.gamma + 0.5j * omega
-    return float(np.real(np.conj(vec) @ mat @ vec))
+    vec_bar = np.conj(vec)
+    return float(np.real(vec_bar @ cov.gamma @ vec + 0.5 * _bracket(vec_bar, vec)))
 
 
 def w_closed_form(d, s):

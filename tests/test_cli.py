@@ -179,6 +179,14 @@ class TestCorrelationsCmd:
         record = json.loads(stdout)
         assert record["xi_a"] <= record["xi_b"]
 
+    def test_one_wide_lattice_exits_validation(self, tmp_path, capsys):
+        out = tmp_path / "corr.csv"
+        code, _, err = run(capsys, "correlations", "--rows", "1", "--cols", "20",
+                           "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert "at least 2 wide" in err
+        assert not out.exists()
+
 
 SWEEP_ARGS = ("sweep", "--rows", "8", "--cols", "8", "--log-s-min", "0",
               "--log-s-max", "1", "--steps", "2", "--metrics",

@@ -122,6 +122,14 @@ class TestAxisSamples:
         with pytest.raises(ValidationError):
             corr.axis_samples(cov, spec, axis="spiral")
 
+    @pytest.mark.parametrize("rows,cols", [(1, 20), (20, 1), (1, 1)])
+    @pytest.mark.parametrize("axis", ["row", "col", "diagonal", "antidiagonal"])
+    def test_one_wide_lattice_has_no_center(self, surface_state, rows, cols, axis):
+        # the center (n//2 - 1, m//2 - 1) would be a negative, wrapping index
+        spec, cov = surface_state(rows, cols, 1.0, "planar")
+        with pytest.raises(ValidationError, match="at least 2 wide"):
+            corr.axis_samples(cov, spec, axis=axis)
+
 
 class TestFit:
     def test_synthetic_round_trip(self):

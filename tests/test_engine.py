@@ -91,6 +91,21 @@ class TestGaussGraph:
         with pytest.raises(ValidationError):
             engine.GaussGraph.from_json(bad)
 
+    @pytest.mark.parametrize("version", [2, 0, None, "1"])
+    def test_json_rejects_other_versions(self, version):
+        record = json.loads(engine.GaussGraph(None, np.eye(2)).to_json())
+        record["version"] = version
+        with pytest.raises(ValidationError, match="version"):
+            engine.GaussGraph.from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("part", ["u", "v"])
+    def test_json_rejects_size_mismatch(self, part):
+        record = {"version": 1, "n_modes": 5, "ordering": "qqpp", "kappa": 1.0,
+                  "v": None, "u": np.eye(5).ravel().tolist()}
+        record[part] = np.eye(16).ravel().tolist()
+        with pytest.raises(ValidationError, match="n_modes"):
+            engine.GaussGraph.from_json(json.dumps(record))
+
 
 class TestCovarianceFromGraph:
     def test_vacuum(self):

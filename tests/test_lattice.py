@@ -106,10 +106,66 @@ def loop_surface_incidence(spec):
     return edge_endpoints, vertex_edges, vertex_neighbors
 
 
+def loop_face_boundaries(spec):
+    """Reference face boundaries: the N, S, W, E kept neighbors of each
+    q-site, signed +1 on N/S and -1 on E/W."""
+    q_nodes, _, kept = loop_measurement_pattern(spec)
+    rows, cols = spec.rows, spec.cols
+    kept_at = {divmod(k, cols): i for i, k in enumerate(kept)}
+    face_boundaries = []
+    for k in q_nodes:
+        r0, c0 = divmod(k, cols)
+        boundary = []
+        for dr, dc, sign in ((-1, 0, 1.0), (1, 0, 1.0), (0, -1, -1.0), (0, 1, -1.0)):
+            r1, c1 = r0 + dr, c0 + dc
+            if spec.boundary == "torus":
+                r1, c1 = r1 % rows, c1 % cols
+            if (r1, c1) in kept_at:
+                boundary.append((kept_at[r1, c1], sign))
+        face_boundaries.append(boundary)
+    return face_boundaries
+
+
+def loop_nullifier_vectors(sg, s):
+    """Reference (vertex, face) nullifier vectors: one loop per vertex and
+    per face over the incidence lists."""
+    n = sg.n_modes
+    vertex_nullifiers = []
+    for v in sg.vertices:
+        val = sg.valence(v)
+        s_v = np.sqrt(val * s ** 2 + s ** -2)
+        with np.errstate(divide="ignore"):  # unused when v has no edge
+            pref = s_v / np.sqrt(2 * val * (1 + (s / s_v) ** 2))
+        vec = np.zeros(2 * n, dtype=complex)
+        for e in sg.vertex_edges[v]:
+            vec[e] += pref
+            vec[n + e] += pref * 1j / s_v ** 2
+        for v2 in sg.vertex_neighbors[v]:
+            for e in sg.vertex_edges[v2]:
+                vec[e] += pref * s ** 2 / s_v ** 2
+        vertex_nullifiers.append(vec)
+    face_nullifiers = []
+    for fb in sg.face_boundaries:
+        pref = s / np.sqrt(2 * len(fb))
+        vec = np.zeros(2 * n, dtype=complex)
+        for e, sign in fb:
+            vec[n + e] += pref * sign
+            vec[e] += -1j * pref * sign / s ** 2
+        face_nullifiers.append(vec)
+    return vertex_nullifiers, face_nullifiers
+
+
 def valid_specs(boundary, sizes=range(1, 11)):
     low = 2 if boundary == "torus" else 1
     return [gt.LatticeSpec(r, c, boundary, 0.0) for r in sizes for c in sizes
             if r >= low and c >= low]
+
+
+def surface_graph_specs(boundary, sizes=range(1, 11)):
+    """The specs of `valid_specs` that SurfaceGraph accepts: planar grids and
+    even tori with both sides >= 4."""
+    return [spec for spec in valid_specs(boundary, sizes) if boundary == "planar"
+            or (spec.even_parity and min(spec.rows, spec.cols) >= 4)]
 
 
 class TestLatticeSpec:
@@ -174,12 +230,36 @@ class TestGeometryMatchesLoops:
             assert gt.measurement_pattern(spec) == loop_measurement_pattern(spec)
 
     def test_surface_graph_incidence(self, boundary):
-        for spec in valid_specs(boundary):
-            if boundary == "torus" and not spec.even_parity:
-                continue
+        for spec in surface_graph_specs(boundary):
             sg = lattice.SurfaceGraph(spec)
             assert (sg.edge_endpoints, sg.vertex_edges, sg.vertex_neighbors) \
                 == loop_surface_incidence(spec)
+            assert sg.face_boundaries == loop_face_boundaries(spec)
+
+    def test_nullifiers_match_loops(self, boundary):
+        # every accepted spec, planar 1 x 1 (one vertex, no edge) included;
+        # the matrix build warns nowhere and stays finite
+        for spec in surface_graph_specs(boundary):
+            sg = lattice.SurfaceGraph(spec)
+            omega = engine.symplectic_form(sg.n_modes)
+            for s in (0.7, 1.0, np.e):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ns = gt.nullifier_vectors(sg, s)
+                    table = gt.nullifier_commutators(ns)
+                va, vf = (np.reshape(vecs, (len(vecs), 2 * sg.n_modes))
+                          for vecs in (ns.vertex_nullifiers, ns.face_nullifiers))
+                for got, ref in zip((va, vf), loop_nullifier_vectors(sg, s)):
+                    ref = np.reshape(ref, got.shape)
+                    assert np.isfinite(got).all()
+                    assert np.abs(got - ref).max(initial=0.0) \
+                        <= 1e-15 * np.abs(ref).max(initial=0.0)
+                # the tables against i a Omega b^T with the dense Omega
+                for key, rows, cols in (("vertex", va, va.conj()), ("face", vf, vf.conj()),
+                                        ("cross", va, vf), ("cross_dagger", va, vf.conj())):
+                    ref = 1j * rows @ omega @ cols.T
+                    assert table[key].shape == ref.shape
+                    assert np.abs(table[key] - ref).max(initial=0.0) <= 1e-14
 
 
 class TestClusterGraph:
@@ -466,6 +546,29 @@ class TestSurfaceGraph:
         with pytest.raises(ValidationError):
             lattice.SurfaceGraph(gt.LatticeSpec(5, 6, "torus", 0.0))
 
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 4), (4, 2), (2, 10)])
+    def test_refuses_two_wide_torus(self, rows, cols):
+        # wrapped links coincide there and [eta, eta^dagger] = 1 fails
+        with pytest.raises(ValidationError, match="even sides >= 4"):
+            lattice.SurfaceGraph(gt.LatticeSpec(rows, cols, "torus", 0.0))
+
+    def test_unit_diagonal_on_even_tori(self):
+        for spec in surface_graph_specs("torus"):
+            sg = lattice.SurfaceGraph(spec)
+            for s in (0.7, 1.0, np.e):
+                table = gt.nullifier_commutators(gt.nullifier_vectors(sg, s))
+                assert np.abs(np.diag(table["vertex"]) - 1).max() < 1e-12
+                assert np.abs(np.diag(table["face"]) - 1).max() < 1e-12
+
+    def test_single_site_has_no_modes(self):
+        # one vertex without an edge: a zero nullifier and a zero table
+        sg = lattice.SurfaceGraph(gt.LatticeSpec(1, 1, "planar", 0.0))
+        assert sg.n_modes == 0 and sg.valence(0) == 0 and sg.face_boundaries == []
+        table = gt.nullifier_commutators(gt.nullifier_vectors(sg, 1.0))
+        assert table["vertex"].shape == (1, 1) and not table["vertex"].any()
+        assert table["face"].shape == (0, 0)
+        assert table["cross"].shape == table["cross_dagger"].shape == (1, 0)
+
     def test_counts(self):
         sg = lattice.SurfaceGraph(gt.LatticeSpec(8, 8, "torus", 0.0))
         assert len(sg.vertices) == 16
@@ -517,13 +620,28 @@ class TestNullifiers:
         _, sg = setup
         ns = gt.nullifier_vectors(sg, np.e)
         table = gt.nullifier_commutators(ns)
-        omega = engine.symplectic_form(sg.n_modes)
         va, vf = ns.vertex_nullifiers, ns.face_nullifiers
         for key, rows, cols in (("vertex", va, va), ("face", vf, vf),
                                 ("cross", va, [np.conj(b) for b in vf]),
                                 ("cross_dagger", va, vf)):
-            ref = np.array([[lattice.commutator(a, b, omega) for b in cols] for a in rows])
+            ref = np.array([[lattice.commutator(a, b) for b in cols] for a in rows])
             assert np.abs(table[key] - ref).max() < 1e-13
+
+    def test_brackets_match_dense_omega_on_random_vectors(self, cluster_state):
+        # nullifier tables vanish or repeat by symmetry; random complex rows
+        # tell every conjugation and sign apart
+        rng = np.random.default_rng(3)
+        _, cov = cluster_state(1, 5, 0.5, "planar")
+        omega = engine.symplectic_form(5)
+        va, vf = (rng.normal(size=(k, 10)) + 1j * rng.normal(size=(k, 10)) for k in (3, 4))
+        table = gt.nullifier_commutators(lattice.NullifierSet(list(va), list(vf), 1.0, []))
+        for key, rows, cols in (("vertex", va, va.conj()), ("face", vf, vf.conj()),
+                                ("cross", va, vf), ("cross_dagger", va, vf.conj())):
+            assert np.abs(table[key] - 1j * rows @ omega @ cols.T).max() < 1e-12
+        for a, b in zip(va, vf):
+            assert lattice.commutator(a, b) == pytest.approx(1j * a @ omega @ b.conj(), abs=1e-12)
+            ref = np.real(a.conj() @ (cov.gamma + 0.5j * omega) @ a)
+            assert gt.nullifier_expectation(cov, a) == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("s", [1.0, np.e, np.e ** 2])
     def test_commutator_table(self, setup, s):
