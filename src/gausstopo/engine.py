@@ -40,7 +40,8 @@ def _symmetrized(mat, name):
     scale = np.abs(mat.data if sp.issparse(mat) else mat).max(initial=0.0)  # NaN propagates
     if not np.isfinite(scale):
         raise ValidationError("v_part and u_part must be finite")
-    if abs(mat - mat.T).max() > _SYM_TOL * max(1.0, scale):
+    diff = mat - mat.T
+    if np.abs(diff.data if sp.issparse(diff) else diff).max(initial=0.0) > _SYM_TOL * max(1.0, scale):
         raise ValidationError("%s is not symmetric to within 1e-12" % name)
     return 0.5 * (mat + mat.T)
 
@@ -62,11 +63,13 @@ class GaussGraph:
     u_part : (N, N) array_like
         Imaginary part of Z; must be symmetric positive definite.
 
-    A graph may hold U as a sparse matrix (the analytic surface code);
-    `u_part` and a zero `v_part` are then built on first read.
+    A graph may hold U as a sparse matrix (the analytic surface code and
+    the measurement pipeline off odd tori); `u_part` and a zero `v_part` are
+    then built on first read.
     """
 
     _torus = None  # (rows, cols) of an even torus whose U has the 2 x 2-cell symmetry
+    _cond = 1.0  # cond(U), or an upper bound on it; 1 for a graph of no modes
 
     def __init__(self, v_part, u_part):
         u = np.atleast_2d(np.asarray(u_part, dtype=float))
@@ -75,7 +78,6 @@ class GaussGraph:
             raise ValidationError("v_part and u_part must be square matrices of equal shape")
         self.n_modes = u.shape[0]
         self._u_csc = None
-        self._cond = 1.0
         if u.size:
             v = None if v is None else _symmetrized(v, "v_part")
             u = _symmetrized(u, "u_part")
@@ -96,7 +98,8 @@ class GaussGraph:
         graph._u_csc = _symmetrized(u_csc, "u_part").tocsc()
         graph._u = graph._v = None
         graph._torus = torus
-        graph._check_extremes(lam_min, lam_max)
+        if graph.n_modes:
+            graph._check_extremes(lam_min, lam_max)
         return graph
 
     def _check_extremes(self, lam_min, lam_max):
@@ -145,20 +148,30 @@ class GaussGraph:
 
     @classmethod
     def from_json(cls, text):
-        """Load a `to_json` record.  Another version or ordering, or u and v
-        entries that do not match n_modes, raise ValidationError."""
-        record = json.loads(text)
+        """Load a `to_json` record.  Text that is not a JSON object, another
+        version or ordering, a missing or non-integer n_modes, and u and v
+        entries that do not match n_modes raise ValidationError."""
+        try:
+            record = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError("state record is not JSON: %s" % exc) from exc
+        if not isinstance(record, dict):
+            raise ValidationError("state record must be a JSON object")
         if record.get("version") != SERIALIZATION_VERSION:
             raise ValidationError("unsupported state record version %r" % record.get("version"))
-        n = int(record["n_modes"])
+        n = record.get("n_modes")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValidationError("n_modes must be a non-negative integer, not %r" % (n,))
         if record.get("ordering", "qqpp") != "qqpp":
             raise ValidationError("unsupported quadrature ordering %r" % record.get("ordering"))
+        if "u" not in record:
+            raise ValidationError("state record has no u entries")
         v = record.get("v")
         try:
             u = np.asarray(record["u"], dtype=float).reshape(n, n)
             if v is not None:
                 v = np.asarray(v, dtype=float).reshape(n, n)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError("u and v need n_modes^2 = %d entries" % (n * n)) from exc
         return cls(v, u)
 
@@ -231,13 +244,18 @@ class CovMatrix:
         On an even torus it is a gather: the translation (r_j, c_j - p) with
         p = (r_j + c_j) mod 2 keeps U and takes site (0, p) to site j, so
         U^-1[i, j] is entry i - (r_j, c_j - p) of the column of (0, p).
-        Otherwise it is one solve with the factor for the columns `cols`.
+        Otherwise it is one solve with the factor for the smaller of `rows`
+        and `cols`, as U^-1[rows, cols] = U^-1[cols, rows]^T.
         """
         cols = np.asarray(cols, dtype=int)
         if self._cell is None:
-            rhs = np.zeros((self.n_modes, cols.size))
-            rhs[cols, np.arange(cols.size)] = 1.0
-            return self._factor.solve(rhs)[rows]
+            row_ids = np.arange(self.n_modes)[rows]
+            by_rows = row_ids.size < cols.size
+            ids = row_ids if by_rows else cols
+            rhs = np.zeros((self.n_modes, ids.size))
+            rhs[ids, np.arange(ids.size)] = 1.0
+            solved = self._factor.solve(rhs)
+            return solved[cols].T if by_rows else solved[rows]
         columns, (n_rows, n_cols) = self._cell
         r_i, c_i = np.divmod(np.arange(self.n_modes)[rows], n_cols)
         r_j, c_j = np.divmod(cols, n_cols)
@@ -390,8 +408,8 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     graph : GaussGraph
     cond_threshold : float, optional
         Maximum allowed 2-norm condition number of U, taken from the extreme
-        eigenvalues of GaussGraph's positive-definiteness check (the upper
-        bound 1 + 8 s^4 on a planar analytic graph).
+        eigenvalues of GaussGraph's positive-definiteness check (an upper
+        bound on planar analytic and on pipeline graphs).
 
     Returns
     -------

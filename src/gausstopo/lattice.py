@@ -125,10 +125,9 @@ def _cluster_links(spec):
 
 
 def _cluster_blocks(spec, *blocks):
-    """Dense blocks A_d[rows, cols], one per (rows, cols) index pair, sliced
-    from the sparse A_d without densifying it."""
+    """Sparse (CSR) blocks A_d[rows, cols], one per (rows, cols) index pair."""
     adj = _cluster_links(spec).tocsr()
-    return [adj[rows][:, cols].toarray() for rows, cols in blocks]
+    return [adj[rows][:, cols] for rows, cols in blocks]
 
 
 def cluster_adjacency(spec):
@@ -198,7 +197,8 @@ def surface_code_graph_analytic(spec):
 
 
 def _p_kept_incidence(spec):
-    """Incidence B = A_d[P, K] of the p-measured nodes P on the kept nodes K."""
+    """Sparse (CSR) incidence B = A_d[P, K] of the p-measured nodes P on the
+    kept nodes K."""
     _, p_nodes, kept = measurement_pattern(spec)
     return _cluster_blocks(spec, (p_nodes, kept))[0]
 
@@ -220,16 +220,23 @@ def kept_mode_adjacency(spec):
     diagonal torus identification.
     """
     inc = _p_kept_incidence(spec)
-    return _off_diagonal_support(inc.T @ inc)
+    return _off_diagonal_support((inc.T @ inc).toarray())
 
 
 def map_cluster_to_surface(spec):
     """Run the measurement pipeline on the cluster state.
 
     p-measuring the nodes P leaves the kept nodes K in one block Schur
-    complement Z' = Z_KK - Z_KP Z_PP^-1 Z_PK (SingularPivotError when a
-    pivot |Z_kk| < 1e-12); the q-measured nodes are dropped, since
-    deletion commutes with the p-eliminations.
+    complement Z' = Z_KK - Z_KP Z_PP^-1 Z_PK of Z = A_d + i s^-2 I
+    (SingularPivotError when the pivot s^-2 < 1e-12); the q-measured nodes
+    are dropped, since deletion commutes with the p-eliminations.
+
+    On planar grids and even tori no two p-nodes are adjacent, and then no
+    two kept nodes are: Z_PP = i s^-2 I, and Z' = i U with V = 0 and the
+    sparse U = s^-2 I + s^2 B^T B, B the p-to-kept incidence.  U is positive
+    definite by construction, with no eigvalsh: spec(B^T B) lies in [0,
+    ||B||_1 ||B||_inf] = [0, 2 * 4].  On odd tori p-nodes wrap into
+    adjacency, and the complement is solved dense.
 
     Returns
     -------
@@ -238,23 +245,33 @@ def map_cluster_to_surface(spec):
     index_map : list of (row, col)
         1-based cluster coordinates of each kept mode, in mode order.
     """
-    # the blocks of the cluster graph Z = A_d + i s^-2 I
     _, p_nodes, kept = measurement_pattern(spec)
-    a_pp, z_pk, a_kk = _cluster_blocks(spec, (p_nodes, p_nodes), (p_nodes, kept),
-                                       (kept, kept))
-    z_pp = a_pp + 1j * spec.s ** -2 * np.eye(len(p_nodes))
-    if (np.abs(np.diag(z_pp)) < engine.PIVOT_TOL).any():
+    index_map = [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
+    eps = spec.s ** -2
+    if eps < engine.PIVOT_TOL:
         raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
+    b = _p_kept_incidence(spec)
+    a_pp, a_kk = _cluster_blocks(spec, (p_nodes, p_nodes), (kept, kept))
+    if not a_pp.nnz:
+        gram = (b.T @ b).tocsc()
+        weight = 1.0 / eps  # s^2 as the dense solve divides it out
+        u = eps * sp.identity(len(kept), format="csc") + weight * gram
+        # spec(U) lies in [min D, max D + 8 s^2] for the diagonal D = U - s^2
+        # B^T B of the stored entries: s^-2, or 0 where s^-2 rounded away,
+        # and then U fails as singular
+        lam = u.diagonal() - weight * gram.diagonal()
+        return GaussGraph._with_extremes(
+            u, lam.min(initial=np.inf), lam.max(initial=-np.inf) + 8 * weight), index_map
+    z_pk = b.toarray()
+    z_pp = a_pp.toarray() + 1j * eps * np.eye(len(p_nodes))
     try:
-        z_new = (a_kk + 1j * spec.s ** -2 * np.eye(len(kept))
+        z_new = (a_kk.toarray() + 1j * eps * np.eye(len(kept))
                  - z_pk.T @ np.linalg.solve(z_pp, z_pk))
     except np.linalg.LinAlgError as exc:
         raise SingularPivotError("Z_PP is singular: %s" % exc) from exc
-    # exact no-op for a diagonal Z_PP; on odd tori p-sites are adjacent
+    # the solve leaves Z' symmetric only to rounding
     z_new = 0.5 * (z_new + z_new.T)
-    graph = GaussGraph(z_new.real, z_new.imag)
-    index_map = [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
-    return graph, index_map
+    return GaussGraph(z_new.real, z_new.imag), index_map
 
 
 def rescale_gauge(graph, weight, eps):
@@ -308,7 +325,8 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        b, a_qk = _cluster_blocks(spec, (p_nodes, kept), (q_nodes, kept))
+        b = _p_kept_incidence(spec).toarray()
+        a_qk = _cluster_blocks(spec, (q_nodes, kept))[0].toarray()
         # the N/S edges of a face are the kept sites on rows of vertices
         self.vertex_incidence = b
         self.face_incidence = np.where(np.array(kept) // spec.cols % 2 == 0, a_qk, -a_qk)

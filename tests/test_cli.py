@@ -48,6 +48,17 @@ class TestBuild:
         assert code == cli.EXIT_VALIDATION
         assert "even" in stderr
 
+    @pytest.mark.parametrize("argv", [("map", "--rows", "2", "--cols", "4"),
+                                      ("build", "--kind", "surface-pipeline",
+                                       "--rows", "6", "--cols", "2")])
+    def test_pipeline_refuses_two_wide_torus(self, tmp_path, capsys, argv):
+        # wrapped links saturate there, as for the closed form and SurfaceGraph
+        out = tmp_path / "m.json"
+        code, _, stderr = run(capsys, *argv, "--log-s", "1", "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert "even rows and cols >= 4" in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("tee", "--rows", "5", "--cols", "5", "--log-s", "1"),
         ("build", "--kind", "surface-analytic", "--rows", "2", "--cols", "2"),
@@ -427,6 +438,14 @@ class TestSweep:
             code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", kappas, "--out", str(out))
             assert code == cli.EXIT_VALIDATION
             assert not out.exists()
+
+
+def test_python_m_runs_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC] + sys.path))
+    done = subprocess.run([sys.executable, "-m", "gausstopo", "upper-bound", "--log-s", "0"],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == cli.EXIT_OK
+    assert json.loads(done.stdout)["log_s"] == 0.0
 
 
 def test_tracer_targets_resolve(monkeypatch):

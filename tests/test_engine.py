@@ -106,6 +106,17 @@ class TestGaussGraph:
         with pytest.raises(ValidationError, match="n_modes"):
             engine.GaussGraph.from_json(json.dumps(record))
 
+    @pytest.mark.parametrize("text", [
+        '{"version": 1}',
+        '{"version": 1, "n_modes": 1}',
+        "not a state record",
+        "[1, 2]",
+        '{"version": 1, "n_modes": "x", "u": [1.0]}',
+    ])
+    def test_json_rejects_malformed_records(self, text):
+        with pytest.raises(ValidationError):
+            engine.GaussGraph.from_json(text)
+
 
 class TestCovarianceFromGraph:
     def test_vacuum(self):
@@ -478,6 +489,30 @@ class TestFactoredState:
         assert np.array_equal(gamma[5:, 5:], cov.p_block)
         assert not gamma[:5, 5:].any()
         assert not gamma.flags.writeable
+
+    @pytest.mark.parametrize("n_rows,n_cols", [(5, 40), (40, 5), (None, 7)])
+    def test_u_inv_solves_smaller_side(self, monkeypatch, factor_counts, n_rows, n_cols):
+        # U = U^T, so U^-1[rows, cols] is one solve for the smaller side
+        graph, _ = lattice.map_cluster_to_surface(lattice.LatticeSpec(8, 12, "torus", 1.5))
+        cov = engine.covariance_from_graph(graph)
+        widths = []
+        solve = cov._factor.solve
+
+        def recorded(rhs):
+            widths.append(rhs.shape[1])
+            return solve(rhs)
+
+        monkeypatch.setattr(cov._factor, "solve", recorded)
+        n = graph.n_modes
+        rng = np.random.default_rng(n_cols)
+        rows = slice(None) if n_rows is None else rng.choice(n, n_rows, replace=False)
+        cols = rng.choice(n, n_cols, replace=False)
+        u = graph.u_part
+        inverse = np.linalg.inv(u)
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(u) * np.abs(inverse).max()
+        assert np.abs(cov._u_inv(rows, cols) - inverse[rows][:, cols]).max() <= tol
+        assert factor_counts == {"factor": 1, "solve": 1}
+        assert widths == [min(n if n_rows is None else n_rows, n_cols)]
 
     def test_full_region_is_half(self, surface_state):
         _, cov = surface_state(8, 8, 1.0)

@@ -26,6 +26,30 @@ def sequential_pipeline(spec):
     return graph, [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
 
 
+def dense_schur_pipeline(spec):
+    """Reference (V, U) of the pipeline: the block Schur complement of the
+    dense cluster graph Z = A_d + i s^-2 I, solved dense."""
+    _, p_nodes, kept = gt.measurement_pattern(spec)
+    adj = gt.cluster_adjacency(spec)
+    eps = spec.s ** -2
+    z_pk = adj[np.ix_(p_nodes, kept)]
+    z_pp = adj[np.ix_(p_nodes, p_nodes)] + 1j * eps * np.eye(len(p_nodes))
+    z_new = (adj[np.ix_(kept, kept)] + 1j * eps * np.eye(len(kept))
+             - z_pk.T @ np.linalg.solve(z_pp, z_pk))
+    z_new = 0.5 * (z_new + z_new.T)
+    return z_new.real, z_new.imag
+
+
+def sparse_pipeline_specs():
+    """Planar grids 1..12 x 1..12 and even tori 2..16 x 2..16, the lattices
+    on which no two p-nodes are adjacent, at seven log s in [-2, 3]; at
+    -1.5, 0.7, 1.6 and 2.4, s**2 and 1 / s**-2 round differently."""
+    shapes = [(rows, cols, "planar") for rows in range(1, 13) for cols in range(1, 13)]
+    shapes += [(rows, cols, "torus") for rows in range(2, 17, 2) for cols in range(2, 17, 2)]
+    return [gt.LatticeSpec(rows, cols, boundary, log_s)
+            for rows, cols, boundary in shapes for log_s in (-2, -1.5, 0, 0.7, 1.6, 2.4, 3)]
+
+
 def loop_measurement_pattern(spec):
     """Reference pattern: one parity test per 1-based (row, col) site."""
     q_nodes, p_nodes, kept = [], [], []
@@ -470,6 +494,39 @@ class TestPipeline:
         oracle, _ = sequential_pipeline(spec)
         assert np.array_equal(graph.u_part, oracle.u_part)
         assert np.array_equal(graph.v_part, oracle.v_part)
+
+    def test_sparse_build_matches_dense_schur(self, monkeypatch):
+        # with no two p-nodes adjacent, U = s^-2 I + s^2 B^T B is built sparse,
+        # with no solve and no eigvalsh; U, V and the JSON record are those of
+        # the dense solve, byte for byte
+        def refused(*args, **kwargs):
+            raise AssertionError("the sparse pipeline needs no solve or eigvalsh")
+
+        specs = sparse_pipeline_specs()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", refused)
+            patch.setattr(np.linalg, "eigvalsh", refused)
+            graphs = [gt.map_cluster_to_surface(spec)[0] for spec in specs]
+        digest = hashlib.sha256()
+        for spec, graph in zip(specs, graphs):
+            assert graph._u is None and graph._torus is None
+            v, u = dense_schur_pipeline(spec)
+            assert graph.u_part.shape == u.shape
+            assert graph.u_part.tobytes() == u.tobytes()
+            assert graph.v_part.tobytes() == v.tobytes()
+            digest.update(graph.to_json().encode())
+            # cond(U) from spec(B^T B) in [0, 8] is an upper bound, and exact
+            # on even tori with sides >= 4, where that spectrum spans [0, 8]
+            if not graph.n_modes:
+                assert graph._cond == 1.0
+                continue
+            cond = np.linalg.cond(u)
+            assert graph._cond >= cond * (1 - 1e-9)
+            if spec.boundary == "torus" and min(spec.rows, spec.cols) >= 4:
+                assert graph._cond == pytest.approx(cond, rel=1e-9)
+        # digest of the same 1456 records written by the dense solve
+        assert digest.hexdigest() == \
+            "c63e0eb79edcc4779c6ec667a2ed3497f703efecb456e2596c417f74ce3f1683"
 
     def test_odd_torus_high_precision(self):
         mp = pytest.importorskip("mpmath")
