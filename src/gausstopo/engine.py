@@ -11,9 +11,6 @@ import copy
 import json
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     IllConditionedGraphError,
@@ -34,16 +31,74 @@ def _read_only(array):
     return array
 
 
-def _symmetrized(mat, name):
-    """(mat + mat^T) / 2 of a dense or sparse `mat` that is finite and
-    symmetric to within 1e-12 of its largest entry."""
-    scale = np.abs(mat.data if sp.issparse(mat) else mat).max(initial=0.0)  # NaN propagates
+def _symmetry_tol(values):
+    """1e-12 of the largest |entry| of `values`, at least 1e-12;
+    ValidationError unless every entry is finite."""
+    scale = np.abs(values).max(initial=0.0)  # NaN propagates
     if not np.isfinite(scale):
         raise ValidationError("v_part and u_part must be finite")
-    diff = mat - mat.T
-    if np.abs(diff.data if sp.issparse(diff) else diff).max(initial=0.0) > _SYM_TOL * max(1.0, scale):
+    return _SYM_TOL * max(1.0, scale)
+
+
+def _symmetrized(mat, name):
+    """(mat + mat^T) / 2 of a dense `mat` that is finite and symmetric to
+    within 1e-12 of its largest entry."""
+    tol = _symmetry_tol(mat)
+    if np.abs(mat - mat.T).max(initial=0.0) > tol:
         raise ValidationError("%s is not symmetric to within 1e-12" % name)
     return 0.5 * (mat + mat.T)
+
+
+class Csc:
+    """Canonical CSC arrays of a square matrix: the row `indices` of each
+    column of `indptr` sorted, with no duplicates.
+
+    numpy index arithmetic reads them (`_csc_entries`, `_cut`,
+    `_cell_columns`); `to_scipy` wraps them, without a copy, where a sparse
+    factor or product needs a scipy matrix.
+    """
+
+    def __init__(self, indptr, indices, data):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = (indptr.size - 1,) * 2
+
+    @classmethod
+    def from_scipy(cls, mat):
+        """The arrays of a scipy sparse matrix, made canonical."""
+        mat = mat.tocsc()
+        mat.sum_duplicates()  # sorts the indices too
+        return cls(mat.indptr, mat.indices, mat.data)
+
+    def columns(self):
+        """The column of each stored entry."""
+        return np.repeat(np.arange(self.shape[1], dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def toarray(self):
+        """The dense matrix, in the column-major layout scipy gives a CSC matrix."""
+        dense = np.zeros(self.shape, order="F")
+        dense[self.indices, self.columns()] = self.data
+        return dense
+
+    def to_scipy(self):
+        """A scipy.sparse.csc_matrix on these arrays."""
+        import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
+
+        return sp.csc_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+    def symmetrized(self):
+        """(U + U^T) / 2 of finite arrays with a symmetric pattern whose values
+        are symmetric to within 1e-12 of the largest, read from the stored
+        entries: a stable sort by row puts them in row-major order, which
+        is the column-major order of U^T."""
+        tol = _symmetry_tol(self.data)
+        by_row = np.argsort(self.indices, kind="stable")
+        mirror = self.data[by_row]
+        counts = np.bincount(self.indices, minlength=self.shape[0])  # per row
+        if not (np.array_equal(np.diff(self.indptr), counts)
+                and np.array_equal(self.indices, self.columns()[by_row])
+                and np.abs(self.data - mirror).max(initial=0.0) <= tol):
+            raise ValidationError("u_part is not symmetric to within 1e-12")
+        return Csc(self.indptr, self.indices, 0.5 * (self.data + mirror))
 
 
 def symplectic_form(n_modes):
@@ -63,9 +118,9 @@ class GaussGraph:
     u_part : (N, N) array_like
         Imaginary part of Z; must be symmetric positive definite.
 
-    A graph may hold U as a sparse matrix (the analytic surface code and
-    the measurement pipeline off odd tori); `u_part` and a zero `v_part` are
-    then built on first read.
+    A graph may hold U as canonical CSC arrays (`Csc`: the analytic surface
+    code and the measurement pipeline off odd tori); `u_part` and a zero
+    `v_part` are then built on first read.
     """
 
     _torus = None  # (rows, cols) of an even torus whose U has the 2 x 2-cell symmetry
@@ -88,14 +143,15 @@ class GaussGraph:
 
     @classmethod
     def _with_extremes(cls, u_csc, lam_min, lam_max, torus=None):
-        """V = 0 graph of the sparse `u_csc` whose spectrum lies in [lam_min,
-        lam_max], known from its structure (`_cond` is then an upper bound on
-        cond(U)): the same checks on the stored entries, without eigvalsh.
-        `torus` = (rows, cols) records that U on that even torus is invariant
-        under the translations (a, b) with a + b even."""
+        """V = 0 graph of the `Csc` arrays `u_csc` whose spectrum lies in
+        [lam_min, lam_max], known from its structure (`_cond` is then an upper
+        bound on cond(U)): the same checks on the stored entries, without
+        eigvalsh (`Csc.symmetrized`).  `torus` = (rows, cols) records that U
+        on that even torus is invariant under the translations (a, b) with
+        a + b even."""
         graph = cls.__new__(cls)
         graph.n_modes = u_csc.shape[0]
-        graph._u_csc = _symmetrized(u_csc, "u_part").tocsc()
+        graph._u_csc = u_csc.symmetrized()
         graph._u = graph._v = None
         graph._torus = torus
         if graph.n_modes:
@@ -195,7 +251,7 @@ class CovMatrix:
 
     `covariance_from_graph` marks its result as a kappa-scaled pure state
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
-    A marked V = 0 state is U-native: it holds the sparse U, kappa and,
+    A marked V = 0 state is U-native: it holds U's `Csc` arrays, kappa and,
     instead of gamma, what serves U^-1 (`_u_inv`): the two cell columns of
     U^-1 on an even torus, one sparse LU factor of U elsewhere.  It builds
     `gamma`, `q_block` and `p_block` on first read and keeps them, and
@@ -203,7 +259,7 @@ class CovMatrix:
     """
 
     _scaled_pure = False
-    _u = None  # sparse (CSC) U of a U-native state; None when gamma is dense
+    _u = None  # Csc arrays of U of a U-native state; None when gamma is dense
     _cell = None  # (U^-1 columns of sites (0, 0) and (0, 1), (rows, cols)) on an even torus
     block_diagonal = property(lambda self: self._block_diagonal,
                               doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
@@ -228,7 +284,7 @@ class CovMatrix:
 
     @classmethod
     def _u_native(cls, u, factor=None, cell=None):
-        """Marked U-native pure state of the graph V = 0, U (CSC), served by
+        """Marked U-native pure state of the graph V = 0, U (`Csc`), served by
         its SuperLU `factor` or, on an even torus, by its `cell` columns."""
         cov = cls.__new__(cls)
         cov.kappa = 1.0
@@ -351,7 +407,7 @@ class SymplecticSpectrum:
 
 def _csc_entries(u, cols):
     """Row ids, positions in `cols` and values of the stored entries of the
-    columns `cols` of the canonical CSC matrix `u`, read from its arrays."""
+    columns `cols` of the `Csc` arrays `u`."""
     starts = u.indptr[cols]
     counts = u.indptr[cols + 1] - starts
     # the t-th entry read, entry e of column k, sits at starts[k] + e, and
@@ -361,7 +417,7 @@ def _csc_entries(u, cols):
 
 
 def _cut(u, region):
-    """The cut of `region` S in the symmetric CSC matrix `u`: its edge dS
+    """The cut of `region` S in the symmetric `Csc` arrays `u`: its edge dS
     (the modes outside S that U couples to S), its rim d'S (the modes of S
     coupled outside S), both sorted, and the dense block U[dS, d'S]."""
     inside = np.zeros(u.shape[0], dtype=bool)
@@ -425,10 +481,15 @@ def covariance_from_graph(graph, cond_threshold=1e12):
         u = graph._u_csc
         return CovMatrix._u_native(u, cell=(_cell_columns(u, graph._torus), graph._torus))
     if graph.is_v_zero():
-        u = graph._u_csc if graph._u_csc is not None else sp.csc_matrix(graph.u_part)
+        import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
+        import scipy.sparse.linalg as spla
+
+        u = graph._u_csc
+        if u is None:
+            u = Csc.from_scipy(sp.csc_matrix(graph.u_part))
         try:
             # a symmetric ordering and no pivoting, which positive definiteness keeps stable
-            factor = spla.splu(u, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            factor = spla.splu(u.to_scipy(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                options={"SymmetricMode": True})
         except RuntimeError:
             raise IllConditionedGraphError("sparse LU factorization of U failed") from None
@@ -601,6 +662,8 @@ def log_negativity(cov, region):
     region = _checked_region(cov, region)
     if not cov.block_diagonal:
         raise UnsupportedStateError("log_negativity requires a q/p block-diagonal state")
+    import scipy.linalg as sla  # slow to import, and only this unmarked oracle needs it
+
     n = cov.n_modes
     if len(region) == n:
         return 0.0

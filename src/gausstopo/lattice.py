@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .engine import GaussGraph
 from .errors import SingularPivotError, ValidationError
@@ -89,44 +88,62 @@ def wrapped_offsets(rows, cols, boundary, a, b):
 _SQUARE = (((0, 0), (0, 1)), ((0, 0), (1, 0)))
 
 
-def _stencil_adjacency(spec, links):
-    """Sparse (CSC) 0/1 adjacency of links repeated over the rows x cols grid.
+def _stencil_adjacency(spec, links, off=1.0, diag=None):
+    """Canonical CSC arrays (`engine.Csc`) of the symmetric matrix with `off`
+    on the links repeated over the rows x cols grid and, unless None, `diag`
+    on the diagonal.
 
     Each link ((a, b), mask) joins the sites at the non-negative offsets a
-    and b from every corner (r, c) with mask[r, c] true.  Links wrap on a torus and are
-    dropped when they leave a planar grid; repeated links saturate at 1
-    (simple-graph convention).  No link closes on itself, because a torus
-    is at least 2 wide and every link spans one step in some direction.
+    and b from every corner (r, c) with mask[r, c] true.  Links wrap on a
+    torus and are dropped when they leave a planar grid; repeated links are
+    stored once (simple-graph convention).  No link closes on itself,
+    because a torus is at least 2 wide and every link spans one step in some
+    direction.  The column-major keys of both orientations are sorted and
+    repeats masked (np.unique takes a slower hash path); the index dtype is
+    scipy's, int32 while it holds every index.
     """
     rows, cols = spec.rows, spec.cols
-    corners = np.indices((rows, cols))
-    ends_i, ends_j = [], []
-    for ends, mask in links:
-        r, c = corners[:, mask]
-        ids, inside = [], True
-        for dr, dc in ends:
-            rr, cc = r + dr, c + dc
-            if spec.boundary == "torus":
-                rr, cc = rr % rows, cc % cols
-            inside = inside & (rr < rows) & (cc < cols)
-            ids.append(rr * cols + cc)
-        ends_i.append(ids[0][inside])
-        ends_j.append(ids[1][inside])
-    i, j = np.concatenate(ends_i + ends_j), np.concatenate(ends_j + ends_i)
-    adj = sp.csc_matrix((np.ones(i.size), (i, j)), shape=(rows * cols,) * 2)
-    adj.data[:] = 1.0  # the constructor summed repeated links
-    return adj
+    n = rows * cols
+    steps = np.array([ends for ends, _ in links]).reshape(-1, 2, 2)
+    inside = np.array([mask for _, mask in links]).reshape(-1, rows, cols)
+    # [link, end, row, col] by broadcasting (link, end, rows, 1) with (link, end, 1, cols)
+    r = np.arange(rows)[:, None] + steps[:, :, 0, None, None]
+    c = np.arange(cols) + steps[:, :, 1, None, None]
+    if spec.boundary == "torus":
+        r, c = r % rows, c % cols
+    else:
+        inside = inside & ((r < rows) & (c < cols)).all(axis=1)
+    ids = r * cols + c
+    i, j = ids[:, 0][inside], ids[:, 1][inside]
+    keys = [j * n + i, i * n + j]
+    if diag is not None:
+        keys.append(np.arange(n) * (n + 1))
+    key = np.concatenate(keys)
+    key.sort()
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
+    col = key // n
+    row = key - col * n
+    data = np.full(key.size, float(off))
+    if diag is not None:
+        data[row == col] = diag
+    index = np.int32 if max(key.size, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    return engine.Csc(indptr, row.astype(index), data)
 
 
 def _cluster_links(spec):
-    """A_d as a sparse matrix; `cluster_adjacency` is its dense form."""
+    """A_d as `engine.Csc` arrays; `cluster_adjacency` is its dense form."""
     every = np.ones((spec.rows, spec.cols), dtype=bool)
     return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
 
 
 def _cluster_blocks(spec, *blocks):
-    """Sparse (CSR) blocks A_d[rows, cols], one per (rows, cols) index pair."""
-    adj = _cluster_links(spec).tocsr()
+    """Sparse (scipy CSR) blocks A_d[rows, cols], one per (rows, cols) index
+    pair, all sliced from one stencil build."""
+    adj = _cluster_links(spec).to_scipy().tocsr()
     return [adj[rows][:, cols] for rows, cols in blocks]
 
 
@@ -153,13 +170,14 @@ def measurement_pattern(spec):
             np.flatnonzero(odd_row != odd_col).tolist())
 
 
-def _surface_code_links(spec):
-    """A_SC as a sparse matrix; `surface_code_adjacency` is its dense form."""
+def _surface_code_links(spec, off=1.0, diag=None):
+    """`engine.Csc` arrays of off * A_SC + diag * I (A_SC alone for diag None);
+    `surface_code_adjacency` is the dense A_SC."""
     every = np.ones((spec.rows, spec.cols), dtype=bool)
     even = np.indices((spec.rows, spec.cols)).sum(axis=0) % 2 == 0
     links = [(link, every) for link in _SQUARE]
     links += [(((0, 0), (1, 1)), even), (((1, 0), (0, 1)), even)]
-    return _stencil_adjacency(spec, links)
+    return _stencil_adjacency(spec, links, off, diag)
 
 
 def surface_code_adjacency(spec):
@@ -175,8 +193,9 @@ def surface_code_adjacency(spec):
 def surface_code_graph_analytic(spec):
     """Closed-form surface-code graph V = 0, U = s^2 A_SC + (s^-2 + 2s^2) I.
 
-    `spec` dimensions count surface-code modes.  U is built sparse (at most
-    7 entries per row); its dense form is built only when `u_part` is read.
+    `spec` dimensions count surface-code modes.  U is built as CSC arrays
+    with numpy (at most 7 entries per column) and no scipy; its dense form is
+    built only when `u_part` is read.
     The closed form is the surface code on an even torus with both sides
     >= 4; any other torus raises ValidationError.  A planar spec returns the
     bulk pattern and warns that the boundary rows are approximate.
@@ -188,19 +207,12 @@ def surface_code_graph_analytic(spec):
         warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
     s = spec.s
     c, d = s ** 2, s ** -2 + 2 * s ** 2
-    # U = s^-2 I + s^2 B^T B (B from _p_kept_incidence) with spec(B^T B) =
+    # U = s^-2 I + s^2 B^T B (B the p-to-kept incidence) with spec(B^T B) =
     # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
     # interlacing on a planar grid, a principal submatrix of a larger torus
-    u = c * _surface_code_links(spec) + d * sp.identity(spec.n_nodes, format="csc")
+    u = _surface_code_links(spec, c, d)
     torus = (spec.rows, spec.cols) if spec.boundary == "torus" else None
     return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c, torus)
-
-
-def _p_kept_incidence(spec):
-    """Sparse (CSR) incidence B = A_d[P, K] of the p-measured nodes P on the
-    kept nodes K."""
-    _, p_nodes, kept = measurement_pattern(spec)
-    return _cluster_blocks(spec, (p_nodes, kept))[0]
 
 
 def _off_diagonal_support(mat):
@@ -219,7 +231,8 @@ def kept_mode_adjacency(spec):
     on a torus it is the same bulk graph as `surface_code_adjacency` with a
     diagonal torus identification.
     """
-    inc = _p_kept_incidence(spec)
+    _, p_nodes, kept = measurement_pattern(spec)
+    inc = _cluster_blocks(spec, (p_nodes, kept))[0]
     return _off_diagonal_support((inc.T @ inc).toarray())
 
 
@@ -250,8 +263,9 @@ def map_cluster_to_surface(spec):
     eps = spec.s ** -2
     if eps < engine.PIVOT_TOL:
         raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
-    b = _p_kept_incidence(spec)
-    a_pp, a_kk = _cluster_blocks(spec, (p_nodes, p_nodes), (kept, kept))
+    import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
+
+    b, a_pp, a_kk = _cluster_blocks(spec, (p_nodes, kept), (p_nodes, p_nodes), (kept, kept))
     if not a_pp.nnz:
         gram = (b.T @ b).tocsc()
         weight = 1.0 / eps  # s^2 as the dense solve divides it out
@@ -260,8 +274,8 @@ def map_cluster_to_surface(spec):
         # B^T B of the stored entries: s^-2, or 0 where s^-2 rounded away,
         # and then U fails as singular
         lam = u.diagonal() - weight * gram.diagonal()
-        return GaussGraph._with_extremes(
-            u, lam.min(initial=np.inf), lam.max(initial=-np.inf) + 8 * weight), index_map
+        return GaussGraph._with_extremes(engine.Csc.from_scipy(u), lam.min(initial=np.inf),
+                                         lam.max(initial=-np.inf) + 8 * weight), index_map
     z_pk = b.toarray()
     z_pp = a_pp.toarray() + 1j * eps * np.eye(len(p_nodes))
     try:
@@ -325,8 +339,8 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        b = _p_kept_incidence(spec).toarray()
-        a_qk = _cluster_blocks(spec, (q_nodes, kept))[0].toarray()
+        b, a_qk = (block.toarray() for block in
+                   _cluster_blocks(spec, (p_nodes, kept), (q_nodes, kept)))
         # the N/S edges of a face are the kept sites on rows of vertices
         self.vertex_incidence = b
         self.face_incidence = np.where(np.array(kept) // spec.cols % 2 == 0, a_qk, -a_qk)

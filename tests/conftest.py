@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import settings
 
 import gausstopo as gt
@@ -80,7 +81,7 @@ def factor_counts(monkeypatch):
     The first 2 x 2-cell U^-1 column build of an even torus adds a "cell"
     count, so a state that builds none compares as before."""
     counts = {"factor": 0, "solve": 0}
-    splu = engine.spla.splu
+    splu = spla.splu
     cell_columns = engine._cell_columns
 
     class CountedFactor:
@@ -99,6 +100,6 @@ def factor_counts(monkeypatch):
         counts["cell"] = counts.get("cell", 0) + 1
         return cell_columns(*args, **kwargs)
 
-    monkeypatch.setattr(engine.spla, "splu", counted)
+    monkeypatch.setattr(spla, "splu", counted)
     monkeypatch.setattr(engine, "_cell_columns", counted_cell)
     return counts

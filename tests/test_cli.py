@@ -460,3 +460,58 @@ def test_tracer_targets_resolve(monkeypatch):
     for key, attr, _ in tracing.TARGETS:
         assert callable(getattr(importlib.import_module("gausstopo." + key), attr, None)), \
             (key, attr)
+
+
+def run_fresh(tmp_path, *argv):
+    """Run `python -X importtime *argv` in a fresh interpreter; returns the
+    finished process and the names of every module it imported."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC] + sys.path))
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    return done, imported
+
+
+TORUS = ("--rows", "12", "--cols", "12", "--log-s", "2.8")
+KP_PASS = """import gausstopo as gt
+spec = gt.LatticeSpec(12, 12, "torus", 2.8)
+cov = gt.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+kp = gt.kp_regions(spec)
+print(gt.tee_kp(cov, kp), gt.tln_kp(cov, kp), gt.tmi(gt.thermal_scale(cov, 10.0), kp),
+      gt.tmi_lower_bound(cov, kp))
+"""
+
+
+class TestStartUp:
+    """The even-torus route reads U from numpy CSC arrays and never imports
+    scipy; the routes that need a factor, a sparse product or a fit import
+    it when they run."""
+
+    @pytest.mark.parametrize("argv", [
+        ("-c", "import gausstopo"),
+        ("-c", KP_PASS),
+        ("-m", "gausstopo", "tee", *TORUS),
+        ("-m", "gausstopo", "tln", *TORUS),
+        ("-m", "gausstopo", "tmi", *TORUS, "--kappa", "10", "--lower"),
+        ("-m", "gausstopo", "sweep", "--rows", "12", "--cols", "12", "--log-s-min", "2.4",
+         "--log-s-max", "3.2", "--steps", "2", "--kappas", "1,10"),
+    ], ids=["import", "library-kp", "tee", "tln", "tmi-lower", "sweep"])
+    def test_torus_route_never_imports_scipy(self, tmp_path, argv):
+        done, imported = run_fresh(tmp_path, *argv)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert "numpy" in imported  # the import record was read
+        assert not {name for name in imported if name.split(".")[0] == "scipy"}
+
+    @pytest.mark.parametrize("argv,needs", [
+        (("tee", "--rows", "12", "--cols", "12", "--boundary", "planar"), "scipy.sparse.linalg"),
+        (("map", *TORUS, "--out", "state.json"), "scipy.sparse"),
+        (("build", "--kind", "surface-pipeline", "--rows", "8", "--cols", "6",
+          "--boundary", "planar", "--out", "state.json"), "scipy.sparse"),
+        (("correlations", "--rows", "20", "--cols", "20", "--boundary", "planar", "--fit"),
+         "scipy.optimize"),
+    ], ids=["planar-tee", "map", "build-pipeline", "correlations-fit"])
+    def test_scipy_routes_import_it_when_run(self, tmp_path, argv, needs):
+        done, imported = run_fresh(tmp_path, "-m", "gausstopo", *argv)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert needs in imported

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from gausstopo import engine, lattice
@@ -523,7 +524,7 @@ class TestFactoredState:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(engine.spla, "splu", singular)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(engine.GaussGraph(None, np.eye(2)))
 

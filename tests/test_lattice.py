@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import gausstopo as gt
@@ -320,6 +321,105 @@ class TestMeasurementPattern:
         spec = gt.LatticeSpec(6, 8, "torus", 0.0)
         q, p, kept = gt.measurement_pattern(spec)
         assert sorted(q + p + kept) == list(range(spec.n_nodes))
+
+
+class TestStencilArrays:
+    """The numpy stencil builder against scipy's CSC constructor on the links
+    of the per-site loops, byte for byte and dtype for dtype."""
+
+    @staticmethod
+    def assert_same_arrays(arrays, oracle):
+        for got, want in zip((arrays.indptr, arrays.indices, arrays.data),
+                             (oracle.indptr, oracle.indices, oracle.data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def assert_matches_scipy(self, spec):
+        n = spec.n_nodes
+        s = spec.s
+        c, d = s ** 2, s ** -2 + 2 * s ** 2
+        oracles = []
+        for diagonals in (False, True):
+            i, j = np.nonzero(loop_surface_code_adjacency(spec, diagonals))
+            oracles.append(sp.csc_matrix((np.ones(i.size), (i, j)), shape=(n, n)))
+        cluster, surface = oracles
+        # U = s^2 A_SC + (s^-2 + 2 s^2) I as scipy sums it
+        u = (c * surface + d * sp.identity(n, format="csc")).tocsc()
+        self.assert_same_arrays(lattice._cluster_links(spec), cluster)
+        self.assert_same_arrays(lattice._surface_code_links(spec), surface)
+        self.assert_same_arrays(lattice._surface_code_links(spec, c, d), u)
+        if spec.boundary == "planar" or min(spec.rows, spec.cols) >= 4:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the planar closed form warns
+                self.assert_same_arrays(gt.surface_code_graph_analytic(spec)._u_csc, u)
+
+    @settings(max_examples=60)
+    @given(shape=st.one_of(
+               st.tuples(st.sampled_from(range(4, 21, 2)), st.sampled_from(range(4, 21, 2)),
+                         st.just("torus")),
+               st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar"))),
+           log_s=st.floats(-2.0, 3.25))
+    def test_arrays_match_scipy(self, shape, log_s):
+        self.assert_matches_scipy(gt.LatticeSpec(*shape, log_s=log_s))
+
+    @pytest.mark.parametrize("rows,cols,boundary", [(36, 36, "torus"), (2, 2, "torus"),
+                                                    (2, 3, "torus"), (3, 5, "torus")])
+    def test_arrays_match_scipy_fixed(self, rows, cols, boundary):
+        # 36 x 36 is the benchmark torus; 2- and 3-wide tori repeat links
+        self.assert_matches_scipy(gt.LatticeSpec(rows, cols, boundary, 2.8))
+
+    @staticmethod
+    def arrays(dense):
+        return engine.Csc.from_scipy(sp.csc_matrix(dense))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        u = gt.surface_code_adjacency(gt.LatticeSpec(4, 4, "torus", 0.0)) + 9 * np.eye(16)
+        u[0, 1] = u[1, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            engine.GaussGraph._with_extremes(self.arrays(u), 1.0, 20.0)
+
+    def test_asymmetric_entries_raise(self):
+        u = gt.surface_code_adjacency(gt.LatticeSpec(4, 4, "torus", 0.0)) + 9 * np.eye(16)
+        # a value off its mirror by more than 1e-12 of the largest entry
+        off = u.copy()
+        off[0, 1] += 1e-10
+        # a tiny entry with no mirror
+        lone = u.copy()
+        assert u[0, 10] == 0
+        lone[0, 10] = 1e-14
+        # I plus a 3-cycle: every row count equals its column count and, in
+        # row-major order, every value equals the one in column-major order
+        cycle = np.eye(3) + np.roll(np.eye(3), 1, axis=1)
+        for bad in (off, lone, cycle):
+            with pytest.raises(ValidationError, match="not symmetric"):
+                engine.GaussGraph._with_extremes(self.arrays(bad), 1.0, 20.0)
+        # within 1e-12 the stored values are averaged with their mirrors
+        off[0, 1] = 1.0 + 1e-13
+        graph = engine.GaussGraph._with_extremes(self.arrays(off), 1.0, 20.0)
+        assert np.array_equal(graph.u_part, 0.5 * (off + off.T))
+
+
+class TestOneStencilPerCall:
+    @pytest.mark.parametrize("build,specs", [
+        (gt.map_cluster_to_surface, [(8, 8, "torus"), (5, 7, "planar"), (5, 5, "torus")]),
+        (gt.kept_mode_adjacency, [(8, 8, "torus"), (5, 7, "planar"), (5, 5, "torus")]),
+        (lattice.SurfaceGraph, [(8, 8, "torus"), (5, 7, "planar")]),
+    ], ids=["map", "kept", "surface-graph"])
+    def test_blocks_share_one_build(self, monkeypatch, build, specs):
+        # B, A_PP, A_KK and A_QK are all sliced from one cluster stencil
+        stencil = lattice._stencil_adjacency
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return stencil(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "_stencil_adjacency", counted)
+        for rows, cols, boundary in specs:
+            calls.clear()
+            build(gt.LatticeSpec(rows, cols, boundary, 1.0))
+            assert len(calls) == 1
 
 
 class TestSurfaceCodeGraph:
