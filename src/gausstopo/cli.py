@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -27,18 +26,6 @@ EXIT_THRESHOLD = 4
 
 SWEEP_COLUMNS = ("log_s", "tee_kp", "tee_lw", "tln", "tmi", "tmi_lower",
                  "tee_upper", "kappa")
-
-
-def _worker_count():
-    value = os.environ.get("GAUSSTOPO_THREADS")
-    if value:
-        if not value.strip().isdecimal() or int(value) < 1:
-            raise ValidationError("GAUSSTOPO_THREADS must be a positive integer")
-        return int(value)
-    # the cell FFT or SuperLU solve and the small eigensolves of the KP path
-    # gain nothing from BLAS threads, and a second worker gains little
-    # (timings in README)
-    return 1
 
 
 @contextlib.contextmanager
@@ -165,8 +152,7 @@ def _sweep_point(spec_base, log_s, kappas, args):
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         # the seven KP union spectra, memoised on cov_pure for the calls below
         names = ["".join(subset) for subset in topo.KP_SUBSETS]
-        unions = dict(zip(names, engine._pure_spectra(
-            cov_pure, [regions.union(*subset) for subset in topo.KP_SUBSETS])))
+        unions = dict(zip(names, topo._kp_spectra(cov_pure, regions)))
         meta["kp_unions"] = {
             name: {"boundary": union.boundary, "rim": union.rim,
                    "n_above": union.n_above, "n_half": union.n_half}
@@ -209,6 +195,7 @@ def cmd_sweep(args):
         raise ValidationError("log-s-min must not exceed log-s-max")
     spec_base = lattice.LatticeSpec(args.rows, args.cols, args.boundary,
                                     args.log_s_min)
+    lattice.check_log_s(args.log_s_max)
     if args.steps == 1:
         grid = [args.log_s_min]
     else:
@@ -224,13 +211,6 @@ def cmd_sweep(args):
     pending = {log_s: [k for k in kappas if ("%.12g" % log_s, "%.12g" % k) not in done]
                for log_s in grid}
 
-    def run(log_s):
-        try:
-            return log_s, _sweep_point(spec_base, log_s, pending[log_s], args), None
-        except (GaussTopoError, np.linalg.LinAlgError) as exc:
-            return log_s, [], exc
-
-    workers = _worker_count()
     mode = "a" if done else "w"
     failures = []
     with contextlib.ExitStack() as stack:
@@ -238,12 +218,17 @@ def cmd_sweep(args):
             _csv_out(args.out, None if done else SWEEP_COLUMNS, mode))
         json_stream = (stack.enter_context(open(args.json_out, mode, encoding="utf-8"))
                        if args.json_out else None)
-        pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-        # each point's rows go out in grid order as soon as it is done, so an
-        # interrupted sweep keeps them and a rerun resumes after them
-        for log_s, reports, exc in pool.map(run, [log_s for log_s, ks in pending.items() if ks]):
-            if exc is not None:
+        # the points run one after another, in grid order, and each point's
+        # rows go out as soon as it is done, so an interrupted sweep keeps
+        # them and a rerun resumes after them
+        for log_s, ks in pending.items():
+            if not ks:
+                continue
+            try:
+                reports = _sweep_point(spec_base, log_s, ks, args)
+            except (GaussTopoError, np.linalg.LinAlgError) as exc:
                 failures.append((log_s, exc))
+                continue
             for report in reports:
                 record = report.to_dict()
                 writer.writerow(["" if record[c] is None else "%.12g" % record[c]
@@ -261,7 +246,7 @@ def cmd_sweep(args):
 
 
 def cmd_spectrum(args):
-    modes = spectra.normal_modes(args.n, args.m, np.exp(args.log_s))
+    modes = spectra.normal_modes(args.n, args.m, np.exp(lattice.check_log_s(args.log_s)))
     asym = modes.gap_asymptotic
     ratio = modes.gap / asym if asym else float("nan")
     header = ["n", "m", "log_s", "gap", "gap_asymptotic", "ratio"]
@@ -297,7 +282,7 @@ def cmd_bounds(args):
 
 
 def cmd_upper_bound(args):
-    value = topo.tee_upper_bound(np.exp(args.log_s))
+    value = topo.tee_upper_bound(np.exp(lattice.check_log_s(args.log_s)))
     print(json.dumps({"log_s": args.log_s, "tee_upper": value}))
     return EXIT_OK
 

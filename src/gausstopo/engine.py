@@ -31,20 +31,13 @@ def _read_only(array):
     return array
 
 
-def _symmetry_tol(values):
-    """1e-12 of the largest |entry| of `values`, at least 1e-12;
-    ValidationError unless every entry is finite."""
-    scale = np.abs(values).max(initial=0.0)  # NaN propagates
-    if not np.isfinite(scale):
-        raise ValidationError("v_part and u_part must be finite")
-    return _SYM_TOL * max(1.0, scale)
-
-
 def _symmetrized(mat, name):
     """(mat + mat^T) / 2 of a dense `mat` that is finite and symmetric to
     within 1e-12 of its largest entry."""
-    tol = _symmetry_tol(mat)
-    if np.abs(mat - mat.T).max(initial=0.0) > tol:
+    scale = np.abs(mat).max(initial=0.0)  # NaN propagates
+    if not np.isfinite(scale):
+        raise ValidationError("v_part and u_part must be finite")
+    if np.abs(mat - mat.T).max(initial=0.0) > _SYM_TOL * max(1.0, scale):
         raise ValidationError("%s is not symmetric to within 1e-12" % name)
     return 0.5 * (mat + mat.T)
 
@@ -84,21 +77,6 @@ class Csc:
         import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
 
         return sp.csc_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    def symmetrized(self):
-        """(U + U^T) / 2 of finite arrays with a symmetric pattern whose values
-        are symmetric to within 1e-12 of the largest, read from the stored
-        entries: a stable sort by row puts them in row-major order, which
-        is the column-major order of U^T."""
-        tol = _symmetry_tol(self.data)
-        by_row = np.argsort(self.indices, kind="stable")
-        mirror = self.data[by_row]
-        counts = np.bincount(self.indices, minlength=self.shape[0])  # per row
-        if not (np.array_equal(np.diff(self.indptr), counts)
-                and np.array_equal(self.indices, self.columns()[by_row])
-                and np.abs(self.data - mirror).max(initial=0.0) <= tol):
-            raise ValidationError("u_part is not symmetric to within 1e-12")
-        return Csc(self.indptr, self.indices, 0.5 * (self.data + mirror))
 
 
 def symplectic_form(n_modes):
@@ -143,15 +121,15 @@ class GaussGraph:
 
     @classmethod
     def _with_extremes(cls, u_csc, lam_min, lam_max, torus=None):
-        """V = 0 graph of the `Csc` arrays `u_csc` whose spectrum lies in
-        [lam_min, lam_max], known from its structure (`_cond` is then an upper
-        bound on cond(U)): the same checks on the stored entries, without
-        eigvalsh (`Csc.symmetrized`).  `torus` = (rows, cols) records that U
-        on that even torus is invariant under the translations (a, b) with
-        a + b even."""
+        """V = 0 graph of the `Csc` arrays `u_csc` of a U that its builder
+        constructs finite and symmetric, with a spectrum it knows to lie in
+        [lam_min, lam_max] (`_cond` is then an upper bound on cond(U)): only
+        positive definiteness and cond(U) are checked, from those extremes.
+        `torus` = (rows, cols) records that U on that even torus is
+        invariant under the translations (a, b) with a + b even."""
         graph = cls.__new__(cls)
         graph.n_modes = u_csc.shape[0]
-        graph._u_csc = u_csc.symmetrized()
+        graph._u_csc = u_csc
         graph._u = graph._v = None
         graph._torus = torus
         if graph.n_modes:
@@ -622,16 +600,14 @@ def _pure_spectra(cov, regions):
 def von_neumann_entropy(spectrum):
     """Entropy in bits: sum (s+1/2)log2(s+1/2) - (s-1/2)log2(s-1/2).
 
-    Terms with sigma within tol_half of 1/2 contribute exactly 0.
+    Each term is written as [log1p(a) + a log1p(1/a)] / ln 2 with a = s - 1/2,
+    a sum of two positive terms, so it keeps full relative precision where
+    the difference would cancel (all of it from sigma ~ 2^53).  Terms with
+    sigma within tol_half of 1/2 contribute exactly 0.
     """
     sigma = spectrum.values
-    mask = sigma > 0.5 + spectrum.tol_half
-    s = sigma[mask]
-    if s.size == 0:
-        return 0.0
-    hi = s + 0.5
-    lo = s - 0.5
-    return float(np.sum(hi * np.log2(hi) - lo * np.log2(lo)))
+    a = sigma[sigma > 0.5 + spectrum.tol_half] - 0.5
+    return float(np.sum(np.log1p(a) + a * np.log1p(1.0 / a)) / np.log(2.0))
 
 
 def pure_log_negativity(spectrum, kappa):

@@ -23,6 +23,19 @@ from . import engine
 BOUNDARIES = ("torus", "planar")
 
 
+def check_log_s(log_s):
+    """`log_s` as a float; ValidationError unless s = e^log_s keeps 8 s^4 and
+    8 s^-4 finite, which holds for |log s| below ln(float max / 8) / 4 ~
+    176.93 and fails for NaN and +-inf."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s4 = np.exp(np.float64(log_s)) ** 4
+        finite = np.isfinite(8.0 * s4) and np.isfinite(8.0 / s4)
+    if not finite:
+        raise ValidationError("log s must be finite with |log s| < ln(float max / 8) / 4"
+                              " ~ 176.93, not %g" % log_s)
+    return float(log_s)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Square-lattice geometry and squeezing.
@@ -35,7 +48,7 @@ class LatticeSpec:
     boundary : str
         'torus' or 'planar'.
     log_s : float
-        Base-e log of the squeezing parameter s.
+        Base-e log of the squeezing parameter s, checked by `check_log_s`.
     """
 
     rows: int
@@ -49,6 +62,7 @@ class LatticeSpec:
         low = 2 if self.boundary == "torus" else 1
         if self.rows < low or self.cols < low:
             raise ValidationError("lattice dimensions too small for %s boundary" % self.boundary)
+        check_log_s(self.log_s)
 
     @property
     def s(self):
@@ -467,16 +481,21 @@ def nullifier_expectation(cov, vec):
 
 
 def w_closed_form(d, s):
-    """Torus vertex-commutator closed form w(d), d the Euclidean distance."""
-    denom = 4 * (1 + 5 * s ** 4)
+    """Torus vertex-commutator closed form w(d), d the Euclidean distance.
+
+    w(1) = (1 + 8 s^4) / (4 (1 + 5 s^4)), w(sqrt 2) = 2 s^4 / (4 (1 + 5 s^4))
+    and w(2) = s^4 / (4 (1 + 5 s^4)), each divided through by s^4 so that no
+    20 s^4 overflows."""
+    t = s ** -4
+    denom = 4 * (t + 5)
     if np.isclose(d, 0):
         return 1.0
     if np.isclose(d, 1):
-        return (1 + 8 * s ** 4) / denom
+        return (t + 8) / denom
     if np.isclose(d, np.sqrt(2)):
-        return 2 * s ** 4 / denom
+        return 2 / denom
     if np.isclose(d, 2):
-        return s ** 4 / denom
+        return 1 / denom
     return 0.0
 
 

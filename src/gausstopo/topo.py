@@ -270,9 +270,11 @@ def tmi_sandwich_bounds(cov, lw):
 
 
 def sigma_one(s):
-    """Symplectic eigenvalue of one mode of the 3-mode reference network."""
+    """Symplectic eigenvalue of one mode of the 3-mode reference network,
+    1/2 sqrt((1 + 3 s^4 + 2 s^8) / (1 + 3 s^4)) with the numerator factored,
+    so that no s^8 overflows."""
     s4 = s ** 4
-    return 0.5 * np.sqrt((1 + 3 * s4 + 2 * s4 ** 2) / (1 + 3 * s4))
+    return 0.5 * np.sqrt((1 + s4) * ((1 + 2 * s4) / (1 + 3 * s4)))
 
 
 def tee_upper_bound(s):

@@ -205,8 +205,7 @@ SWEEP_ARGS = ("sweep", "--rows", "8", "--cols", "8", "--log-s-min", "0",
 
 
 class TestSweep:
-    def test_deterministic(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GAUSSTOPO_THREADS", "2")
+    def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, *SWEEP_ARGS, "--out", str(a))[0] == 0
         assert run(capsys, *SWEEP_ARGS, "--out", str(b))[0] == 0
@@ -300,12 +299,6 @@ class TestSweep:
                    if r["log_s"] == record["log_s"] and r["kappa"] == 1.0]
             assert abs(signed - tee[0]) <= 1e-12
 
-    def test_invalid_thread_env(self, tmp_path, capsys, monkeypatch):
-        for value in ("many", "0", "-1"):
-            monkeypatch.setenv("GAUSSTOPO_THREADS", value)
-            code, _, _ = run(capsys, *SWEEP_ARGS, "--out", str(tmp_path / "x.csv"))
-            assert code == cli.EXIT_VALIDATION
-
     def test_invalid_range(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--rows", "8", "--cols", "8",
                          "--log-s-min", "2", "--log-s-max", "1", "--steps", "2",
@@ -355,7 +348,6 @@ class TestSweep:
         class Interrupt(BaseException):
             pass
 
-        monkeypatch.delenv("GAUSSTOPO_THREADS", raising=False)  # one worker, grid order
         args = ("sweep", "--rows", "8", "--cols", "8", "--log-s-min", "0",
                 "--log-s-max", "1.5", "--steps", "4", "--kappas", "1,10")
         full, cut = tmp_path / "full.csv", tmp_path / "cut.csv"
@@ -423,7 +415,6 @@ class TestSweep:
         for threads in ("1", "2"):
             out = tmp_path / ("t%s.csv" % threads)
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       GAUSSTOPO_THREADS="1",
                        PYTHONPATH=os.pathsep.join([SRC] + sys.path))
             subprocess.run([sys.executable, "-m", "gausstopo.cli", *argv, "--out", str(out)],
                            env=env, check=True, timeout=300)
@@ -438,6 +429,70 @@ class TestSweep:
             code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", kappas, "--out", str(out))
             assert code == cli.EXIT_VALIDATION
             assert not out.exists()
+
+
+# past ln(float max / 8) / 4 ~ 176.93, 8 s^4 or 8 s^-4 overflows
+OUT_OF_RANGE = ["nan", "inf", "-inf", "177.93", "-177.93", "400", "-178"]
+
+
+class TestLogSRange:
+    def assert_refused(self, capsys, *argv):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == cli.EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr.startswith("error: log s must be finite")
+
+    @pytest.mark.parametrize("log_s", OUT_OF_RANGE)
+    @pytest.mark.parametrize("argv", [
+        ("tee", "--rows", "12", "--cols", "12"),
+        ("tee", "--rows", "12", "--cols", "12", "--method", "lw"),
+        ("tln", "--rows", "12", "--cols", "12"),
+        ("tmi", "--rows", "12", "--cols", "12", "--kappa", "10", "--lower"),
+        ("correlations", "--rows", "12", "--cols", "12", "--fit"),
+        ("bounds", "--rows", "12", "--cols", "12"),
+        ("upper-bound",),
+        ("spectrum", "--n", "5", "--m", "5"),
+    ], ids=["tee", "tee-lw", "tln", "tmi", "correlations", "bounds", "upper-bound", "spectrum"])
+    def test_refused_where_it_enters(self, capsys, argv, log_s):
+        self.assert_refused(capsys, *argv, "--log-s=" + log_s)
+
+    @pytest.mark.parametrize("log_s", OUT_OF_RANGE)
+    @pytest.mark.parametrize("command", ["map", "build"])
+    def test_refused_before_a_state_is_written(self, tmp_path, capsys, command, log_s):
+        out = tmp_path / "state.json"
+        self.assert_refused(capsys, command, "--rows", "8", "--cols", "8",
+                            "--log-s=" + log_s, "--out", str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("low,high", [("-178", "1"), ("1", "177.93"), ("nan", "1"),
+                                          ("1", "nan"), ("1", "inf"), ("-inf", "1")])
+    def test_sweep_refused_before_any_point(self, tmp_path, capsys, monkeypatch, low, high):
+        monkeypatch.setattr(cli, "_sweep_point", None)  # no point may run
+        out = tmp_path / "x.csv"
+        self.assert_refused(capsys, "sweep", "--rows", "8", "--cols", "8",
+                            "--log-s-min=" + low, "--log-s-max=" + high, "--steps", "3",
+                            "--out", str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("log_s", ["20", "90", "176.9"])
+    def test_upper_bound_finite_past_cancellation(self, capsys, log_s):
+        # at log s 20 the difference form printed 0.0, at 90 s^8 overflowed to
+        # NaN; TestUpperBound.test_matches_mpmath checks the library value
+        code, stdout, _ = run(capsys, "upper-bound", "--log-s", log_s)
+        assert code == cli.EXIT_OK
+        value = json.loads(stdout)["tee_upper"]
+        assert value == topo.tee_upper_bound(np.exp(float(log_s)))
+        assert value == pytest.approx(2 / np.log(2) * float(log_s), rel=0.01)
+
+    def test_spectrum_inside_range(self, capsys):
+        # gap / asymptotic no longer depends on s at large s; 20 s^4 overflowed
+        # in w(d) from log s ~ 176.5 on and moved it
+        ratios = []
+        for log_s in ("100", "176.9"):
+            code, stdout, _ = run(capsys, "spectrum", "--n", "5", "--m", "5", "--log-s", log_s)
+            assert code == cli.EXIT_OK
+            ratios.append(float(stdout.splitlines()[-1].split(",")[-1]))
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
 
 
 def test_python_m_runs_cli(tmp_path):

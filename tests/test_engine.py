@@ -294,6 +294,19 @@ class TestEntropyPurity:
         value = engine.von_neumann_entropy(engine.SymplecticSpectrum([sigma]))
         assert value == pytest.approx(0.525, abs=2e-3)
 
+    def test_entropy_matches_mpmath(self):
+        # (s+1/2)log2(s+1/2) - (s-1/2)log2(s-1/2) cancels for large sigma;
+        # every mode keeps its relative precision from just above 1/2 + tol_half
+        mp = pytest.importorskip("mpmath")
+        sigmas = np.concatenate([0.5 + np.logspace(np.log10(1.01e-9), 0, 40),
+                                 np.logspace(0.1, 17, 80), [2.0 ** 53, 1e17]])
+        with mp.workdps(40):
+            for sigma in sigmas:
+                hi, lo = mp.mpf(sigma) + mp.mpf(0.5), mp.mpf(sigma) - mp.mpf(0.5)
+                ref = float((hi * mp.log(hi) - lo * mp.log(lo)) / mp.log(2))
+                value = engine.von_neumann_entropy(engine.SymplecticSpectrum([sigma]))
+                assert value == pytest.approx(ref, rel=2e-15, abs=0), sigma
+
     def test_purity(self):
         assert engine.purity(engine.SymplecticSpectrum([0.5])) == 1.0
         assert engine.purity(engine.SymplecticSpectrum([0.5, 0.5])) == 1.0

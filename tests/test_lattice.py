@@ -368,36 +368,33 @@ class TestStencilArrays:
         # 36 x 36 is the benchmark torus; 2- and 3-wide tori repeat links
         self.assert_matches_scipy(gt.LatticeSpec(rows, cols, boundary, 2.8))
 
-    @staticmethod
-    def arrays(dense):
-        return engine.Csc.from_scipy(sp.csc_matrix(dense))
+    # the largest |log s| at which 8 s^4 and 8 s^-4 stay finite, up to rounding
+    LOG_S_BOUND = np.log(np.finfo(float).max / 8) / 4
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     pytest.param(LOG_S_BOUND + 1, id="bound+1"),
+                                     pytest.param(-LOG_S_BOUND - 1, id="-bound-1")])
     def test_non_finite_entries_raise(self, bad):
-        u = gt.surface_code_adjacency(gt.LatticeSpec(4, 4, "torus", 0.0)) + 9 * np.eye(16)
-        u[0, 1] = u[1, 0] = bad
-        with pytest.raises(ValidationError, match="finite"):
-            engine.GaussGraph._with_extremes(self.arrays(u), 1.0, 20.0)
+        # a log s at which U's entries could leave the floats is refused where
+        # it enters, so the builders never see it
+        for boundary in lattice.BOUNDARIES:
+            with pytest.raises(ValidationError, match="log s must be finite"):
+                gt.LatticeSpec(4, 4, boundary, bad)
 
-    def test_asymmetric_entries_raise(self):
-        u = gt.surface_code_adjacency(gt.LatticeSpec(4, 4, "torus", 0.0)) + 9 * np.eye(16)
-        # a value off its mirror by more than 1e-12 of the largest entry
-        off = u.copy()
-        off[0, 1] += 1e-10
-        # a tiny entry with no mirror
-        lone = u.copy()
-        assert u[0, 10] == 0
-        lone[0, 10] = 1e-14
-        # I plus a 3-cycle: every row count equals its column count and, in
-        # row-major order, every value equals the one in column-major order
-        cycle = np.eye(3) + np.roll(np.eye(3), 1, axis=1)
-        for bad in (off, lone, cycle):
-            with pytest.raises(ValidationError, match="not symmetric"):
-                engine.GaussGraph._with_extremes(self.arrays(bad), 1.0, 20.0)
-        # within 1e-12 the stored values are averaged with their mirrors
-        off[0, 1] = 1.0 + 1e-13
-        graph = engine.GaussGraph._with_extremes(self.arrays(off), 1.0, 20.0)
-        assert np.array_equal(graph.u_part, 0.5 * (off + off.T))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entries_finite_inside_log_s_bound(self, sign):
+        log_s = sign * self.LOG_S_BOUND * (1 - 1e-15)
+        assert lattice.check_log_s(log_s) == log_s
+        spec = gt.LatticeSpec(4, 4, "torus", log_s)
+        s = spec.s
+        u = lattice._surface_code_links(spec, s ** 2, s ** -2 + 2 * s ** 2)
+        assert np.isfinite(u.data).all()
+        if sign < 0:
+            assert gt.surface_code_graph_analytic(spec)._cond == pytest.approx(1.0)
+        else:
+            # s^-2 rounds away against 2 s^2: a numerical failure, not an overflow
+            with pytest.raises(IllConditionedGraphError):
+                gt.surface_code_graph_analytic(spec)
 
 
 class TestOneStencilPerCall:

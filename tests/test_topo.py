@@ -662,6 +662,24 @@ class TestUpperBound:
         with pytest.raises(ValidationError):
             topo.tee_upper_bound(0.0)
 
+    @pytest.mark.parametrize("log_s", [-176.9, -20.0, 0.0, 3.0, 20.0, 90.0, 176.9])
+    def test_matches_mpmath(self, log_s):
+        # s^8 overflows from log s ~ 88.7, and the entropy difference cancels
+        # completely from sigma ~ 2^53 (log s ~ 18.8); the reference keeps 40
+        # digits beyond the ~154 that sigma = O(s^2) takes at log s 176.9
+        mp = pytest.importorskip("mpmath")
+        s = np.exp(log_s)
+        with mp.workdps(240):
+            s4 = mp.mpf(s) ** 4
+            sigma = mp.sqrt((1 + 3 * s4 + 2 * s4 ** 2) / (1 + 3 * s4)) / 2
+            assert topo.sigma_one(s) == pytest.approx(float(sigma), rel=1e-15)
+            if sigma <= 0.5 + engine.SymplecticSpectrum.tol_half:
+                ref = 0.0  # a mode within tol_half of 1/2 adds exactly 0
+            else:
+                ref = float(((sigma + 0.5) * mp.log(sigma + 0.5)
+                             - (sigma - 0.5) * mp.log(sigma - 0.5)) / mp.log(2))
+        assert topo.tee_upper_bound(s) == pytest.approx(ref, rel=1e-14, abs=0)
+
 
 class TestTopoReport:
     def test_to_dict_keys(self):
