@@ -40,7 +40,9 @@ def dms_bound(s):
         raise ValidationError("s must be positive")
     root = np.sqrt(8 * s ** 4 + 1)
     c_const = (1 + root) ** 2 / (4 * (8 * s ** 2 + s ** -2))
-    xi = 2.0 / np.log((root + 1) / (root - 1))
+    # (root + 1) / (root - 1) = 1 + 2 (root + 1) / (8 s^4): root - 1 taken
+    # as 8 s^4 / (root + 1), which keeps its precision where 8 s^4 << 1
+    xi = 2.0 / np.log1p(2 * (root + 1) / (8 * s ** 4))
     return CorrelationBound(float(c_const), float(xi),
                             float(s ** -2), float(s ** 2 * (8 + s ** -4)))
 
@@ -87,11 +89,17 @@ def euclidean_distance(spec, i, j):
 def verify_bound(cov, spec):
     """Check the `dms_bound` envelope on all pairs with graph distance > 2.
 
-    Violations are reported, not raised.
+    A pair violates the bound when |<q_i q_j>| exceeds the envelope by more
+    than the rounding of the U^-1 entries, `noise_floor` = 16 eps cond(U)
+    max|<q q>| with cond(U) <= b/a of the bound's spectral interval: where
+    the envelope falls below that floor, the computed correlations are
+    rounding noise.  Violations are reported, not raised.
 
     Returns
     -------
-    dict with keys n_pairs, n_violations, max_violation, max_ratio.
+    dict with keys n_pairs, n_violations, max_violation (the largest excess
+    over the envelope of a violating pair, 0 without one), max_ratio and
+    noise_floor.
     """
     _require_block_diagonal(cov)
     n = cov.n_modes
@@ -102,17 +110,19 @@ def verify_bound(cov, spec):
                                        (x[:, None], y[:, None]), (x, y)))
     mask = dist > 2
     corr = np.abs(cov.q_block)
-    envelope = cov.kappa * dms_bound(spec.s).envelope(dist)
+    bound = dms_bound(spec.s)
+    envelope = cov.kappa * bound.envelope(dist)
+    floor = 16 * np.finfo(float).eps * (bound.b_spec / bound.a_spec) * corr.max(initial=0.0)
     excess = np.where(mask, corr - envelope, -np.inf)
-    n_viol = int(np.count_nonzero(excess > 0))
-    max_viol = float(excess.max()) if mask.any() else 0.0
+    n_viol = int(np.count_nonzero(excess > floor))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mask & (envelope > 0), corr / envelope, 0.0)
     return {
         "n_pairs": int(np.count_nonzero(mask)) // 2,
         "n_violations": n_viol // 2,
-        "max_violation": max(max_viol, 0.0),
+        "max_violation": float(excess.max()) if n_viol else 0.0,
         "max_ratio": float(ratio.max()),
+        "noise_floor": float(floor),
     }
 
 
@@ -148,19 +158,65 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
     return np.array(seps, dtype=float), np.array(vals, dtype=float)
 
 
+_FIT_EVALUATIONS = 500  # residual evaluations a fit may take, the Jacobian's included
+_FD_STEP = np.sqrt(np.finfo(float).eps)
+
+
+def _levenberg_marquardt(resid, theta, max_nfev):
+    """(theta, resid(theta)) at a least-squares minimum of `resid`.
+
+    Levenberg-Marquardt with a forward-difference Jacobian and Marquardt's
+    diagonal scaling.  It stops when the gradient vanishes, when a step is
+    below 1e-10 relative to theta, or when an accepted step lowers the cost
+    by at most 1e-12 of it; FitFailedError after `max_nfev` calls of
+    `resid`.
+    """
+    xtol, ftol = 1e-10, 1e-12
+    r = resid(theta)
+    nfev, damping = 1, 1e-3
+    while nfev + theta.size < max_nfev:  # room for a Jacobian and a trial step
+        steps = _FD_STEP * np.maximum(1.0, np.abs(theta))
+        jac = np.column_stack([(resid(theta + h * unit) - r) / h
+                               for h, unit in zip(steps, np.eye(theta.size))])
+        nfev += theta.size
+        grad, curv = jac.T @ r, jac.T @ jac
+        if not grad.any():
+            return theta, r
+        scale = np.diag(np.maximum(np.diag(curv), np.finfo(float).tiny))
+        cost = r @ r
+        while nfev < max_nfev:
+            delta = np.linalg.solve(curv + damping * scale, -grad)
+            trial = theta + delta
+            r_trial = resid(trial)
+            nfev += 1
+            small = np.linalg.norm(delta) <= xtol * (xtol + np.linalg.norm(theta))
+            if r_trial @ r_trial < cost:  # False for a NaN cost too
+                done = small or cost - r_trial @ r_trial <= ftol * cost
+                theta, r, damping = trial, r_trial, max(0.1 * damping, 1e-15)
+                if done:
+                    return theta, r
+                break
+            if small:
+                return theta, r
+            damping *= 10.0
+    raise FitFailedError("fit did not converge in %d evaluations" % max_nfev, residuals=r)
+
+
 def fit_correlation_length(separations, correlations):
     """Fit |<q q>| = a e^{-d/xi_a} + b e^{-d/xi_b} by separable least squares.
 
     Variable projection: for each (xi_a, xi_b) iterate, the amplitudes are
     solved by linear least squares and the outer residual is taken in the
-    log domain.  Initialization is fixed at (0.5, 3.0), so the fit is deterministic.
+    log domain.  The outer fit is `_levenberg_marquardt` over (ln xi_a,
+    ln xi_b), so both lengths stay positive.  It starts from the fixed
+    (0.5, 3.0), so the fit is deterministic, and raises FitFailedError
+    after 500 residual evaluations.
 
     Returns
     -------
     (a, xi_a, b, xi_b, residual) with xi_a <= xi_b and residual the RMS
     log-domain misfit.
     """
-    from scipy.optimize import least_squares  # slow to import, and used only here
     d = np.asarray(separations, dtype=float)
     y = np.asarray(correlations, dtype=float)
     if d.size < 8:
@@ -173,20 +229,20 @@ def fit_correlation_length(separations, correlations):
         coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
         return coef, basis
 
-    def resid(xi):
-        coef, basis = amplitudes(xi)
+    def resid(log_xi):
+        coef, basis = amplitudes(np.exp(log_xi))
         model = np.clip(basis @ coef, 1e-300, None)
         return np.log(model) - np.log(y)
 
-    sol = least_squares(resid, [0.5, 3.0], max_nfev=500)
-    if not sol.success:
-        raise FitFailedError("fit did not converge in 500 iterations", residuals=sol.fun)
-    xi_a, xi_b = sol.x
-    (amp_a, amp_b), _ = amplitudes(sol.x)
+    # a length driven to 0 or to infinity is a degenerate fit, not an error
+    with np.errstate(over="ignore", divide="ignore"):
+        log_xi, fun = _levenberg_marquardt(resid, np.log([0.5, 3.0]), _FIT_EVALUATIONS)
+        (amp_a, amp_b), _ = amplitudes(np.exp(log_xi))
+    xi_a, xi_b = np.exp(log_xi)
     if xi_a > xi_b:
         xi_a, xi_b = xi_b, xi_a
         amp_a, amp_b = amp_b, amp_a
-    residual = float(np.sqrt(np.mean(sol.fun ** 2)))
+    residual = float(np.sqrt(np.mean(fun ** 2)))
     return float(amp_a), float(xi_a), float(amp_b), float(xi_b), residual
 
 

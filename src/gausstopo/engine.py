@@ -31,6 +31,15 @@ def _read_only(array):
     return array
 
 
+def _sorted_distinct(values):
+    """The distinct entries of the 1-d integer array `values`, sorted; repeats
+    are masked, since np.unique takes a slower hash path."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def _symmetrized(mat, name):
     """(mat + mat^T) / 2 of a dense `mat` that is finite and symmetric to
     within 1e-12 of its largest entry."""
@@ -44,11 +53,10 @@ def _symmetrized(mat, name):
 
 class Csc:
     """Canonical CSC arrays of a square matrix: the row `indices` of each
-    column of `indptr` sorted, with no duplicates.
+    column of `indptr` sorted, with no duplicates, int32 while they fit.
 
     numpy index arithmetic reads them (`_csc_entries`, `_cut`,
-    `_cell_columns`); `to_scipy` wraps them, without a copy, where a sparse
-    factor or product needs a scipy matrix.
+    `_cell_columns`, `BlockCholesky`).
     """
 
     def __init__(self, indptr, indices, data):
@@ -56,27 +64,30 @@ class Csc:
         self.shape = (indptr.size - 1,) * 2
 
     @classmethod
-    def from_scipy(cls, mat):
-        """The arrays of a scipy sparse matrix, made canonical."""
-        mat = mat.tocsc()
-        mat.sum_duplicates()  # sorts the indices too
-        return cls(mat.indptr, mat.indices, mat.data)
+    def from_keys(cls, key, n, data):
+        """The arrays of the n x n matrix with `data` at the sorted, distinct
+        column-major keys col * n + row."""
+        col = key // n
+        index = np.int32 if max(key.size, n) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+        return cls(indptr, (key - col * n).astype(index), data)
+
+    @classmethod
+    def from_dense(cls, mat):
+        """The arrays of the nonzero entries of a dense square `mat`."""
+        cols, rows = np.nonzero(mat.T)  # column-major, rows sorted in each column
+        return cls.from_keys(cols * mat.shape[0] + rows, mat.shape[0], mat[rows, cols])
 
     def columns(self):
         """The column of each stored entry."""
         return np.repeat(np.arange(self.shape[1], dtype=self.indices.dtype), np.diff(self.indptr))
 
     def toarray(self):
-        """The dense matrix, in the column-major layout scipy gives a CSC matrix."""
+        """The dense matrix, in column-major layout."""
         dense = np.zeros(self.shape, order="F")
         dense[self.indices, self.columns()] = self.data
         return dense
-
-    def to_scipy(self):
-        """A scipy.sparse.csc_matrix on these arrays."""
-        import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
-
-        return sp.csc_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
 def symplectic_form(n_modes):
@@ -231,7 +242,7 @@ class CovMatrix:
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
     A marked V = 0 state is U-native: it holds U's `Csc` arrays, kappa and,
     instead of gamma, what serves U^-1 (`_u_inv`): the two cell columns of
-    U^-1 on an even torus, one sparse LU factor of U elsewhere.  It builds
+    U^-1 on an even torus, one `BlockCholesky` factor of U elsewhere.  It builds
     `gamma`, `q_block` and `p_block` on first read and keeps them, and
     memoises the pure-state spectra of its regions.
     """
@@ -263,7 +274,7 @@ class CovMatrix:
     @classmethod
     def _u_native(cls, u, factor=None, cell=None):
         """Marked U-native pure state of the graph V = 0, U (`Csc`), served by
-        its SuperLU `factor` or, on an even torus, by its `cell` columns."""
+        its `BlockCholesky` `factor` or, on an even torus, by its `cell` columns."""
         cov = cls.__new__(cls)
         cov.kappa = 1.0
         cov.n_modes = u.shape[0]
@@ -434,6 +445,126 @@ def _cell_columns(u, torus):
     return columns.reshape(*cells, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(rows * cols, 2)
 
 
+def _level_sets(u, budget):
+    """Breadth-first level sets of the pattern of the symmetric `Csc` arrays
+    `u`, restarted from the lowest unvisited mode of each connected
+    component; None once the sum of cubed level sizes reaches `budget`."""
+    n = u.shape[0]
+    degree = np.diff(u.indptr)
+    # row j lists the rows stored in column j, padded with j itself
+    table = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
+    table[u.columns(), np.arange(u.indices.size) - np.repeat(u.indptr[:-1], degree)] = u.indices
+    seen = np.zeros(n, dtype=bool)
+    levels, cost, start = [], 0, 0
+    while start < n:
+        if seen[start]:
+            start += 1
+            continue
+        frontier = np.array([start])
+        seen[start] = True
+        while frontier.size:
+            levels.append(frontier)
+            cost += frontier.size ** 3
+            if cost >= budget:
+                return None
+            reached = _sorted_distinct(table[frontier].ravel())
+            frontier = reached[~seen[reached]]
+            seen[frontier] = True
+    return levels
+
+
+def _block_order(u):
+    """(perm, sizes): an order of the modes of the symmetric `Csc` arrays `u`
+    whose consecutive blocks of `sizes` modes make U block tridiagonal.
+
+    Natural order cut every `bandwidth` modes (cols + 1 on a planar grid)
+    or breadth-first level sets (19 levels of at most 136 modes on a 36 x 36
+    torus read back from JSON, whose bandwidth is N - 1): whichever has the
+    smaller sum of cubed block sizes, the cost of the factor.  Both are read
+    from the sparsity pattern alone.
+    """
+    n = u.shape[0]
+    width = max(int(np.abs(u.indices - u.columns()).max(initial=0)), 1)
+    sizes = [width] * (n // width) + ([n % width] if n % width else [])
+    budget = sum(size ** 3 for size in sizes)
+    # blocks of one mode cost n, the least any order can
+    levels = _level_sets(u, budget) if budget > n else None
+    if levels is None:
+        return np.arange(n), np.array(sizes, dtype=int)
+    return np.concatenate(levels), np.array([level.size for level in levels])
+
+
+class BlockCholesky:
+    """Cholesky factor U = L L^T of a symmetric positive definite U, held as
+    `Csc` arrays, in the block-tridiagonal order of `_block_order`.
+
+    With U's diagonal blocks A_k and sub-diagonal blocks C_k = U[block k +
+    1, block k], L has diagonal blocks L_k = chol(A_k - L_{k,k-1}
+    L_{k,k-1}^T) and sub-diagonal blocks L_{k+1,k} = C_k L_k^-T.  It keeps
+    L_k^-1, from one solve with each L_k, which gives L_{k+1,k} by a product
+    and serves the sweeps of `solve` as products too (numpy has no
+    triangular solve, and its LU solve with L_k costs several times the
+    product).  No Schur complement is inverted, and cond(L_k) is at most
+    cond(U)^(1/2).  The cost is O(N b^2) for blocks of b modes.  A block
+    that is not numerically positive definite raises
+    IllConditionedGraphError.
+    """
+
+    def __init__(self, u):
+        perm, sizes = _block_order(u)
+        n, n_blocks = u.shape[0], sizes.size
+        bounds = np.zeros(n_blocks + 1, dtype=int)
+        np.cumsum(sizes, out=bounds[1:])
+        # one scatter of the stored entries into a flat buffer: the diagonal
+        # blocks, then the sub-diagonal blocks, each row-major
+        square = sizes * sizes
+        below = np.append(sizes[1:] * sizes[:-1], 0)
+        diag_at = np.cumsum(square) - square
+        sub_at = square.sum() + np.cumsum(below) - below
+        block = np.repeat(np.arange(n_blocks), sizes)
+        position = np.empty(n, dtype=int)
+        position[perm] = np.arange(n)
+        i, j = position[u.indices], position[u.columns()]
+        bi, bj = block[i], block[j]
+        li, lj = i - bounds[bi], j - bounds[bj]
+        keep = bi >= bj  # the entries above the diagonal blocks are their transposes
+        at = np.where(bi == bj, diag_at[bi] + li * sizes[bi], sub_at[bj] + li * sizes[bj]) + lj
+        flat = np.zeros(square.sum() + below.sum())
+        flat[at[keep]] = u.data[keep]
+
+        self._perm, self._bounds = perm, bounds
+        self._inv, self._sub = [], []  # L_k^-1 and L_{k+1,k}
+        try:
+            for k, size in enumerate(sizes):
+                a = flat[diag_at[k]:diag_at[k] + square[k]].reshape(size, size)
+                if k:
+                    a = a - self._sub[-1] @ self._sub[-1].T
+                self._inv.append(np.linalg.inv(np.linalg.cholesky(a)))
+                if k + 1 < n_blocks:
+                    c = flat[sub_at[k]:sub_at[k] + below[k]].reshape(-1, size)
+                    self._sub.append(c @ self._inv[-1].T)
+        except np.linalg.LinAlgError:
+            raise IllConditionedGraphError("block Cholesky factorization of U failed") from None
+
+    def solve(self, rhs):
+        """U^-1 rhs for an (N, k) array `rhs`: a forward sweep with L and a
+        backward sweep with L^T over the blocks."""
+        x = rhs[self._perm]
+        blocks = [slice(a, b) for a, b in zip(self._bounds[:-1], self._bounds[1:])]
+        for k, rows in enumerate(blocks):
+            if k:
+                x[rows] -= self._sub[k - 1] @ x[blocks[k - 1]]
+            x[rows] = self._inv[k] @ x[rows]
+        for k in range(len(blocks) - 1, -1, -1):
+            rows = blocks[k]
+            if k + 1 < len(blocks):
+                x[rows] -= self._sub[k].T @ x[blocks[k + 1]]
+            x[rows] = self._inv[k].T @ x[rows]
+        out = np.empty_like(x)
+        out[self._perm] = x
+        return out
+
+
 def covariance_from_graph(graph, cond_threshold=1e12):
     """Covariance matrix Gamma = 1/2 [[U^-1, U^-1 V], [V U^-1, U + V U^-1 V]].
 
@@ -451,7 +582,7 @@ def covariance_from_graph(graph, cond_threshold=1e12):
         Pure-state covariance (kappa = 1), marked as such.  For V = 0 it is
         U-native and holds no dense gamma: on an even torus recorded by the
         graph's builder it keeps two columns of U^-1 from the 2 x 2-cell FFT,
-        otherwise one sparse LU factor of U.
+        otherwise one `BlockCholesky` factor of U.
     """
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
@@ -459,19 +590,10 @@ def covariance_from_graph(graph, cond_threshold=1e12):
         u = graph._u_csc
         return CovMatrix._u_native(u, cell=(_cell_columns(u, graph._torus), graph._torus))
     if graph.is_v_zero():
-        import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
-        import scipy.sparse.linalg as spla
-
         u = graph._u_csc
         if u is None:
-            u = Csc.from_scipy(sp.csc_matrix(graph.u_part))
-        try:
-            # a symmetric ordering and no pivoting, which positive definiteness keeps stable
-            factor = spla.splu(u.to_scipy(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-        except RuntimeError:
-            raise IllConditionedGraphError("sparse LU factorization of U failed") from None
-        return CovMatrix._u_native(u, factor=factor)
+            u = Csc.from_dense(graph.u_part)
+        return CovMatrix._u_native(u, factor=BlockCholesky(u))
     u = graph.u_part
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)
@@ -638,8 +760,6 @@ def log_negativity(cov, region):
     region = _checked_region(cov, region)
     if not cov.block_diagonal:
         raise UnsupportedStateError("log_negativity requires a q/p block-diagonal state")
-    import scipy.linalg as sla  # slow to import, and only this unmarked oracle needs it
-
     n = cov.n_modes
     if len(region) == n:
         return 0.0
@@ -647,7 +767,9 @@ def log_negativity(cov, region):
     mu[region] = -1.0
     mpm = mu[:, None] * (2.0 * cov.p_block) * mu[None, :]
     # generalized symmetric problem (M 2Q M) x = lambda M x with M = mu 2P mu
-    lam = sla.eigvalsh(mpm @ (2.0 * cov.q_block) @ mpm, mpm)
+    # = L L^T: its eigenvalues are those of 2Q M, and of L^T 2Q L
+    low = np.linalg.cholesky(mpm)
+    lam = np.linalg.eigvalsh(low.T @ (2.0 * cov.q_block) @ low)
     lam = lam[lam < 1.0]
     if lam.size == 0:
         return 0.0

@@ -113,8 +113,7 @@ def _stencil_adjacency(spec, links, off=1.0, diag=None):
     stored once (simple-graph convention).  No link closes on itself,
     because a torus is at least 2 wide and every link spans one step in some
     direction.  The column-major keys of both orientations are sorted and
-    repeats masked (np.unique takes a slower hash path); the index dtype is
-    scipy's, int32 while it holds every index.
+    repeats masked (`engine._sorted_distinct`).
     """
     rows, cols = spec.rows, spec.cols
     n = rows * cols
@@ -132,20 +131,11 @@ def _stencil_adjacency(spec, links, off=1.0, diag=None):
     keys = [j * n + i, i * n + j]
     if diag is not None:
         keys.append(np.arange(n) * (n + 1))
-    key = np.concatenate(keys)
-    key.sort()
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    key = key[first]
-    col = key // n
-    row = key - col * n
+    key = engine._sorted_distinct(np.concatenate(keys))
     data = np.full(key.size, float(off))
     if diag is not None:
-        data[row == col] = diag
-    index = np.int32 if max(key.size, n) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    return engine.Csc(indptr, row.astype(index), data)
+        data[key % (n + 1) == 0] = diag  # the keys col * (n + 1) of the diagonal
+    return engine.Csc.from_keys(key, n, data)
 
 
 def _cluster_links(spec):
@@ -154,11 +144,49 @@ def _cluster_links(spec):
     return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
 
 
-def _cluster_blocks(spec, *blocks):
-    """Sparse (scipy CSR) blocks A_d[rows, cols], one per (rows, cols) index
-    pair, all sliced from one stencil build."""
-    adj = _cluster_links(spec).to_scipy().tocsr()
-    return [adj[rows][:, cols] for rows, cols in blocks]
+def _cluster_blocks(adj, *blocks):
+    """Dense blocks A_d[rows, cols], one per (rows, cols) pair of id lists,
+    all read from the `engine.Csc` arrays `adj` of A_d."""
+    out = []
+    for rows, cols in blocks:
+        at = np.full(adj.shape[0], -1)
+        at[rows] = np.arange(len(rows))
+        row, k, values = engine._csc_entries(adj, np.asarray(cols, dtype=np.intp))
+        inside = at[row] >= 0
+        block = np.zeros((len(rows), len(cols)))
+        block[at[row[inside]], k[inside]] = values[inside]
+        out.append(block)
+    return out
+
+
+def _kept_gram(adj, p_nodes, kept):
+    """(gram, p_adjacent): `engine.Csc` arrays of B^T B for the incidence B
+    of the `p_nodes` to the `kept` nodes, with every diagonal entry stored,
+    and whether any two p-nodes are adjacent, read from the `engine.Csc`
+    arrays `adj` of A_d.
+
+    Entry (k, l) counts the p-nodes adjacent to both kept modes k and l,
+    summed from the ordered pairs of kept neighbours of each p-node by
+    their sorted keys.
+    """
+    n = len(kept)
+    at = np.full(adj.shape[0], -1)
+    at[kept] = np.arange(n)
+    node, p_index, _ = engine._csc_entries(adj, np.asarray(p_nodes, dtype=np.intp))
+    is_p = np.zeros(adj.shape[0], dtype=bool)
+    is_p[p_nodes] = True
+    mode = at[node]
+    p_index, mode = p_index[mode >= 0], mode[mode >= 0]
+    # table[p, slot]: the kept neighbours of p-node p, padded with -1
+    degree = np.bincount(p_index, minlength=len(p_nodes))
+    table = np.full((len(p_nodes), degree.max(initial=0)), -1)
+    table[p_index, np.arange(mode.size) - np.repeat(np.cumsum(degree) - degree, degree)] = mode
+    row, col = np.broadcast_arrays(table[:, :, None], table[:, None, :])
+    pair = (row >= 0) & (col >= 0)
+    pairs = col[pair] * n + row[pair]
+    key = engine._sorted_distinct(np.concatenate([pairs, np.arange(n) * (n + 1)]))
+    count = np.bincount(np.searchsorted(key, pairs), minlength=key.size).astype(float)
+    return engine.Csc.from_keys(key, n, count), bool(is_p[node].any())
 
 
 def cluster_adjacency(spec):
@@ -246,8 +274,7 @@ def kept_mode_adjacency(spec):
     diagonal torus identification.
     """
     _, p_nodes, kept = measurement_pattern(spec)
-    inc = _cluster_blocks(spec, (p_nodes, kept))[0]
-    return _off_diagonal_support((inc.T @ inc).toarray())
+    return _off_diagonal_support(_kept_gram(_cluster_links(spec), p_nodes, kept)[0].toarray())
 
 
 def map_cluster_to_surface(spec):
@@ -260,9 +287,10 @@ def map_cluster_to_surface(spec):
 
     On planar grids and even tori no two p-nodes are adjacent, and then no
     two kept nodes are: Z_PP = i s^-2 I, and Z' = i U with V = 0 and the
-    sparse U = s^-2 I + s^2 B^T B, B the p-to-kept incidence.  U is positive
-    definite by construction, with no eigvalsh: spec(B^T B) lies in [0,
-    ||B||_1 ||B||_inf] = [0, 2 * 4].  On odd tori p-nodes wrap into
+    sparse U = s^-2 I + s^2 B^T B, B the p-to-kept incidence, summed from
+    the pairs of kept neighbours of each p-node (`_kept_gram`).  U is
+    positive definite by construction, with no eigvalsh: spec(B^T B) lies
+    in [0, ||B||_1 ||B||_inf] = [0, 2 * 4].  On odd tori p-nodes wrap into
     adjacency, and the complement is solved dense.
 
     Returns
@@ -277,24 +305,24 @@ def map_cluster_to_surface(spec):
     eps = spec.s ** -2
     if eps < engine.PIVOT_TOL:
         raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
-    import scipy.sparse as sp  # slow to import, and the even-torus route never needs it
-
-    b, a_pp, a_kk = _cluster_blocks(spec, (p_nodes, kept), (p_nodes, p_nodes), (kept, kept))
-    if not a_pp.nnz:
-        gram = (b.T @ b).tocsc()
+    adj = _cluster_links(spec)
+    gram, p_adjacent = _kept_gram(adj, p_nodes, kept)
+    if not p_adjacent:
         weight = 1.0 / eps  # s^2 as the dense solve divides it out
-        u = eps * sp.identity(len(kept), format="csc") + weight * gram
+        on_diagonal = gram.indices == gram.columns()
+        data = weight * gram.data
+        data[on_diagonal] += eps
         # spec(U) lies in [min D, max D + 8 s^2] for the diagonal D = U - s^2
         # B^T B of the stored entries: s^-2, or 0 where s^-2 rounded away,
         # and then U fails as singular
-        lam = u.diagonal() - weight * gram.diagonal()
-        return GaussGraph._with_extremes(engine.Csc.from_scipy(u), lam.min(initial=np.inf),
+        lam = data[on_diagonal] - weight * gram.data[on_diagonal]
+        u = engine.Csc(gram.indptr, gram.indices, data)
+        return GaussGraph._with_extremes(u, lam.min(initial=np.inf),
                                          lam.max(initial=-np.inf) + 8 * weight), index_map
-    z_pk = b.toarray()
-    z_pp = a_pp.toarray() + 1j * eps * np.eye(len(p_nodes))
+    z_pk, a_pp, a_kk = _cluster_blocks(adj, (p_nodes, kept), (p_nodes, p_nodes), (kept, kept))
+    z_pp = a_pp + 1j * eps * np.eye(len(p_nodes))
     try:
-        z_new = (a_kk.toarray() + 1j * eps * np.eye(len(kept))
-                 - z_pk.T @ np.linalg.solve(z_pp, z_pk))
+        z_new = a_kk + 1j * eps * np.eye(len(kept)) - z_pk.T @ np.linalg.solve(z_pp, z_pk)
     except np.linalg.LinAlgError as exc:
         raise SingularPivotError("Z_PP is singular: %s" % exc) from exc
     # the solve leaves Z' symmetric only to rounding
@@ -353,8 +381,7 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        b, a_qk = (block.toarray() for block in
-                   _cluster_blocks(spec, (p_nodes, kept), (q_nodes, kept)))
+        b, a_qk = _cluster_blocks(_cluster_links(spec), (p_nodes, kept), (q_nodes, kept))
         # the N/S edges of a face are the kept sites on rows of vertices
         self.vertex_incidence = b
         self.face_incidence = np.where(np.array(kept) // spec.cols % 2 == 0, a_qk, -a_qk)

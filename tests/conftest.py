@@ -5,7 +5,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import settings
 
 import gausstopo as gt
@@ -76,30 +75,27 @@ def star_pipeline_graph(s):
 
 @pytest.fixture
 def factor_counts(monkeypatch):
-    """Live {"factor": n, "solve": n} counts of the sparse LU factorizations
-    of U and of the solves with those factors, made after the fixture runs.
-    The first 2 x 2-cell U^-1 column build of an even torus adds a "cell"
-    count, so a state that builds none compares as before."""
+    """Live {"factor": n, "solve": n} counts of the block Cholesky
+    factorizations of U and of the solves with those factors, made after
+    the fixture runs.  The first 2 x 2-cell U^-1 column build of an even
+    torus adds a "cell" count, so a state that builds none compares as
+    before."""
     counts = {"factor": 0, "solve": 0}
-    splu = spla.splu
     cell_columns = engine._cell_columns
 
-    class CountedFactor:
-        def __init__(self, lu):
-            self._lu = lu
+    class CountedFactor(engine.BlockCholesky):
+        def __init__(self, u):
+            counts["factor"] += 1
+            super().__init__(u)
 
-        def solve(self, *args, **kwargs):
+        def solve(self, rhs):
             counts["solve"] += 1
-            return self._lu.solve(*args, **kwargs)
-
-    def counted(*args, **kwargs):
-        counts["factor"] += 1
-        return CountedFactor(splu(*args, **kwargs))
+            return super().solve(rhs)
 
     def counted_cell(*args, **kwargs):
         counts["cell"] = counts.get("cell", 0) + 1
         return cell_columns(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counted)
+    monkeypatch.setattr(engine, "BlockCholesky", CountedFactor)
     monkeypatch.setattr(engine, "_cell_columns", counted_cell)
     return counts

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ class TestBounds:
         assert code == 0
         assert json.loads(stdout)["n_violations"] == 0
 
+    @pytest.mark.parametrize("log_s", ["-3", "-4", "-8", "-10"])
+    def test_weak_squeezing_has_no_noise_violations(self, capsys, log_s):
+        # far correlations sink below the rounding of U^-1, and the envelope
+        # below that; the excess is noise, not a violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, _ = run(capsys, "bounds", "--rows", "12", "--cols", "12",
+                                  "--log-s=" + log_s)
+        assert code == cli.EXIT_OK
+        assert json.loads(stdout)["n_violations"] == 0
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.corr, "verify_bound",
                             lambda *a, **k: {"n_pairs": 1, "n_violations": 1,
@@ -189,6 +201,16 @@ class TestCorrelationsCmd:
         assert len(rows) >= 8
         record = json.loads(stdout)
         assert record["xi_a"] <= record["xi_b"]
+
+    @pytest.mark.parametrize("boundary", ["planar", "torus"])
+    def test_weak_squeezing_warns_nothing(self, capsys, boundary):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the planar closed form warns
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, _ = run(capsys, "correlations", "--rows", "12", "--cols", "12",
+                                  "--boundary", boundary, "--log-s=-10")
+        assert code == cli.EXIT_OK
+        assert len(stdout.splitlines()) > 2
 
     def test_one_wide_lattice_exits_validation(self, tmp_path, capsys):
         out = tmp_path / "corr.csv"
@@ -406,7 +428,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_blas_thread_count_invariance(self, tmp_path):
-        # the KP path (SuperLU factor of U, small boundary eigensolves) prints the
+        # the KP path (2 x 2-cell FFT of U, small boundary eigensolves) prints the
         # same bits under 1 and 2 BLAS threads; the gate leaves room for last digits
         argv = ["sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
                 "--log-s-max", "3.2", "--steps", "4", "--kappas", "1,2,10",
@@ -536,12 +558,36 @@ kp = gt.kp_regions(spec)
 print(gt.tee_kp(cov, kp), gt.tln_kp(cov, kp), gt.tmi(gt.thermal_scale(cov, 10.0), kp),
       gt.tmi_lower_bound(cov, kp))
 """
+# the pipeline_corr benchmark pass at its warm-up sizes
+PIPELINE_PASS = """import warnings
+from gausstopo import correlations, engine, lattice
+spec = lattice.LatticeSpec(4, 8, "torus", 1.0)
+graph, _ = lattice.map_cluster_to_surface(spec)
+graph.u_part, lattice.kept_mode_adjacency(spec)
+sg = lattice.SurfaceGraph(lattice.LatticeSpec(4, 4, "torus", 1.0))
+lattice.nullifier_commutators(lattice.nullifier_vectors(sg, 1.0))
+spec = lattice.LatticeSpec(20, 20, "planar", 3.2)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    cov = engine.covariance_from_graph(lattice.surface_code_graph_analytic(spec))
+print(correlations.fit_correlation_length(*correlations.axis_samples(cov, spec, 13)),
+      correlations.area_law_fit(cov, spec))
+spec = lattice.LatticeSpec(8, 8, "torus", 1.0)
+cov = engine.covariance_from_graph(lattice.surface_code_graph_analytic(spec))
+print(correlations.verify_bound(cov, spec))
+"""
+PLANAR = ("--rows", "12", "--cols", "12", "--boundary", "planar")
+
+
+def imports_scipy(imported):
+    return {name for name in imported if name.split(".")[0] == "scipy"}
 
 
 class TestStartUp:
-    """The even-torus route reads U from numpy CSC arrays and never imports
-    scipy; the routes that need a factor, a sparse product or a fit import
-    it when they run."""
+    """No route imports scipy: the even-torus route reads U from numpy CSC
+    arrays and takes U^-1 from an FFT, the planar, pipeline and JSON routes
+    take a numpy block Cholesky factor, and the fit is a numpy
+    Levenberg-Marquardt."""
 
     @pytest.mark.parametrize("argv", [
         ("-c", "import gausstopo"),
@@ -556,17 +602,32 @@ class TestStartUp:
         done, imported = run_fresh(tmp_path, *argv)
         assert done.returncode == cli.EXIT_OK, done.stderr
         assert "numpy" in imported  # the import record was read
-        assert not {name for name in imported if name.split(".")[0] == "scipy"}
+        assert not imports_scipy(imported)
 
-    @pytest.mark.parametrize("argv,needs", [
-        (("tee", "--rows", "12", "--cols", "12", "--boundary", "planar"), "scipy.sparse.linalg"),
-        (("map", *TORUS, "--out", "state.json"), "scipy.sparse"),
-        (("build", "--kind", "surface-pipeline", "--rows", "8", "--cols", "6",
-          "--boundary", "planar", "--out", "state.json"), "scipy.sparse"),
-        (("correlations", "--rows", "20", "--cols", "20", "--boundary", "planar", "--fit"),
-         "scipy.optimize"),
-    ], ids=["planar-tee", "map", "build-pipeline", "correlations-fit"])
-    def test_scipy_routes_import_it_when_run(self, tmp_path, argv, needs):
-        done, imported = run_fresh(tmp_path, "-m", "gausstopo", *argv)
+    @pytest.mark.parametrize("argv", [
+        ("-m", "gausstopo", "tee", *PLANAR),
+        ("-m", "gausstopo", "map", *TORUS, "--out", "state.json"),
+        ("-m", "gausstopo", "build", "--kind", "surface-pipeline", "--rows", "8", "--cols", "6",
+         "--boundary", "planar", "--out", "state.json"),
+        ("-m", "gausstopo", "correlations", "--rows", "20", "--cols", "20", "--boundary",
+         "planar", "--fit"),
+        ("-m", "gausstopo", "correlations", *PLANAR),
+        ("-m", "gausstopo", "bounds", *PLANAR),
+        ("-c", PIPELINE_PASS),
+    ], ids=["planar-tee", "map", "build-pipeline", "correlations-fit", "planar-correlations",
+            "bounds", "library-pipeline"])
+    def test_planar_pipeline_fit_routes_never_import_scipy(self, tmp_path, argv):
+        done, imported = run_fresh(tmp_path, *argv)
         assert done.returncode == cli.EXIT_OK, done.stderr
-        assert needs in imported
+        assert "numpy" in imported  # the import record was read
+        assert not imports_scipy(imported)
+
+    def test_package_source_has_no_scipy_import(self):
+        sources = [os.path.join(folder, name)
+                   for folder, _, names in os.walk(os.path.join(SRC, "gausstopo"))
+                   for name in names if name.endswith(".py")]
+        assert len(sources) > 5
+        for path in sources:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert "import scipy" not in text and "from scipy" not in text, path

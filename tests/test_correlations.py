@@ -2,13 +2,14 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import gausstopo as gt
 from gausstopo import correlations as corr
 from gausstopo import engine
-from gausstopo.errors import UnsupportedStateError, ValidationError
+from gausstopo.errors import FitFailedError, UnsupportedStateError, ValidationError
 
 
 class TestDMSBound:
@@ -23,6 +24,16 @@ class TestDMSBound:
     def test_length_grows_with_squeezing(self):
         xis = [corr.dms_bound(np.exp(ls)).xi for ls in (0.0, 1.0, 3.0)]
         assert xis[0] < xis[1] < xis[2]
+
+    @pytest.mark.parametrize("log_s", [-4.0, -8.0, -9.0, -10.0, 0.0, 3.0])
+    def test_length_against_mpmath(self, log_s):
+        # root - 1 cancels for 8 s^4 below eps; the bound takes it as
+        # 8 s^4 / (root + 1)
+        s = float(np.exp(log_s))
+        with mpmath.workdps(50):
+            root = mpmath.sqrt(8 * mpmath.mpf(s) ** 4 + 1)
+            exact = 2 / mpmath.log((root + 1) / (root - 1))
+            assert abs(corr.dms_bound(s).xi - exact) <= 1e-13 * exact
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValidationError):
@@ -103,6 +114,30 @@ class TestVerifyBound:
             if corr.graph_distance(spec, i, j) >= 3)
         assert report["n_pairs"] == expected
 
+    @pytest.mark.parametrize("log_s", [-3.0, -4.0, -8.0])
+    def test_rounding_noise_is_no_violation(self, surface_state, log_s):
+        # the envelope falls below the rounding of the far U^-1 entries
+        spec, cov = surface_state(12, 12, log_s)
+        report = corr.verify_bound(cov, spec)
+        assert report["n_violations"] == 0 and report["max_violation"] == 0.0
+        assert report["noise_floor"] == pytest.approx(
+            8 * np.finfo(float).eps * (1 + 8 * spec.s ** 4) * np.abs(cov.q_block).max() * 2)
+
+    def test_halved_envelope_is_violated(self, surface_state, monkeypatch):
+        # the noise floor hides no real excess.  The DMS envelope sits above
+        # every pair by a factor of about 15 here, so scale it down to the
+        # tightest envelope the correlations meet, then halve that
+        spec, cov = surface_state(12, 12, 1.0)
+        bound = corr.dms_bound(spec.s)
+        tightest = corr.verify_bound(cov, spec)["max_ratio"]
+        assert 0 < tightest < 1
+        halved = corr.CorrelationBound(0.5 * tightest * bound.c_const, bound.xi,
+                                       bound.a_spec, bound.b_spec)
+        monkeypatch.setattr(corr, "dms_bound", lambda s: halved)
+        report = corr.verify_bound(cov, spec)
+        assert report["n_violations"] > 0
+        assert report["max_violation"] > 1e6 * report["noise_floor"]
+
     def test_thermal_scaling(self, surface_state):
         spec, cov = surface_state(12, 12, 1.0)
         report = corr.verify_bound(engine.thermal_scale(cov, 5.0), spec)
@@ -131,6 +166,29 @@ class TestAxisSamples:
             corr.axis_samples(cov, spec, axis=axis)
 
 
+def fit_oracle(d, y):
+    """(xi_a, xi_b, residual) of scipy's least_squares on the variable
+    projection residual in raw xi, from the same start."""
+    from scipy.optimize import least_squares
+
+    def resid(xi):
+        basis = np.column_stack([np.exp(-d / xi[0]), np.exp(-d / xi[1])])
+        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        return np.log(np.clip(basis @ coef, 1e-300, None)) - np.log(y)
+
+    sol = least_squares(resid, [0.5, 3.0], max_nfev=500)
+    assert sol.success
+    return (*sorted(sol.x), float(np.sqrt(np.mean(sol.fun ** 2))))
+
+
+def fit_samples(rows, cols, boundary, log_s, max_separation=None):
+    spec = gt.LatticeSpec(rows, cols, boundary, log_s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the planar closed form warns
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+    return corr.axis_samples(cov, spec, max_separation=max_separation)
+
+
 class TestFit:
     def test_synthetic_round_trip(self):
         d = np.arange(1.0, 13.0)
@@ -156,6 +214,40 @@ class TestFit:
         seps, vals = corr.axis_samples(cov, spec)
         _, _, _, xi_b, _ = corr.fit_correlation_length(seps, vals)
         assert xi_b <= corr.dms_bound(spec.s).xi
+
+    @pytest.mark.parametrize("data", ["synthetic", "criterion-7", "torus-20"])
+    def test_matches_least_squares(self, data):
+        if data == "synthetic":
+            d = np.arange(1.0, 13.0)
+            samples = d, 0.8 * np.exp(-d / 0.4) + 0.05 * np.exp(-d / 2.5)
+        elif data == "criterion-7":
+            samples = fit_samples(36, 36, "planar", 3.2, max_separation=13)
+        else:
+            samples = fit_samples(20, 20, "torus", 1.0)
+        _, xi_a, _, xi_b, residual = corr.fit_correlation_length(*samples)
+        oracle = fit_oracle(*samples)
+        assert (xi_a, xi_b) == pytest.approx(oracle[:2], rel=1e-7, abs=0)
+        assert residual == pytest.approx(oracle[2], rel=1e-7, abs=1e-10)
+
+    @pytest.mark.parametrize("log_s", [3.15, 3.2, 3.25])
+    def test_degenerate_data_stops_on_the_diagonal(self, log_s):
+        # the 20 x 20 planar samples have no two-length fit: both fits stop
+        # with xi_a ~ xi_b at the same misfit, and this one stays positive
+        samples = fit_samples(20, 20, "planar", log_s, max_separation=13)
+        fit = corr.fit_correlation_length(*samples)
+        assert np.all(np.isfinite(fit))
+        xi_a, xi_b, residual = fit_oracle(*samples)
+        assert 0 < fit[1] <= fit[3]
+        assert (fit[1], fit[3]) == pytest.approx((xi_a, xi_b), rel=1e-4)
+        assert fit[4] == pytest.approx(residual, rel=1e-9)
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        samples = fit_samples(36, 36, "planar", 3.2, max_separation=13)
+        assert corr._FIT_EVALUATIONS == 500
+        monkeypatch.setattr(corr, "_FIT_EVALUATIONS", 10)
+        with pytest.raises(FitFailedError, match="10 evaluations") as failed:
+            corr.fit_correlation_length(*samples)
+        assert failed.value.residuals.shape == samples[0].shape
 
 
 class TestAreaLaw:

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from gausstopo import engine, lattice
@@ -414,6 +413,27 @@ class TestLogNegativity:
         plain = engine.CovMatrix(cov.gamma, kappa=kappa)
         assert value == pytest.approx(engine.log_negativity(plain, region), abs=1e-10)
 
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9), kappa=st.floats(1.0, 20.0))
+    def test_unmarked_matches_generalized_eigensolve(self, seed, n, kappa):
+        # the Cholesky form of the unmarked oracle against scipy's
+        # generalized symmetric eigensolve of (M 2Q M, M), M = mu 2P mu
+        import scipy.linalg as sla
+
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        pure = engine.covariance_from_graph(engine.GaussGraph(None, m @ m.T + 0.5 * np.eye(n)))
+        plain = engine.CovMatrix(engine.thermal_scale(pure, kappa).gamma, kappa=kappa)
+        region = np.flatnonzero(rng.random(n) < 0.5).tolist() or [int(rng.integers(n))]
+        if len(region) == n:
+            region = region[1:]
+        mu = np.ones(n)
+        mu[region] = -1.0
+        mpm = mu[:, None] * (2.0 * plain.p_block) * mu[None, :]
+        lam = sla.eigvalsh(mpm @ (2.0 * plain.q_block) @ mpm, mpm)
+        expected = float(-0.5 * np.sum(np.log2(np.clip(lam[lam < 1.0], 1e-300, 1.0))))
+        assert engine.log_negativity(plain, region) == pytest.approx(expected, abs=1e-10)
+
     def test_thermal_product_state_zero(self):
         cov = engine.thermal_scale(engine.CovMatrix(0.5 * np.eye(8)), 2.0)
         assert engine.log_negativity(cov, [0, 2]) == 0.0
@@ -484,7 +504,7 @@ class TestThermalScale:
 
 
 class TestFactoredState:
-    """A V = 0 covariance holds U and its sparse LU factor, not gamma."""
+    """A V = 0 covariance holds U and its block Cholesky factor, not gamma."""
 
     @pytest.mark.parametrize("kappa", [1.0, 3.0])
     def test_blocks_built_on_first_read(self, kappa):
@@ -535,9 +555,9 @@ class TestFactoredState:
 
     def test_failed_factorization_is_numerical(self, monkeypatch):
         def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(engine.GaussGraph(None, np.eye(2)))
 
@@ -591,6 +611,105 @@ class TestTorusCells:
         graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 1.0))
         monkeypatch.setattr(np.linalg, "inv", singular)
         with pytest.raises(IllConditionedGraphError):
+            engine.covariance_from_graph(graph)
+
+
+def factored_u(kind, rows, cols, log_s):
+    """A V = 0 graph of the given kind that takes the block Cholesky route."""
+    if kind == "planar":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            return lattice.surface_code_graph_analytic(
+                lattice.LatticeSpec(rows, cols, "planar", log_s))
+    if kind == "pipeline-planar":
+        return lattice.map_cluster_to_surface(lattice.LatticeSpec(rows, cols, "planar", log_s))[0]
+    if kind == "pipeline-torus":
+        spec = lattice.LatticeSpec(2 * (rows // 2 + 2), 2 * (cols // 2 + 2), "torus", log_s)
+        return lattice.map_cluster_to_surface(spec)[0]
+    if kind == "json-torus":
+        spec = lattice.LatticeSpec(2 * (rows // 2 + 2), 2 * (cols // 2 + 2), "torus", log_s)
+        return engine.GaussGraph.from_json(lattice.surface_code_graph_analytic(spec).to_json())
+    # diagonal: every mode its own connected component
+    return engine.GaussGraph(None, np.diag(np.exp(np.linspace(-abs(log_s), abs(log_s), rows * cols))))
+
+
+class TestBlockCholesky:
+    """Every V = 0 state off an even torus serves U^-1 from one numpy block
+    Cholesky factor of U."""
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["planar", "pipeline-planar", "pipeline-torus", "json-torus",
+                                 "diagonal"]),
+           rows=st.integers(1, 12), cols=st.integers(1, 12), log_s=st.floats(-2.0, 3.25),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_inverse(self, kind, rows, cols, log_s, seed):
+        graph = factored_u(kind, rows, cols, log_s)
+        n = graph.n_modes
+        if n == 0:
+            return  # a 1 x 1 planar pipeline keeps no mode
+        cov = engine.covariance_from_graph(graph)
+        assert isinstance(cov._factor, engine.BlockCholesky)
+        u = graph.u_part
+        inverse = np.linalg.inv(u)
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(u) * np.abs(inverse).max()
+        rng = np.random.default_rng(seed)
+        sets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(2)]
+        assert np.abs(cov._u_inv(*sets) - inverse[np.ix_(*sets)]).max() <= tol
+        assert np.abs(cov._factor.solve(np.eye(n)) - inverse).max() <= tol
+
+    @pytest.mark.parametrize("rows,cols,natural", [
+        (36, 36, True), (12, 12, True), (12, 5, False), (5, 12, False), (1, 9, True)])
+    def test_order_is_the_cheaper_one(self, rows, cols, natural):
+        # natural order cut every bandwidth modes (cols + 1 on a planar grid
+        # of two rows or more) or the level sets, by the sum of cubed sizes
+        u = factored_u("planar", rows, cols, 1.0)._u_csc
+        n = rows * cols
+        width = cols + 1 if rows > 1 else 1
+        cut = [width] * (n // width) + [n % width] * (n % width > 0)
+        levels = [level.size for level in engine._level_sets(u, np.inf)]
+        perm, sizes = engine._block_order(u)
+        cost = (np.array(cut) ** 3).sum(), (np.array(levels) ** 3).sum()
+        assert (cost[0] <= cost[1]) == natural
+        assert sizes.tolist() == (cut if natural else levels)
+        assert np.array_equal(perm, np.arange(n)) or not natural
+        assert np.array_equal(np.sort(perm), np.arange(n))
+
+    def test_json_torus_takes_level_sets(self, factor_counts):
+        # a 36 x 36 torus read back from JSON has bandwidth N - 1, but 19
+        # level sets of at most 136 modes; no N x N block is built
+        graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(36, 36, "torus", 2.0))
+        loaded = engine.GaussGraph.from_json(graph.to_json())
+        u = loaded._u_csc if loaded._u_csc is not None else engine.Csc.from_dense(loaded.u_part)
+        assert np.abs(u.indices - u.columns()).max() == 1295
+        perm, sizes = engine._block_order(u)
+        assert sizes.size == 19 and sizes.max() == 136
+        assert np.array_equal(np.sort(perm), np.arange(1296))
+        torus, factored = engine.covariance_from_graph(graph), engine.covariance_from_graph(loaded)
+        assert max(block.shape[0] for block in factored._factor._inv) == 136
+        region = [0, 1, 2, 36, 37, 38, 73, 700]
+        block = torus._u_inv(region, np.arange(1296))
+        tol = 16 * np.finfo(float).eps * graph._cond * np.abs(block).max()
+        assert np.abs(block - factored._u_inv(region, np.arange(1296))).max() <= tol
+        assert factor_counts == {"factor": 1, "solve": 1, "cell": 1}
+
+    def test_disconnected_u_restarts_levels(self):
+        # two components, each a path, joined in no order: the level sets
+        # restart at the lowest mode not yet reached
+        u = np.eye(6) * 4.0
+        for i, j in [(0, 4), (4, 2), (1, 5), (5, 3)]:
+            u[i, j] = u[j, i] = 1.0
+        csc = engine.Csc.from_dense(u)
+        levels = engine._level_sets(csc, np.inf)
+        assert [level.tolist() for level in levels] == [[0], [4], [2], [1], [5], [3]]
+        cov = engine.covariance_from_graph(engine.GaussGraph(None, u))
+        assert np.allclose(cov._factor.solve(np.eye(6)), np.linalg.inv(u), rtol=0, atol=1e-15)
+
+    def test_indefinite_block_is_numerical(self):
+        # a U whose builder claimed a wrong spectrum: the block Cholesky
+        # fails, and that is a numerical failure
+        u = engine.Csc.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        graph = engine.GaussGraph._with_extremes(u, 1.0, 3.0)
+        with pytest.raises(IllConditionedGraphError, match="block Cholesky"):
             engine.covariance_from_graph(graph)
 
 
