@@ -95,6 +95,14 @@ def verify_bound(cov, spec):
     the envelope falls below that floor, the computed correlations are
     rounding noise.  Violations are reported, not raised.
 
+    The pairs are read as columns `sources` of the q block, each column
+    standing for `weight` columns of it.  On an even torus held as its two
+    cell columns of U^-1, a translation that keeps U takes every pair (i, j)
+    to a pair (i', 0) or (i', 1), by the parity of j, with the same distance
+    and the same <q q> (`CovMatrix._u_inv` serves U^-1 this way): two
+    sources of weight N/2 give every count, maximum and floor at O(N) cost.
+    Any other state reads all N columns of its q block.
+
     Returns
     -------
     dict with keys n_pairs, n_violations, max_violation (the largest excess
@@ -105,20 +113,28 @@ def verify_bound(cov, spec):
     n = cov.n_modes
     if n != spec.n_nodes:
         raise ValidationError("state size does not match the mode grid")
+    if (cov._cell is not None and spec.boundary == "torus"
+            and cov._cell[1] == (spec.rows, spec.cols)):
+        sources, weight = np.arange(2), n // 2
+        # the two columns of q_block: 0.5 kappa (U^-1 + U^-1^T) / 2, as it symmetrizes
+        u_inv = cov._u_inv(slice(None), sources) + cov._u_inv(sources, np.arange(n)).T
+        corr = np.abs(0.5 * cov.kappa * (0.5 * u_inv))
+    else:
+        sources, weight = np.arange(n), 1
+        corr = np.abs(cov.q_block)
     x, y = np.divmod(np.arange(n), spec.cols)
     dist = np.maximum(*wrapped_offsets(spec.rows, spec.cols, spec.boundary,
-                                       (x[:, None], y[:, None]), (x, y)))
+                                       (x[:, None], y[:, None]), (x[sources], y[sources])))
     mask = dist > 2
-    corr = np.abs(cov.q_block)
     bound = dms_bound(spec.s)
     envelope = cov.kappa * bound.envelope(dist)
     floor = 16 * np.finfo(float).eps * (bound.b_spec / bound.a_spec) * corr.max(initial=0.0)
     excess = np.where(mask, corr - envelope, -np.inf)
-    n_viol = int(np.count_nonzero(excess > floor))
+    n_viol = int(np.count_nonzero(excess > floor)) * weight
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mask & (envelope > 0), corr / envelope, 0.0)
     return {
-        "n_pairs": int(np.count_nonzero(mask)) // 2,
+        "n_pairs": int(np.count_nonzero(mask)) * weight // 2,
         "n_violations": n_viol // 2,
         "max_violation": float(excess.max()) if n_viol else 0.0,
         "max_ratio": float(ratio.max()),

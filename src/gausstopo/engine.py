@@ -296,11 +296,11 @@ class CovMatrix:
         if self._cell is None:
             row_ids = np.arange(self.n_modes)[rows]
             by_rows = row_ids.size < cols.size
-            ids = row_ids if by_rows else cols
+            ids, wanted = (row_ids, cols) if by_rows else (cols, row_ids)
             rhs = np.zeros((self.n_modes, ids.size))
             rhs[ids, np.arange(ids.size)] = 1.0
-            solved = self._factor.solve(rhs)
-            return solved[cols].T if by_rows else solved[rows]
+            solved = self._factor.solve(rhs, wanted)
+            return solved.T if by_rows else solved
         columns, (n_rows, n_cols) = self._cell
         r_i, c_i = np.divmod(np.arange(self.n_modes)[rows], n_cols)
         r_j, c_j = np.divmod(cols, n_cols)
@@ -349,6 +349,29 @@ class CovMatrix:
         if self._u is None:
             return self.q_block[:, cols]
         return 0.5 * self.kappa * self._u_inv(slice(None), cols)
+
+    def gamma_block(self, ids):
+        """gamma[ids, ids] for distinct `ids` over the (q.., p..) ordering.  A
+        U-native state reads its q part from `_u_inv`, symmetrized and scaled
+        as `q_block` is, and its p part from the stored entries of U, and
+        builds no N x N block."""
+        ids = np.asarray(ids, dtype=int)
+        if self._u is None:
+            return self.gamma[np.ix_(ids, ids)]
+        n = self.n_modes
+        q = ids < n
+        block = np.zeros((ids.size, ids.size))
+        u_inv = self._u_inv(ids[q], ids[q])
+        block[np.ix_(q, q)] = 0.5 * self.kappa * (0.5 * (u_inv + u_inv.T))
+        p = ids[~q] - n
+        at = np.full(n, -1)
+        at[p] = np.arange(p.size)
+        rows, k, values = _csc_entries(self._u, p)
+        inside = at[rows] >= 0
+        u_p = np.zeros((p.size, p.size))
+        u_p[at[rows[inside]], k[inside]] = values[inside]
+        block[np.ix_(~q, ~q)] = 0.5 * self.kappa * u_p
+        return block
 
 
 class SymplecticSpectrum:
@@ -532,7 +555,7 @@ class BlockCholesky:
         flat = np.zeros(square.sum() + below.sum())
         flat[at[keep]] = u.data[keep]
 
-        self._perm, self._bounds = perm, bounds
+        self._perm, self._position, self._bounds = perm, position, bounds
         self._inv, self._sub = [], []  # L_k^-1 and L_{k+1,k}
         try:
             for k, size in enumerate(sizes):
@@ -546,23 +569,28 @@ class BlockCholesky:
         except np.linalg.LinAlgError:
             raise IllConditionedGraphError("block Cholesky factorization of U failed") from None
 
-    def solve(self, rhs):
-        """U^-1 rhs for an (N, k) array `rhs`: a forward sweep with L and a
-        backward sweep with L^T over the blocks."""
+    def solve(self, rhs, rows=None):
+        """U^-1 rhs for an (N, k) array `rhs`, or its rows `rows` only: a
+        forward sweep with L and a backward sweep with L^T over the blocks.
+        The forward sweep starts at the first block that holds a nonzero row
+        of `rhs`, as the blocks before it stay 0, and the backward sweep
+        stops at the first block that holds a row of `rows`."""
         x = rhs[self._perm]
-        blocks = [slice(a, b) for a, b in zip(self._bounds[:-1], self._bounds[1:])]
-        for k, rows in enumerate(blocks):
-            if k:
-                x[rows] -= self._sub[k - 1] @ x[blocks[k - 1]]
-            x[rows] = self._inv[k] @ x[rows]
-        for k in range(len(blocks) - 1, -1, -1):
-            rows = blocks[k]
+        bounds = self._bounds
+        blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        nonzero = np.flatnonzero(x.any(axis=1))
+        first = np.searchsorted(bounds, nonzero.min(initial=bounds[-1]), "right") - 1
+        for k in range(first, len(blocks)):
+            if k > first:
+                x[blocks[k]] -= self._sub[k - 1] @ x[blocks[k - 1]]
+            x[blocks[k]] = self._inv[k] @ x[blocks[k]]
+        at = self._position if rows is None else self._position[rows]
+        last = np.searchsorted(bounds, at.min(initial=bounds[-1]), "right") - 1
+        for k in range(len(blocks) - 1, last - 1, -1):
             if k + 1 < len(blocks):
-                x[rows] -= self._sub[k].T @ x[blocks[k + 1]]
-            x[rows] = self._inv[k].T @ x[rows]
-        out = np.empty_like(x)
-        out[self._perm] = x
-        return out
+                x[blocks[k]] -= self._sub[k].T @ x[blocks[k + 1]]
+            x[blocks[k]] = self._inv[k].T @ x[blocks[k]]
+        return x[at]
 
 
 def covariance_from_graph(graph, cond_threshold=1e12):

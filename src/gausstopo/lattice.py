@@ -502,9 +502,12 @@ def nullifier_commutators(ns):
 
 
 def nullifier_expectation(cov, vec):
-    """<eta^dagger eta> on the state, from Gamma + (i/2) Omega."""
+    """<eta^dagger eta> on the state, from Gamma + (i/2) Omega; Gamma is read
+    on the support of eta only (`CovMatrix.gamma_block`)."""
     vec_bar = np.conj(vec)
-    return float(np.real(vec_bar @ cov.gamma @ vec + 0.5 * _bracket(vec_bar, vec)))
+    support = np.flatnonzero(vec)
+    quadratic = vec_bar[support] @ cov.gamma_block(support) @ vec[support]
+    return float(np.real(quadratic + 0.5 * _bracket(vec_bar, vec)))
 
 
 def w_closed_form(d, s):

@@ -88,9 +88,9 @@ def factor_counts(monkeypatch):
             counts["factor"] += 1
             super().__init__(u)
 
-        def solve(self, rhs):
+        def solve(self, rhs, rows=None):
             counts["solve"] += 1
-            return super().solve(rhs)
+            return super().solve(rhs, rows)
 
     def counted_cell(*args, **kwargs):
         counts["cell"] = counts.get("cell", 0) + 1

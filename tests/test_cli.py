@@ -180,6 +180,14 @@ class TestBounds:
         assert code == cli.EXIT_OK
         assert json.loads(stdout)["n_violations"] == 0
 
+    def test_large_torus(self, capsys):
+        # 8337408 pairs, read from the two cell columns of U^-1
+        code, stdout, _ = run(capsys, "bounds", "--rows", "64", "--cols", "64",
+                              "--log-s", "1")
+        assert code == cli.EXIT_OK
+        report = json.loads(stdout)
+        assert report["n_pairs"] == 8337408 and report["n_violations"] == 0
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.corr, "verify_bound",
                             lambda *a, **k: {"n_pairs": 1, "n_violations": 1,

@@ -143,6 +143,39 @@ class TestVerifyBound:
         report = corr.verify_bound(engine.thermal_scale(cov, 5.0), spec)
         assert report["n_violations"] == 0
 
+    @pytest.mark.parametrize("kappa", [1.0, 5.0])
+    @pytest.mark.parametrize("log_s", [-8.0, -4.0, -3.0, 0.5, 2.0, 3.25, 5.0])
+    @pytest.mark.parametrize("rows,cols", [(4, 4), (8, 12), (12, 12), (16, 6), (10, 20),
+                                           (20, 20)])
+    def test_translation_classes_match_all_pairs(self, surface_state, rows, cols, log_s,
+                                                 kappa):
+        # an even torus reads the two cell columns; a dense hand-built copy
+        # of the same state reads all N x N pairs
+        spec, cov = surface_state(rows, cols, log_s)
+        cov = engine.thermal_scale(cov, kappa)
+        report = corr.verify_bound(cov, spec)
+        assert report == corr.verify_bound(engine.CovMatrix(cov.gamma, kappa=cov.kappa), spec)
+
+    @pytest.mark.parametrize("rows,cols", [(12, 12), (8, 16)])
+    def test_translation_classes_count_violations(self, surface_state, monkeypatch, rows,
+                                                  cols):
+        spec, cov = surface_state(rows, cols, 1.0)
+        cov = engine.thermal_scale(cov, 1.0)
+        bound = corr.dms_bound(spec.s)
+        tight = corr.CorrelationBound(0.01 * bound.c_const, bound.xi,
+                                      bound.a_spec, bound.b_spec)
+        monkeypatch.setattr(corr, "dms_bound", lambda s: tight)
+        report = corr.verify_bound(cov, spec)
+        assert 0 < report["n_violations"] < report["n_pairs"]
+        assert report == corr.verify_bound(engine.CovMatrix(cov.gamma, kappa=cov.kappa), spec)
+
+    def test_even_torus_builds_no_block(self, surface_state):
+        spec, cov = surface_state(16, 16, 1.0)
+        cov = engine.thermal_scale(cov, 2.0)  # a copy with no block built
+        corr.verify_bound(cov, spec)
+        assert cov._cell is not None
+        assert cov._q is None and cov._gamma is None and cov._p is None
+
 
 class TestAxisSamples:
     def test_planar_truncates_at_boundary(self, surface_state):

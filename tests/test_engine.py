@@ -532,9 +532,9 @@ class TestFactoredState:
         widths = []
         solve = cov._factor.solve
 
-        def recorded(rhs):
+        def recorded(rhs, rows=None):
             widths.append(rhs.shape[1])
-            return solve(rhs)
+            return solve(rhs, rows)
 
         monkeypatch.setattr(cov._factor, "solve", recorded)
         n = graph.n_modes
@@ -703,6 +703,43 @@ class TestBlockCholesky:
         assert [level.tolist() for level in levels] == [[0], [4], [2], [1], [5], [3]]
         cov = engine.covariance_from_graph(engine.GaussGraph(None, u))
         assert np.allclose(cov._factor.solve(np.eye(6)), np.linalg.inv(u), rtol=0, atol=1e-15)
+
+    @staticmethod
+    def sweep_all_blocks(factor, rhs):
+        """U^-1 rhs from forward and backward sweeps over every block."""
+        x = rhs[factor._perm]
+        blocks = [slice(a, b) for a, b in zip(factor._bounds[:-1], factor._bounds[1:])]
+        for k, rows in enumerate(blocks):
+            if k:
+                x[rows] -= factor._sub[k - 1] @ x[blocks[k - 1]]
+            x[rows] = factor._inv[k] @ x[rows]
+        for k in range(len(blocks) - 1, -1, -1):
+            if k + 1 < len(blocks):
+                x[blocks[k]] -= factor._sub[k].T @ x[blocks[k + 1]]
+            x[blocks[k]] = factor._inv[k].T @ x[blocks[k]]
+        out = np.empty_like(x)
+        out[factor._perm] = x
+        return out
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(["planar", "pipeline-planar", "json-torus"]),
+           rows=st.integers(1, 12), cols=st.integers(1, 12), log_s=st.floats(-2.0, 3.25),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_trimmed_sweeps_are_exact(self, kind, rows, cols, log_s, seed):
+        # zero leading rows of rhs (in the factor's order) and a subset of
+        # the output rows: the skipped blocks change no row that is read
+        graph = factored_u(kind, rows, cols, log_s)
+        n = graph.n_modes
+        if n == 0:
+            return
+        factor = engine.covariance_from_graph(graph)._factor
+        rng = np.random.default_rng(seed)
+        rhs = rng.normal(size=(n, 3))
+        rhs[factor._perm[:int(rng.integers(0, n + 1))]] = 0.0
+        wanted = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        full = self.sweep_all_blocks(factor, rhs)
+        assert np.array_equal(factor.solve(rhs), full)
+        assert np.array_equal(factor.solve(rhs, wanted), full[wanted])
 
     def test_indefinite_block_is_numerical(self):
         # a U whose builder claimed a wrong spectrum: the block Cholesky

@@ -833,6 +833,24 @@ class TestNullifiers:
         for vec in ns.vertex_nullifiers + ns.face_nullifiers:
             assert abs(gt.nullifier_expectation(cov, vec)) < 1e-9
 
+    @pytest.mark.parametrize("boundary,shape", [("torus", (8, 8)), ("torus", (6, 10)),
+                                                ("planar", (5, 7))])
+    def test_u_native_expectation_builds_no_gamma(self, surface_state, boundary, shape):
+        # the cell columns (torus) or the factor (planar) serve Gamma on the
+        # support of each vector; the dense Gamma of a copy is the oracle
+        spec, cov = surface_state(*shape, 0.8, boundary)
+        cov = engine.thermal_scale(cov, 3.0)
+        dense = engine.CovMatrix(engine.thermal_scale(cov, 1.0).gamma, kappa=cov.kappa)
+        omega = engine.symplectic_form(cov.n_modes)
+        rng = np.random.default_rng(7)
+        for size in (1, 4, 9):
+            vec = np.zeros(2 * cov.n_modes, dtype=complex)
+            at = rng.choice(2 * cov.n_modes, size, replace=False)
+            vec[at] = rng.normal(size=size) + 1j * rng.normal(size=size)
+            ref = np.real(vec.conj() @ (dense.gamma + 0.5j * omega) @ vec)
+            assert gt.nullifier_expectation(cov, vec) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert cov._gamma is None and cov._q is None and cov._p is None
+
     def test_closed_form_values(self):
         assert lattice.w_closed_form(0, 2.0) == 1.0
         assert lattice.w_closed_form(1, 1.0) == pytest.approx(9 / 24)
