@@ -135,15 +135,16 @@ def cmd_tmi(args):
     return EXIT_OK
 
 
-def _sweep_point(spec_base, log_s, kappas, args):
+def _sweep_point(spec_base, log_s, kappas, args, regions):
     """Reports for one log s, one per kappa in `kappas`, sharing one
-    covariance and one set of KP spectra of the pure state."""
+    covariance and one set of KP spectra of the pure state.  `regions` is
+    the pair (KP regions, LW regions or None) the sweep built once."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
     graph = lattice.surface_code_graph_analytic(spec)
     cov_pure = engine.covariance_from_graph(graph)
-    regions = _kp(spec, args)
-    geometry = dict(regions.geometry)
+    kp, lw = regions
+    geometry = dict(kp.geometry)
     metrics = set(args.metrics.split(","))
     path = "dense" if cov_pure._u is None else "factor" if cov_pure._cell is None else "torus"
     meta = {"path": path, "cond_u": graph._cond}
@@ -152,28 +153,27 @@ def _sweep_point(spec_base, log_s, kappas, args):
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         # the seven KP union spectra, memoised on cov_pure for the calls below
         names = ["".join(subset) for subset in topo.KP_SUBSETS]
-        unions = dict(zip(names, topo._kp_spectra(cov_pure, regions)))
+        unions = topo._kp_spectra(cov_pure, kp)
         meta["kp_unions"] = {
             name: {"boundary": union.boundary, "rim": union.rim,
                    "n_above": union.n_above, "n_half": union.n_half}
-            for name, union in unions.items()}
-        # pure-state entropy of each KP union, from the same spectra
-        entropies = {name: engine.von_neumann_entropy(union) for name, union in unions.items()}
+            for name, union in zip(names, unions)}
+        # pure-state entropy of each KP union, from the reduction tee_kp sums
+        entropies = dict(zip(names, topo._kp_entropies(unions, 1.0).tolist()))
     if "tee_kp" in metrics:
-        shared["tee_kp"] = topo.tee_kp(cov_pure, regions)
+        shared["tee_kp"] = topo.tee_kp(cov_pure, kp)
     if "tee_lw" in metrics:
-        lw = topo.lw_regions(spec, inner=args.inner, width=args.width)
         shared["tee_lw"] = topo.tee_lw(cov_pure, lw)
         geometry.update({"inner": args.inner, "width": args.width})
     if "tmi_lower" in metrics:
-        shared["tmi_lower"] = topo.tmi_lower_bound(cov_pure, regions)
+        shared["tmi_lower"] = topo.tmi_lower_bound(cov_pure, kp)
     if "tee_upper" in metrics:
         shared["tee_upper"] = topo.tee_upper_bound(spec.s)
     scaled = [(kappa, engine.thermal_scale(cov_pure, kappa)) for kappa in kappas]
     return [topo.TopoReport(log_s=log_s, kappa=kappa, geometry=dict(geometry),
                             spectra_meta=meta, region_entropies=entropies,
-                            tln_kp=topo.tln_kp(cov, regions) if "tln" in metrics else None,
-                            tmi=topo.tmi(cov, regions) if "tmi" in metrics else None,
+                            tln_kp=topo.tln_kp(cov, kp) if "tln" in metrics else None,
+                            tmi=topo.tmi(cov, kp) if "tmi" in metrics else None,
                             **shared)
             for kappa, cov in scaled]
 
@@ -200,13 +200,19 @@ def cmd_sweep(args):
         grid = [args.log_s_min]
     else:
         grid = list(np.linspace(args.log_s_min, args.log_s_max, args.steps))
-    unknown = set(args.metrics.split(",")) - set(SWEEP_COLUMNS[1:-1])
+    metrics = set(args.metrics.split(","))
+    unknown = metrics - set(SWEEP_COLUMNS[1:-1])
     if unknown:
         raise ValidationError("unknown metrics: %s" % ",".join(sorted(unknown)))
     try:
         kappas = [engine._check_kappa(float(k)) for k in args.kappas.split(",")]
     except ValueError:
         raise ValidationError("kappas must be comma-separated numbers")
+    # the regions depend on the lattice only: built once, and a region that
+    # does not fit is refused before any point runs
+    regions = (_kp(spec_base, args),
+               topo.lw_regions(spec_base, inner=args.inner, width=args.width)
+               if "tee_lw" in metrics else None)
     done = _existing_points(args.out)
     pending = {log_s: [k for k in kappas if ("%.12g" % log_s, "%.12g" % k) not in done]
                for log_s in grid}
@@ -225,7 +231,7 @@ def cmd_sweep(args):
             if not ks:
                 continue
             try:
-                reports = _sweep_point(spec_base, log_s, ks, args)
+                reports = _sweep_point(spec_base, log_s, ks, args, regions)
             except (GaussTopoError, np.linalg.LinAlgError) as exc:
                 failures.append((log_s, exc))
                 continue

@@ -61,7 +61,7 @@ def qq_correlation(cov, i, j):
 def pp_correlation(cov, i, j):
     """<p_i p_j>; exactly zero beyond the A_SC adjacency."""
     _require_block_diagonal(cov)
-    return float(cov.p_block[i, j])
+    return float(cov.p_entry(i, j))
 
 
 def mode_coords(spec, i):

@@ -55,7 +55,7 @@ class Csc:
     """Canonical CSC arrays of a square matrix: the row `indices` of each
     column of `indptr` sorted, with no duplicates, int32 while they fit.
 
-    numpy index arithmetic reads them (`_csc_entries`, `_cut`,
+    numpy index arithmetic reads them (`_csc_entries`, `_cuts`,
     `_cell_columns`, `BlockCholesky`).
     """
 
@@ -350,6 +350,15 @@ class CovMatrix:
             return self.q_block[:, cols]
         return 0.5 * self.kappa * self._u_inv(slice(None), cols)
 
+    def p_entry(self, i, j):
+        """Entry (i, j) of the p block; a U-native state reads kappa/2 U[i, j]
+        from the stored entries of column j of U and builds no block."""
+        if self._u is None:
+            return self.p_block[i, j]
+        modes = range(self.n_modes)  # numpy's index rules: negatives wrap, others raise
+        rows, _, values = _csc_entries(self._u, np.array([modes[j]]))
+        return 0.5 * self.kappa * values[rows == modes[i]].sum()
+
     def gamma_block(self, ids):
         """gamma[ids, ids] for distinct `ids` over the (q.., p..) ordering.  A
         U-native state reads its q part from `_u_inv`, symmetrized and scaled
@@ -428,20 +437,42 @@ def _csc_entries(u, cols):
     return u.indices[at], np.repeat(np.arange(cols.size), counts), u.data[at]
 
 
-def _cut(u, region):
-    """The cut of `region` S in the symmetric `Csc` arrays `u`: its edge dS
+def _cuts(u, regions):
+    """The cuts of `regions` in the symmetric `Csc` arrays `u`, from one
+    read of the columns of all their modes: for each region S its edge dS
     (the modes outside S that U couples to S), its rim d'S (the modes of S
-    coupled outside S), both sorted, and the dense block U[dS, d'S]."""
-    inside = np.zeros(u.shape[0], dtype=bool)
-    inside[np.asarray(region, dtype=np.intp)] = True
+    coupled outside S), both sorted, and the dense block U[dS, d'S].
+
+    Mode i of the r-th region is the key r * n + i.  The entries are read
+    in key order of their columns, so each region's are contiguous; the
+    edges of all regions are the distinct keys of the rows read outside
+    their region, and the rims those of the columns they were read from:
+    one sort each, in region order, then mode order.
+    """
+    n, count = u.shape[0], len(regions)
+    inside = np.zeros(count * n, dtype=bool)
+    inside[np.repeat(np.arange(0, count * n, n), [len(region) for region in regions])
+           + np.concatenate([np.asarray(region, dtype=np.intp) for region in regions])] = True
     members = np.flatnonzero(inside)
-    rows, k, values = _csc_entries(u, members)
-    out = ~inside[rows]
-    edge, at_edge = np.unique(rows[out], return_inverse=True)
-    rim, at_rim = np.unique(members[k[out]], return_inverse=True)
-    coupling = np.zeros((edge.size, rim.size))
-    coupling[at_edge, at_rim] = values[out]
-    return edge, rim, coupling
+    rows, k, values = _csc_entries(u, members % n)
+    column = members[k]  # the key of the column each entry was read from
+    owner = column - column % n  # r * n
+    out = np.flatnonzero(~inside[owner + rows])
+    column, values = column[out], values[out]
+    edge_keys, at_edge = np.unique(owner[out] + rows[out], return_inverse=True)
+    rim_keys, at_rim = np.unique(column, return_inverse=True)
+    starts = np.arange(count + 1) * n
+    edge_at, rim_at, entry_at = (np.searchsorted(keys, starts).tolist()
+                                 for keys in (edge_keys, rim_keys, column))
+    edges, rims = edge_keys % n, rim_keys % n
+    cuts = []
+    for r in range(count):
+        edge, rim = edges[edge_at[r]:edge_at[r + 1]], rims[rim_at[r]:rim_at[r + 1]]
+        coupling = np.zeros((edge.size, rim.size))
+        entries = slice(entry_at[r], entry_at[r + 1])
+        coupling[at_edge[entries] - edge_at[r], at_rim[entries] - rim_at[r]] = values[entries]
+        cuts.append((edge, rim, coupling))
+    return cuts
 
 
 def _cell_columns(u, torus):
@@ -638,21 +669,23 @@ def _factor_spectra(cov, regions):
 
     For a region S with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS,
     and U_LS is zero outside the rows dS and the columns d'S of the cut
-    (`_cut`).  So (U^-1)_SL U_LS is block lower-triangular, and its nonzero
+    (`_cuts`).  So (U^-1)_SL U_LS is block lower-triangular, and its nonzero
     eigenvalues lambda are those of (U^-1)[d'S, dS] U[dS, d'S], or of the
     reverse product, whichever is smaller: sigma = 1/2 sqrt(max(1, 1 -
     lambda)), with the rest of S padded with exact 1/2 entries.  The
-    spectra not yet known share one block of U^-1 (`CovMatrix._u_inv`): the
-    union of their rims by the union of their edges.
+    spectra not yet known take their cuts from one read of U and share one
+    block of U^-1 (`CovMatrix._u_inv`): the union of their rims by the union
+    of their edges.
     """
     memo = cov._memo
     # every memo key is a checked region, so a hit needs no check
     keys = [key if key in memo else tuple(_checked_region(cov, key))
             for key in map(tuple, regions)]
-    cuts = {key: _cut(cov._u, key) for key in dict.fromkeys(keys) if key not in memo}
-    if cuts:
-        rows = np.unique(np.concatenate([rim for _, rim, _ in cuts.values()]))
-        cols = np.unique(np.concatenate([edge for edge, _, _ in cuts.values()]))
+    new = [key for key in dict.fromkeys(keys) if key not in memo]
+    if new:
+        cuts = dict(zip(new, _cuts(cov._u, new)))
+        rows = _sorted_distinct(np.concatenate([rim for _, rim, _ in cuts.values()]))
+        cols = _sorted_distinct(np.concatenate([edge for edge, _, _ in cuts.values()]))
         u_inv = cov._u_inv(rows, cols)
         for key, (edge, rim, coupling) in cuts.items():
             block = u_inv[np.ix_(np.searchsorted(rows, rim), np.searchsorted(cols, edge))]

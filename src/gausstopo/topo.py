@@ -5,6 +5,7 @@ grid coordinates (x, y).  All entropies are in bits.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,12 @@ class RegionSet:
         for name in names:
             out |= set(self.regions[name])
         return sorted(out)
+
+    @cached_property
+    def kp_unions(self):
+        """The seven KP unions as sorted mode tuples, in KP_SUBSETS order,
+        built on first read: the spectrum memo keys of every KP diagnostic."""
+        return tuple(tuple(self.union(*names)) for names in KP_SUBSETS)
 
 
 @dataclass
@@ -143,27 +150,63 @@ def _kp_spectra(cov, regions):
     """Spectra of the seven KP unions of `cov` divided by `cov.kappa`: for a
     kappa-scaled pure state, the spectra of the pure state, requested
     together (one solve on a U-native state, then memoised)."""
-    return engine._pure_spectra(cov, [regions.union(*names) for names in KP_SUBSETS])
+    return engine._pure_spectra(cov, regions.kp_unions)
 
 
-def _kp_sum(term, items=KP_SUBSETS):
-    """-sum sign * term(item) over the seven KP unions, in KP_SUBSETS order."""
+def _kp_sum(term, items):
+    """-sum sign * term(item) over the seven KP `items`, in KP_SUBSETS order."""
     return -sum(sign * term(item) for item, sign in zip(items, KP_SIGNS))
+
+
+def _kp_values(spectra):
+    """The values of the seven `spectra`, concatenated, and the union index
+    of each."""
+    values = np.concatenate([spec.values for spec in spectra])
+    return values, np.repeat(np.arange(len(spectra)), [len(spec) for spec in spectra])
+
+
+def _per_union(union, terms):
+    """Sums of `terms` (nats) per union index, in bits."""
+    return np.bincount(union, weights=terms, minlength=len(KP_SIGNS)) / np.log(2.0)
+
+
+def _kp_signed(per_union):
+    """-sum sign X_i over the seven per-union values, in KP_SUBSETS order."""
+    return -float(np.dot(KP_SIGNS, per_union))
+
+
+def _kp_entropies(spectra, kappa):
+    """Entropies (bits) of the seven KP unions of the kappa-scaled state,
+    from `_kp_spectra`, as one reduction: a pure value within tol_half of
+    1/2 scales from exactly 1/2 (`SymplecticSpectrum.scaled`), and only
+    scaled values above 1/2 + tol_half add entropy (`von_neumann_entropy`)."""
+    values, union = _kp_values(spectra)
+    tol = engine.SymplecticSpectrum.tol_half
+    scaled = kappa * np.where(values <= 0.5 + tol, 0.5, values)
+    above = scaled > 0.5 + tol
+    a = scaled[above] - 0.5
+    return _per_union(union[above], np.log1p(a) + a * np.log1p(1.0 / a))
 
 
 def _kp_entropy(spectra, kappa):
     """-sum sign S_X of the kappa-scaled state, from `_kp_spectra`."""
-    return _kp_sum(lambda spec: von_neumann_entropy(spec.scaled(kappa)), spectra)
+    return _kp_signed(_kp_entropies(spectra, kappa))
 
 
 def _kp_log_negativity(spectra, kappa):
-    """-sum sign N_X of the kappa-scaled state, from `_kp_spectra`."""
-    return _kp_sum(lambda spec: engine.pure_log_negativity(spec, kappa), spectra)
+    """-sum sign N_X of the kappa-scaled state, from `_kp_spectra`, as one
+    reduction of `pure_log_negativity`'s terms: only pure values above
+    1/2 + tol_half add."""
+    values, union = _kp_values(spectra)
+    above = values > 0.5 + engine.SymplecticSpectrum.tol_half
+    terms = np.maximum(np.arccosh(2.0 * values[above]) - np.log(kappa), 0.0)
+    return _kp_signed(_per_union(union[above], terms))
 
 
 def _kp_log_sum(spectra):
     """-sum sign sum_i log2(2 sigma_i^X), from `_kp_spectra`."""
-    return _kp_sum(lambda spec: float(np.sum(np.log2(2.0 * spec.values))), spectra)
+    values, union = _kp_values(spectra)
+    return _kp_signed(_per_union(union, np.log(2.0 * values)))
 
 
 def tee_kp(cov, regions):
@@ -188,7 +231,7 @@ def tln_kp(cov, regions):
         raise ValidationError("tln_kp requires KP regions")
     if cov._scaled_pure and cov.block_diagonal:
         return _kp_log_negativity(_kp_spectra(cov, regions), cov.kappa)
-    return _kp_sum(lambda names: engine.log_negativity(cov, regions.union(*names)))
+    return _kp_sum(lambda key: engine.log_negativity(cov, key), regions.kp_unions)
 
 
 def mutual_information(cov, region):
@@ -215,7 +258,7 @@ def tmi(cov, regions):
         raise ValidationError("tmi requires KP regions")
     if cov._scaled_pure:
         return _kp_entropy(_kp_spectra(cov, regions), cov.kappa)
-    return 0.5 * _kp_sum(lambda names: mutual_information(cov, regions.union(*names)))
+    return 0.5 * _kp_sum(lambda key: mutual_information(cov, key), regions.kp_unions)
 
 
 def tmi_lower_bound(cov_pure, regions):

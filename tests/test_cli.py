@@ -329,6 +329,35 @@ class TestSweep:
                    if r["log_s"] == record["log_s"] and r["kappa"] == 1.0]
             assert abs(signed - tee[0]) <= 1e-12
 
+    @pytest.mark.parametrize("extra", [("--radius", "9"),
+                                       ("--metrics", "tee_lw", "--inner", "20")],
+                             ids=["kp-radius", "lw-inner"])
+    def test_region_that_does_not_fit_refused(self, tmp_path, capsys, monkeypatch, extra):
+        # the regions are built before any point: a validation error, no CSV
+        monkeypatch.setattr(cli, "_sweep_point", None)  # no point may run
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, "sweep", "--rows", "12", "--cols", "12",
+                                   "--log-s-min", "1", "--log-s-max", "2", "--steps", "2",
+                                   *extra, "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr.startswith("error: region of reach")
+        assert not out.exists()
+
+    def test_regions_built_once_per_sweep(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("kp_regions", "lw_regions"):
+            build = getattr(topo, name)
+            monkeypatch.setattr(topo, name, lambda *a, _build=build, _name=name, **k:
+                                calls.append(_name) or _build(*a, **k))
+        code, _, _ = run(capsys, "sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
+                         "--log-s-max", "2.8", "--steps", "4", "--kappas", "1,10",
+                         "--metrics", ",".join(cli.SWEEP_COLUMNS[1:-1]),
+                         "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert calls == ["kp_regions", "lw_regions"]
+        assert len(read_rows(tmp_path / "s.csv")[1]) == 8
+
     def test_invalid_range(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep", "--rows", "8", "--cols", "8",
                          "--log-s-min", "2", "--log-s-max", "1", "--steps", "2",
@@ -384,11 +413,11 @@ class TestSweep:
         assert run(capsys, *args, "--out", str(full), "--json-out", str(full) + ".jsonl")[0] == 0
         point, calls = cli._sweep_point, []
 
-        def interrupted(spec_base, log_s, kappas, point_args):
+        def interrupted(spec_base, log_s, kappas, point_args, regions):
             calls.append(log_s)
             if len(calls) == 3:
                 raise Interrupt
-            return point(spec_base, log_s, kappas, point_args)
+            return point(spec_base, log_s, kappas, point_args, regions)
 
         monkeypatch.setattr(cli, "_sweep_point", interrupted)
         with pytest.raises(Interrupt):

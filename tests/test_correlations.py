@@ -56,6 +56,25 @@ class TestCorrelationEntries:
         assert corr.pp_correlation(cov, i, j) == pytest.approx(0.5 * s ** 2)
         assert corr.pp_correlation(cov, i, far) == 0.0
 
+    def test_pp_reads_u_entries_without_the_block(self):
+        # a U-native state reads kappa/2 U[i, j] from the stored entries of
+        # U's column j and builds no N x N p block
+        spec = gt.LatticeSpec(64, 64, "torus", 1.0)
+        graph = gt.surface_code_graph_analytic(spec)
+        cov = engine.covariance_from_graph(graph)
+        u = graph.u_part
+        i = 5 * spec.cols + 7
+        neighbour = int(np.flatnonzero(u[i])[-1])
+        far = int(np.flatnonzero(u[i] == 0)[-1])
+        for kappa in (1.0, 10.0):
+            state = engine.thermal_scale(cov, kappa)
+            for j in (i, neighbour, far, -1):
+                assert corr.pp_correlation(state, i, j) == 0.5 * kappa * u[i, j]
+            with pytest.raises(IndexError):
+                corr.pp_correlation(state, i, spec.n_nodes)
+            assert state._p is None
+        assert cov._p is None
+
     def test_q_diagonal_spectral_bound(self, surface_state):
         spec, cov = surface_state(8, 8, 1.0)
         bound = corr.dms_bound(spec.s)

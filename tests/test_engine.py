@@ -751,23 +751,31 @@ class TestBlockCholesky:
 
 
 class TestCut:
-    """The cut of a region read from U's CSC arrays against the dense U."""
+    """The cuts of regions read in one batch from U's CSC arrays against the
+    dense U."""
 
     @staticmethod
-    def assert_cuts_match(graph, cols, seed):
-        u_csc = engine.covariance_from_graph(graph)._u
-        u = graph.u_part
-        n = graph.n_modes
-        rng = np.random.default_rng(seed)
-        # random regions, unsorted and with repeated ids, then a single mode,
-        # a 1 x k strip, the complement of a single mode and the whole
-        # lattice (dS and d'S empty)
+    def random_regions(rng, n, cols):
+        """Random regions, unsorted and with repeated ids, then a single mode,
+        a 1 x k strip, the complement of a single mode and the whole lattice
+        (dS and d'S empty); the random ones overlap each other and the rest."""
         regions = [rng.integers(n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(3)]
         mode = int(rng.integers(n))
         regions += [[mode], list(range(int(rng.integers(1, cols + 1)))),
                     [i for i in range(n) if i != mode], list(range(n))]
-        for region in filter(len, regions):
-            for read, oracle in zip(engine._cut(u_csc, region), dense_cut(u, region)):
+        return list(filter(len, regions))
+
+    def assert_cuts_match(self, graph, cols, seed):
+        u_csc = engine.covariance_from_graph(graph)._u
+        u = graph.u_part
+        rng = np.random.default_rng(seed)
+        regions = self.random_regions(rng, graph.n_modes, cols)
+        # one batch, which also holds a region twice
+        regions.append(regions[int(rng.integers(len(regions)))])
+        cuts = engine._cuts(u_csc, regions)
+        assert len(cuts) == len(regions)
+        for region, cut in zip(regions, cuts):
+            for read, oracle in zip(cut, dense_cut(u, region)):
                 assert read.shape == oracle.shape
                 assert np.array_equal(read, oracle)
 
@@ -790,6 +798,46 @@ class TestCut:
     def test_pipeline_cuts_match_dense(self, seed):
         graph, _ = lattice.map_cluster_to_surface(lattice.LatticeSpec(8, 12, "torus", 0.5))
         self.assert_cuts_match(graph, 6, seed)
+
+    @settings(max_examples=20)
+    @given(shape=st.one_of(
+               st.tuples(st.sampled_from(range(4, 17, 2)), st.sampled_from(range(4, 17, 2)),
+                         st.just("torus")),
+               st.tuples(st.integers(1, 10), st.integers(1, 10), st.just("planar"))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_memo_hits_mixed_with_misses(self, shape, seed):
+        # only the regions not yet memoised are cut, in one batch, and a hit
+        # returns the memoised spectrum
+        rows, cols, boundary = shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            graph = lattice.surface_code_graph_analytic(
+                lattice.LatticeSpec(rows, cols, boundary, 1.5))
+        cov = engine.covariance_from_graph(graph)
+        u = graph.u_part
+        rng = np.random.default_rng(seed)
+        regions = self.random_regions(rng, graph.n_modes, cols)
+        known = [regions[i] for i in rng.permutation(len(regions))[:len(regions) // 2]]
+        first = engine._factor_spectra(cov, known)
+        batches, cuts = [], engine._cuts
+
+        def recorded(u_csc, batch):
+            batches.append(list(batch))
+            return cuts(u_csc, batch)
+
+        mixed = known + regions + [regions[0]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_cuts", recorded)
+            spectra = engine._factor_spectra(cov, mixed)
+        keys = [tuple(sorted(set(int(i) for i in region))) for region in mixed]
+        misses = list(dict.fromkeys(key for key in keys[len(known):]
+                                    if key not in keys[:len(known)]))
+        assert batches == ([misses] if misses else [])
+        assert all(a is b for a, b in zip(spectra, first))
+        for key, spec in zip(keys, spectra):
+            edge, rim, _ = dense_cut(u, list(key))
+            assert (spec.boundary, spec.rim, len(spec)) == (edge.size, rim.size, len(key))
+            assert spec is spectra[keys.index(key)]
 
 
 class TestMeasurements:

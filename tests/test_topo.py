@@ -318,7 +318,8 @@ class TestTMI:
     def test_pure_equals_tee(self, surface_state):
         spec, cov = surface_state(16, 16, 1.0)
         kp = topo.kp_regions(spec)
-        assert topo.tmi(cov, kp) == pytest.approx(topo.tee_kp(cov, kp), abs=1e-8)
+        # on a marked pure state both are the same reduction of the same spectra
+        assert topo.tmi(cov, kp) == topo.tee_kp(cov, kp)
 
     def test_product_any_kappa_zero(self):
         spec = gt.LatticeSpec(16, 16, "torus", 0.0)
@@ -344,6 +345,36 @@ class TestTMI:
             REF_16["tmi10"], abs=1e-7)
         assert topo.tmi_lower_bound(cov, kp) == pytest.approx(
             REF_16["lower"], abs=1e-7)
+
+
+class TestKPReduction:
+    """The one-pass KP sums against the per-spectrum reference sums."""
+
+    TOL = engine.SymplecticSpectrum.tol_half
+    # exactly 1/2, within tol_half of it (below 1/2 clips to 1/2), its edge,
+    # just above it, and entangled values
+    VALUE = st.one_of(
+        st.sampled_from([0.5, 0.5 + TOL, 0.5 - 0.5 * TOL, 0.5 + 2 * TOL]),
+        st.floats(0.5, 0.5 + 2 * TOL), st.floats(0.5, 60.0))
+
+    @settings(max_examples=150)
+    @given(values=st.lists(st.lists(VALUE, min_size=1, max_size=12), min_size=7, max_size=7),
+           kappa=st.sampled_from([1.0, 10.0, 1e6]))
+    def test_matches_per_spectrum_sums(self, values, kappa):
+        spectra = [engine.SymplecticSpectrum(v) for v in values]
+        # per-union references: entropy of the kappa-scaled state,
+        # log-negativity, sum of log2(2 sigma)
+        entropies = [engine.von_neumann_entropy(spec.scaled(kappa)) for spec in spectra]
+        negativities = [engine.pure_log_negativity(spec, kappa) for spec in spectra]
+        log_sums = [float(np.sum(np.log2(2.0 * spec.values))) for spec in spectra]
+        assert np.abs(topo._kp_entropies(spectra, kappa) - entropies).max() <= (
+            1e-12 * max(1.0, sum(entropies)))
+        for fast, per_union in [(topo._kp_entropy(spectra, kappa), entropies),
+                                (topo._kp_log_negativity(spectra, kappa), negativities),
+                                (topo._kp_log_sum(spectra), log_sums)]:
+            # sums taken in another order: rounding relative to their terms
+            reference = topo._kp_sum(lambda term: term, per_union)
+            assert abs(fast - reference) <= 1e-12 * max(1.0, sum(per_union))
 
 
 class TestTMILowerBound:
