@@ -135,15 +135,17 @@ def cmd_tmi(args):
     return EXIT_OK
 
 
-def _sweep_point(spec_base, log_s, kappas, args, regions):
+def _sweep_point(spec_base, log_s, kappas, args, built):
     """Reports for one log s, one per kappa in `kappas`, sharing one
-    covariance and one set of KP spectra of the pure state.  `regions` is
-    the pair (KP regions, LW regions or None) the sweep built once."""
+    covariance and one set of KP spectra of the pure state.  `built` is
+    the triple (KP regions, LW regions or None, U's pattern) the sweep built
+    once; the point fills U's values into the pattern, whose cut plans every
+    point shares."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
-    graph = lattice.surface_code_graph_analytic(spec)
+    kp, lw, pattern = built
+    graph = lattice._surface_code_graph(spec, pattern)
     cov_pure = engine.covariance_from_graph(graph)
-    kp, lw = regions
     geometry = dict(kp.geometry)
     metrics = set(args.metrics.split(","))
     path = "dense" if cov_pure._u is None else "factor" if cov_pure._cell is None else "torus"
@@ -208,14 +210,17 @@ def cmd_sweep(args):
         kappas = [engine._check_kappa(float(k)) for k in args.kappas.split(",")]
     except ValueError:
         raise ValidationError("kappas must be comma-separated numbers")
-    # the regions depend on the lattice only: built once, and a region that
-    # does not fit is refused before any point runs
-    regions = (_kp(spec_base, args),
-               topo.lw_regions(spec_base, inner=args.inner, width=args.width)
-               if "tee_lw" in metrics else None)
+    # the regions and U's pattern depend on the lattice only: built once, and
+    # a region that does not fit, or a torus with no closed form, is refused
+    # before any point runs; a sweep with no point left builds no pattern
+    kp = _kp(spec_base, args)
+    lw = (topo.lw_regions(spec_base, inner=args.inner, width=args.width)
+          if "tee_lw" in metrics else None)
     done = _existing_points(args.out)
     pending = {log_s: [k for k in kappas if ("%.12g" % log_s, "%.12g" % k) not in done]
                for log_s in grid}
+    built = (kp, lw, lattice._surface_code_pattern(spec_base)
+             if any(pending.values()) else None)
 
     mode = "a" if done else "w"
     failures = []
@@ -231,7 +236,7 @@ def cmd_sweep(args):
             if not ks:
                 continue
             try:
-                reports = _sweep_point(spec_base, log_s, ks, args, regions)
+                reports = _sweep_point(spec_base, log_s, ks, args, built)
             except (GaussTopoError, np.linalg.LinAlgError) as exc:
                 failures.append((log_s, exc))
                 continue
@@ -293,44 +298,39 @@ def cmd_upper_bound(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(prog="gausstopo",
-                                     description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="serialize a cluster or surface-code state")
+def _build_flags(p):
     _add_lattice_flags(p)
     p.add_argument("--kind", choices=("cluster", "surface-analytic",
                                       "surface-pipeline"), default="cluster")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("map", help="run the measurement pipeline on a cluster")
+
+def _map_flags(p):
     _add_lattice_flags(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("tee", help="topological entanglement entropy")
+
+def _tee_flags(p):
     _add_lattice_flags(p)
     p.add_argument("--method", choices=("kp", "lw"), default="kp")
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--inner", type=float, default=6)
     p.add_argument("--width", type=float, default=3)
-    p.set_defaults(func=cmd_tee)
 
-    p = sub.add_parser("tln", help="topological log-negativity")
+
+def _tln_flags(p):
     _add_lattice_flags(p)
     p.add_argument("--radius", type=float, default=None)
-    p.set_defaults(func=cmd_tln)
 
-    p = sub.add_parser("tmi", help="topological mutual information")
+
+def _tmi_flags(p):
     _add_lattice_flags(p)
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--lower", action="store_true")
-    p.set_defaults(func=cmd_tmi)
 
-    p = sub.add_parser("sweep", help="evaluate diagnostics over a squeezing sweep")
+
+def _sweep_flags(p):
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--boundary", choices=lattice.BOUNDARIES, default="torus")
@@ -344,37 +344,72 @@ def build_parser():
     p.add_argument("--metrics", default="tee_kp,tln,tmi,tmi_lower,tee_upper")
     p.add_argument("--out", default="-")
     p.add_argument("--json-out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("spectrum", help="normal-mode gap of the torus Hamiltonian")
+
+def _spectrum_flags(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--log-s", type=float, default=0.0)
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("correlations", help="axis correlations and decay fit")
+
+def _correlations_flags(p):
     _add_lattice_flags(p, boundary_default="planar")
     p.add_argument("--axis", choices=("row", "col", "diagonal", "antidiagonal"),
                    default="diagonal")
     p.add_argument("--max-separation", type=int, default=None)
     p.add_argument("--fit", action="store_true")
     p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_correlations)
 
-    p = sub.add_parser("bounds", help="verify the analytic decay bound")
-    _add_lattice_flags(p)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("upper-bound", help="closed-form TEE upper bound")
+def _upper_bound_flags(p):
     p.add_argument("--log-s", type=float, required=True)
-    p.set_defaults(func=cmd_upper_bound)
+
+
+# subcommand: (help, handler, flags)
+_COMMANDS = {
+    "build": ("serialize a cluster or surface-code state", cmd_build, _build_flags),
+    "map": ("run the measurement pipeline on a cluster", cmd_map, _map_flags),
+    "tee": ("topological entanglement entropy", cmd_tee, _tee_flags),
+    "tln": ("topological log-negativity", cmd_tln, _tln_flags),
+    "tmi": ("topological mutual information", cmd_tmi, _tmi_flags),
+    "sweep": ("evaluate diagnostics over a squeezing sweep", cmd_sweep, _sweep_flags),
+    "spectrum": ("normal-mode gap of the torus Hamiltonian", cmd_spectrum, _spectrum_flags),
+    "correlations": ("axis correlations and decay fit", cmd_correlations, _correlations_flags),
+    "bounds": ("verify the analytic decay bound", cmd_bounds, _add_lattice_flags),
+    "upper-bound": ("closed-form TEE upper bound", cmd_upper_bound, _upper_bound_flags),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(prog="gausstopo",
+                                     description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv):
+    """The arguments of `argv`.  When argv[0] names a subcommand, only that
+    subcommand's parser is built, as the full parser builds it; the full
+    parser parses no, an unknown or a top-level option, and arguments the
+    subcommand leaves over, so that its usage and errors read as before."""
+    if argv and argv[0] in _COMMANDS:
+        _, func, flags = _COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog="gausstopo " + argv[0])
+        flags(parser)
+        parser.set_defaults(func=func, command=argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -54,14 +54,29 @@ def _symmetrized(mat, name):
 class Csc:
     """Canonical CSC arrays of a square matrix: the row `indices` of each
     column of `indptr` sorted, with no duplicates, int32 while they fit.
+    All three arrays are read-only.
 
     numpy index arithmetic reads them (`_csc_entries`, `_cuts`,
-    `_cell_columns`, `BlockCholesky`).
+    `_cell_columns`, `BlockCholesky`).  `plans` memoises what those read
+    from the pattern (`indptr` and `indices`) alone: the cut of each region
+    (`_cuts`) and the block order of `BlockCholesky`.  `with_data` gives the
+    arrays of another matrix of the same pattern, which share `plans`.
     """
 
     def __init__(self, indptr, indices, data):
-        self.indptr, self.indices, self.data = indptr, indices, data
+        self.indptr, self.indices, self.data = map(_read_only, (indptr, indices, data))
         self.shape = (indptr.size - 1,) * 2
+        self.plans = {}
+
+    def with_data(self, data):
+        """The arrays of the matrix with this pattern and the values `data`,
+        one per stored entry; they share `indptr`, `indices` and `plans`."""
+        if data.shape != self.data.shape:
+            raise ValidationError("values of shape %s for a pattern of %d entries"
+                                  % (data.shape, self.data.size))
+        twin = Csc(self.indptr, self.indices, data)
+        twin.plans = self.plans
+        return twin
 
     @classmethod
     def from_keys(cls, key, n, data):
@@ -426,22 +441,58 @@ class SymplecticSpectrum:
         return SymplecticSpectrum(kappa * vals)
 
 
-def _csc_entries(u, cols):
-    """Row ids, positions in `cols` and values of the stored entries of the
-    columns `cols` of the `Csc` arrays `u`."""
+def _csc_positions(u, cols):
+    """Positions in `u.indices` and `u.data` of the stored entries of the
+    columns `cols` of the `Csc` arrays `u`, and the position in `cols` of
+    the column of each."""
     starts = u.indptr[cols]
     counts = u.indptr[cols + 1] - starts
     # the t-th entry read, entry e of column k, sits at starts[k] + e, and
     # t = e + (the entries of the columns before k)
     at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return u.indices[at], np.repeat(np.arange(cols.size), counts), u.data[at]
+    return at, np.repeat(np.arange(cols.size), counts)
+
+
+def _csc_entries(u, cols):
+    """Row ids, positions in `cols` and values of the stored entries of the
+    columns `cols` of the `Csc` arrays `u`."""
+    at, k = _csc_positions(u, cols)
+    return u.indices[at], k, u.data[at]
 
 
 def _cuts(u, regions):
-    """The cuts of `regions` in the symmetric `Csc` arrays `u`, from one
-    read of the columns of all their modes: for each region S its edge dS
-    (the modes outside S that U couples to S), its rim d'S (the modes of S
-    coupled outside S), both sorted, and the dense block U[dS, d'S].
+    """The cuts of `regions` (each a sequence of mode ids) in the symmetric
+    `Csc` arrays `u`: for each region S its edge dS (the modes outside S
+    that U couples to S), its rim d'S (the modes of S coupled outside S),
+    both sorted, and the dense block U[dS, d'S].
+
+    The part that depends on U's pattern alone is planned once per region
+    tuple (`_cut_plans`) and kept in `u.plans`, which every `Csc.with_data`
+    of the pattern shares; each block is then filled from `u.data`.
+    """
+    keys = [tuple(region) for region in regions]
+    found = {key: u.plans.get(key) for key in keys}
+    new = [key for key, plan in found.items() if plan is None]
+    if new:
+        found.update(zip(new, _cut_plans(u, new)))
+    cuts = []
+    for key in keys:
+        edge, rim, flat, at = found[key]
+        coupling = np.zeros(edge.size * rim.size)
+        coupling[flat] = u.data[at]
+        cuts.append((edge, rim, coupling.reshape(edge.size, rim.size)))
+    return cuts
+
+
+def _cut_plans(u, regions):
+    """The pattern part of the cuts of `regions` (tuples of mode ids) in the
+    symmetric `Csc` arrays `u`, from one read of the columns of all their
+    modes: for each region its edge dS and rim d'S, and, for the entries of
+    U[dS, d'S], their flat row-major positions in that block and their
+    positions in `u.data`.  The plan of a region is also kept in `u.plans`
+    when the region has as many modes as ids, which holds only for distinct
+    ids in range(n) (an id out of range lands outside the region's keys):
+    `_factor_spectra` takes a kept key for a checked region.
 
     Mode i of the r-th region is the key r * n + i.  The entries are read
     in key order of their columns, so each region's are contiguous; the
@@ -454,25 +505,30 @@ def _cuts(u, regions):
     inside[np.repeat(np.arange(0, count * n, n), [len(region) for region in regions])
            + np.concatenate([np.asarray(region, dtype=np.intp) for region in regions])] = True
     members = np.flatnonzero(inside)
-    rows, k, values = _csc_entries(u, members % n)
+    at, k = _csc_positions(u, members % n)
+    rows = u.indices[at]
     column = members[k]  # the key of the column each entry was read from
     owner = column - column % n  # r * n
     out = np.flatnonzero(~inside[owner + rows])
-    column, values = column[out], values[out]
+    column, at, region = column[out], at[out], owner[out] // n
     edge_keys, at_edge = np.unique(owner[out] + rows[out], return_inverse=True)
     rim_keys, at_rim = np.unique(column, return_inverse=True)
     starts = np.arange(count + 1) * n
-    edge_at, rim_at, entry_at = (np.searchsorted(keys, starts).tolist()
-                                 for keys in (edge_keys, rim_keys, column))
+    edge_at, rim_at, entry_at, member_at = (np.searchsorted(keys, starts) for keys in
+                                            (edge_keys, rim_keys, column, members))
+    rim_size = np.diff(rim_at)
+    flat = (at_edge - edge_at[region]) * rim_size[region] + at_rim - rim_at[region]
     edges, rims = edge_keys % n, rim_keys % n
-    cuts = []
-    for r in range(count):
-        edge, rim = edges[edge_at[r]:edge_at[r + 1]], rims[rim_at[r]:rim_at[r + 1]]
-        coupling = np.zeros((edge.size, rim.size))
+    distinct = np.diff(member_at).tolist()
+    edge_at, rim_at, entry_at = edge_at.tolist(), rim_at.tolist(), entry_at.tolist()
+    plans = []
+    for r, key in enumerate(regions):
         entries = slice(entry_at[r], entry_at[r + 1])
-        coupling[at_edge[entries] - edge_at[r], at_rim[entries] - rim_at[r]] = values[entries]
-        cuts.append((edge, rim, coupling))
-    return cuts
+        plans.append((edges[edge_at[r]:edge_at[r + 1]], rims[rim_at[r]:rim_at[r + 1]],
+                      flat[entries], at[entries]))
+        if 0 < len(key) == distinct[r]:
+            u.plans[key] = plans[-1]
+    return plans
 
 
 def _cell_columns(u, torus):
@@ -548,6 +604,36 @@ def _block_order(u):
     return np.concatenate(levels), np.array([level.size for level in levels])
 
 
+def _block_plan(u):
+    """What `BlockCholesky` reads from the pattern of the `Csc` arrays `u`
+    alone, memoised in `u.plans`: the block order (`_block_order`), each
+    mode's place in it, the block bounds and sizes, the offsets of the
+    diagonal and the sub-diagonal blocks, each row-major, in one flat buffer
+    of the returned size, and for the stored entries on or below the
+    diagonal blocks (the rest are their transposes) their positions in
+    `u.data` and in that buffer."""
+    if "blocks" not in u.plans:
+        perm, sizes = _block_order(u)
+        n, n_blocks = u.shape[0], sizes.size
+        bounds = np.zeros(n_blocks + 1, dtype=int)
+        np.cumsum(sizes, out=bounds[1:])
+        square = sizes * sizes
+        below = np.append(sizes[1:] * sizes[:-1], 0)
+        diag_at = np.cumsum(square) - square
+        sub_at = square.sum() + np.cumsum(below) - below
+        block = np.repeat(np.arange(n_blocks), sizes)
+        position = np.empty(n, dtype=int)
+        position[perm] = np.arange(n)
+        i, j = position[u.indices], position[u.columns()]
+        bi, bj = block[i], block[j]
+        li, lj = i - bounds[bi], j - bounds[bj]
+        stored = np.flatnonzero(bi >= bj)
+        at = np.where(bi == bj, diag_at[bi] + li * sizes[bi], sub_at[bj] + li * sizes[bj]) + lj
+        u.plans["blocks"] = (perm, position, bounds, sizes.tolist(), diag_at.tolist(),
+                             sub_at.tolist(), stored, at[stored], int(square.sum() + below.sum()))
+    return u.plans["blocks"]
+
+
 class BlockCholesky:
     """Cholesky factor U = L L^T of a symmetric positive definite U, held as
     `Csc` arrays, in the block-tridiagonal order of `_block_order`.
@@ -565,37 +651,21 @@ class BlockCholesky:
     """
 
     def __init__(self, u):
-        perm, sizes = _block_order(u)
-        n, n_blocks = u.shape[0], sizes.size
-        bounds = np.zeros(n_blocks + 1, dtype=int)
-        np.cumsum(sizes, out=bounds[1:])
-        # one scatter of the stored entries into a flat buffer: the diagonal
-        # blocks, then the sub-diagonal blocks, each row-major
-        square = sizes * sizes
-        below = np.append(sizes[1:] * sizes[:-1], 0)
-        diag_at = np.cumsum(square) - square
-        sub_at = square.sum() + np.cumsum(below) - below
-        block = np.repeat(np.arange(n_blocks), sizes)
-        position = np.empty(n, dtype=int)
-        position[perm] = np.arange(n)
-        i, j = position[u.indices], position[u.columns()]
-        bi, bj = block[i], block[j]
-        li, lj = i - bounds[bi], j - bounds[bj]
-        keep = bi >= bj  # the entries above the diagonal blocks are their transposes
-        at = np.where(bi == bj, diag_at[bi] + li * sizes[bi], sub_at[bj] + li * sizes[bj]) + lj
-        flat = np.zeros(square.sum() + below.sum())
-        flat[at[keep]] = u.data[keep]
+        perm, position, bounds, sizes, diag_at, sub_at, stored, at, length = _block_plan(u)
+        n_blocks = len(sizes)
+        flat = np.zeros(length)
+        flat[at] = u.data[stored]
 
         self._perm, self._position, self._bounds = perm, position, bounds
         self._inv, self._sub = [], []  # L_k^-1 and L_{k+1,k}
         try:
             for k, size in enumerate(sizes):
-                a = flat[diag_at[k]:diag_at[k] + square[k]].reshape(size, size)
+                a = flat[diag_at[k]:diag_at[k] + size * size].reshape(size, size)
                 if k:
                     a = a - self._sub[-1] @ self._sub[-1].T
                 self._inv.append(np.linalg.inv(np.linalg.cholesky(a)))
                 if k + 1 < n_blocks:
-                    c = flat[sub_at[k]:sub_at[k] + below[k]].reshape(-1, size)
+                    c = flat[sub_at[k]:sub_at[k] + sizes[k + 1] * size].reshape(-1, size)
                     self._sub.append(c @ self._inv[-1].T)
         except np.linalg.LinAlgError:
             raise IllConditionedGraphError("block Cholesky factorization of U failed") from None
@@ -673,13 +743,15 @@ def _factor_spectra(cov, regions):
     eigenvalues lambda are those of (U^-1)[d'S, dS] U[dS, d'S], or of the
     reverse product, whichever is smaller: sigma = 1/2 sqrt(max(1, 1 -
     lambda)), with the rest of S padded with exact 1/2 entries.  The
-    spectra not yet known take their cuts from one read of U and share one
-    block of U^-1 (`CovMatrix._u_inv`): the union of their rims by the union
-    of their edges.
+    spectra not yet known take their cuts from one `_cuts` call, planned on
+    U's pattern the first time, and share one block of U^-1
+    (`CovMatrix._u_inv`): the union of their rims by the union of their
+    edges.
     """
-    memo = cov._memo
-    # every memo key is a checked region, so a hit needs no check
-    keys = [key if key in memo else tuple(_checked_region(cov, key))
+    memo, plans = cov._memo, cov._u.plans
+    # a key of either memo was checked against the same N before it was
+    # kept, so a hit needs no check
+    keys = [key if key in memo or key in plans else tuple(_checked_region(cov, key))
             for key in map(tuple, regions)]
     new = [key for key in dict.fromkeys(keys) if key not in memo]
     if new:

@@ -242,17 +242,32 @@ def surface_code_graph_analytic(spec):
     >= 4; any other torus raises ValidationError.  A planar spec returns the
     bulk pattern and warns that the boundary rows are approximate.
     """
+    return _surface_code_graph(spec, _surface_code_pattern(spec))
+
+
+def _surface_code_pattern(spec):
+    """`engine.Csc` arrays with the pattern of U on the lattice of `spec`,
+    which does not depend on log s, and the values of the identity (the
+    entries off the diagonal stored as 0); `surface_code_graph_analytic`'s
+    checks and warning are made here."""
     if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
         # odd tori break the plaquette parity; 2-wide ones saturate wrapped links
         raise ValidationError("the closed-form surface code needs a torus with even sides >= 4")
     if spec.boundary == "planar":
         warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
+    return _surface_code_links(spec, 0.0, 1.0)
+
+
+def _surface_code_graph(spec, pattern):
+    """The closed-form graph of `spec`, its U filled into `pattern`
+    (`_surface_code_pattern` of the same lattice, at any log s): s^2 off the
+    diagonal and s^-2 + 2s^2 on it.  The arrays share the pattern's plans."""
     s = spec.s
     c, d = s ** 2, s ** -2 + 2 * s ** 2
+    u = pattern.with_data(np.where(pattern.data == 1.0, d, c))
     # U = s^-2 I + s^2 B^T B (B the p-to-kept incidence) with spec(B^T B) =
     # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
     # interlacing on a planar grid, a principal submatrix of a larger torus
-    u = _surface_code_links(spec, c, d)
     torus = (spec.rows, spec.cols) if spec.boundary == "torus" else None
     return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c, torus)
 
@@ -316,7 +331,7 @@ def map_cluster_to_surface(spec):
         # B^T B of the stored entries: s^-2, or 0 where s^-2 rounded away,
         # and then U fails as singular
         lam = data[on_diagonal] - weight * gram.data[on_diagonal]
-        u = engine.Csc(gram.indptr, gram.indices, data)
+        u = gram.with_data(data)
         return GaussGraph._with_extremes(u, lam.min(initial=np.inf),
                                          lam.max(initial=-np.inf) + 8 * weight), index_map
     z_pk, a_pp, a_kk = _cluster_blocks(adj, (p_nodes, kept), (p_nodes, p_nodes), (kept, kept))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gausstopo as gt
-from gausstopo import cli, engine, topo
+from gausstopo import cli, engine, lattice, topo
 from gausstopo.engine import GaussGraph
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gt.__file__)))
@@ -488,6 +488,87 @@ class TestSweep:
             code, _, _ = run(capsys, *SWEEP_ARGS, "--kappas", kappas, "--out", str(out))
             assert code == cli.EXIT_VALIDATION
             assert not out.exists()
+
+    def test_pattern_built_and_regions_planned_once(self, tmp_path, capsys, monkeypatch):
+        # U's pattern is built once, each point fills its values in, and the
+        # cut of each KP union and LW region is planned at the first point only
+        calls = {"pattern": [], "graph": [], "plans": []}
+        for module, name, key in ((lattice, "_surface_code_pattern", "pattern"),
+                                  (lattice, "_surface_code_graph", "graph"),
+                                  (engine, "_cut_plans", "plans")):
+            monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _k=key:
+                                calls[_k].append(a) or _f(*a))
+        monkeypatch.setattr(lattice, "surface_code_graph_analytic", None)  # no fresh build
+        code, _, _ = run(capsys, "sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
+                         "--log-s-max", "2.8", "--steps", "4", "--kappas", "1,10",
+                         "--metrics", ",".join(cli.SWEEP_COLUMNS[1:-1]),
+                         "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert len(calls["pattern"]) == 1 and len(calls["graph"]) == 4
+        spec = gt.LatticeSpec(16, 16, "torus", 1.0)
+        lw = topo.lw_regions(spec)
+        planned = [key for _, batch in calls["plans"] for key in batch]
+        assert sorted(planned) == sorted(list(topo.kp_regions(spec).kp_unions)
+                                         + [tuple(lw.regions[name]) for name in "ABCD"])
+
+    def test_resumed_sweep_builds_no_graph(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "r.csv"
+        assert run(capsys, *SWEEP_ARGS, "--out", str(out))[0] == 0
+        written = out.read_text()
+        for name in ("_surface_code_pattern", "_surface_code_graph",
+                     "surface_code_graph_analytic"):
+            monkeypatch.setattr(lattice, name, None)
+        monkeypatch.setattr(cli, "_sweep_point", None)
+        assert run(capsys, *SWEEP_ARGS, "--out", str(out))[0] == 0
+        assert out.read_text() == written
+
+    def test_torus_without_closed_form_refused(self, tmp_path, capsys, monkeypatch):
+        # the pattern is built before any point: a validation error, no CSV
+        monkeypatch.setattr(cli, "_sweep_point", None)  # no point may run
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = run(capsys, "sweep", "--rows", "12", "--cols", "13",
+                                   "--log-s-min", "1", "--log-s-max", "2", "--steps", "2",
+                                   "--out", str(out))
+        assert code == cli.EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr.startswith("error: the closed-form surface code needs a torus")
+        assert not out.exists()
+
+
+def exit_of(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse of `argv` that exits."""
+    with pytest.raises(SystemExit) as done:
+        parse(argv)
+    captured = capsys.readouterr()
+    return done.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """A subcommand builds only its own parser; help, usage and errors read
+    as the full parser writes them."""
+
+    @pytest.mark.parametrize("command", list(cli.build_parser()._subparsers._group_actions[0]
+                                             .choices))
+    def test_subcommand_help_matches_full_parser(self, capsys, command):
+        full = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        assert exit_of(capsys, cli.main, [command, "--help"]) == (0, full.format_help(), "")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus"], ["--bogus"], ["upper-bound", "--log-s", "1", "--bogus"],
+        ["tee", "--rows", "4"], ["tee", "--rows", "x", "--cols", "4"],
+        ["upper-bound", "--log-s", "1", "extra"], ["tmi", "--rows", "8", "--cols", "8", "--lo"],
+    ], ids=["none", "help", "unknown-command", "unknown-top-option", "unknown-option",
+            "missing-flag", "bad-value", "extra-argument", "ambiguous-prefix"])
+    def test_usage_and_errors_match_full_parser(self, capsys, argv):
+        done = exit_of(capsys, cli.main, argv)
+        assert done == exit_of(capsys, cli.build_parser().parse_args, argv)
+        assert done[0] == (0 if argv == ["--help"] else cli.EXIT_VALIDATION)
+
+    def test_subcommand_builds_no_full_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", None)
+        code, stdout, _ = run(capsys, "upper-bound", "--log-s", "0")
+        assert code == cli.EXIT_OK
+        assert json.loads(stdout)["log_s"] == 0.0
 
 
 # past ln(float max / 8) / 4 ~ 176.93, 8 s^4 or 8 s^-4 overflows

@@ -840,6 +840,123 @@ class TestCut:
             assert spec is spectra[keys.index(key)]
 
 
+def surface_graphs(rows, cols, boundary, log_s):
+    """Graphs of the closed-form U at each of `log_s`, all filled into one
+    pattern, and the pattern."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the planar closed form warns
+        pattern = lattice._surface_code_pattern(lattice.LatticeSpec(rows, cols, boundary))
+    return [lattice._surface_code_graph(lattice.LatticeSpec(rows, cols, boundary, value), pattern)
+            for value in log_s], pattern
+
+
+def counted(monkeypatch, module, name):
+    """Record the positional arguments of every call of module.name."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestPatternPlans:
+    """What `_cuts` and `BlockCholesky` read from U's pattern alone is planned
+    once and served to every matrix of that pattern."""
+
+    def test_arrays_read_only(self):
+        csc = engine.Csc.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        for array in (csc.indptr, csc.indices, csc.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_with_data_shares_pattern_and_plans(self):
+        csc = engine.Csc.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        twin = csc.with_data(np.array([3.0, 0.5, 0.5, 3.0]))
+        assert twin.indptr is csc.indptr and twin.indices is csc.indices
+        assert twin.plans is csc.plans
+        assert np.array_equal(twin.toarray(), [[3.0, 0.5], [0.5, 3.0]])
+        assert not twin.data.flags.writeable
+        assert np.array_equal(csc.data, [2.0, 1.0, 1.0, 2.0])
+        for bad in (np.ones(3), np.ones(5), np.ones((2, 2))):
+            with pytest.raises(ValidationError, match="for a pattern of 4 entries"):
+                csc.with_data(bad)
+
+    @settings(max_examples=40)
+    @given(shape=st.one_of(
+               st.tuples(st.sampled_from(range(4, 25, 2)), st.sampled_from(range(4, 25, 2)),
+                         st.just("torus")),
+               st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar"))),
+           log_s=st.tuples(st.floats(-3.0, 3.25), st.floats(-3.0, 3.25)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_planned_cuts_equal_fresh_cuts(self, shape, log_s, seed):
+        # cuts planned at one log s and served at another: the same arrays as
+        # a fresh cut of a freshly built U and as the dense oracle
+        rows, cols, boundary = shape
+        (first, second), pattern = surface_graphs(rows, cols, boundary, log_s)
+        n = first.n_modes
+        rng = np.random.default_rng(seed)
+        regions = [tuple(sorted(set(map(int, region))))
+                   for region in TestCut.random_regions(rng, n, cols)]
+        engine._cuts(first._u_csc, regions)
+        assert set(regions) <= set(pattern.plans)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fresh = lattice.surface_code_graph_analytic(
+                lattice.LatticeSpec(rows, cols, boundary, log_s[1]))
+        with pytest.MonkeyPatch.context() as patch:
+            plans = counted(patch, engine, "_cut_plans")
+            served = engine._cuts(second._u_csc, regions)
+        assert plans == []
+        u = second.u_part
+        for region, cut, new in zip(regions, served, engine._cuts(fresh._u_csc, regions)):
+            for read, again, oracle in zip(cut, new, dense_cut(u, list(region))):
+                assert read.shape == again.shape == oracle.shape
+                assert np.array_equal(read, again) and np.array_equal(read, oracle)
+
+    def test_planned_keys_skip_the_region_check(self, monkeypatch):
+        # a key planned on the pattern was checked then; a new key, an empty
+        # one and one out of range are still checked
+        (first, second), _ = surface_graphs(8, 8, "torus", (1.0, 2.0))
+        keys = [tuple(range(10)), (3, 4, 11, 12)]
+        engine.symplectic_spectra(engine.covariance_from_graph(first), keys)
+        checks = counted(monkeypatch, engine, "_checked_region")
+        cov = engine.covariance_from_graph(second)
+        engine.symplectic_spectra(cov, keys)
+        assert checks == []
+        engine.symplectic_spectra(cov, [[5, 2]])
+        assert [list(region) for _, region in checks] == [[5, 2]]
+        for bad in ([], [64], [-1, 3]):
+            with pytest.raises(ValidationError):
+                engine.symplectic_spectra(cov, keys + [bad])
+
+    def test_cut_of_repeated_modes_is_not_kept(self):
+        # a region with a repeated mode is cut right but its plan is not kept,
+        # so its spectrum is still checked and has one value per distinct mode
+        (graph,), pattern = surface_graphs(8, 8, "torus", (1.0,))
+        region = (3, 3, 4)
+        for cut, oracle in zip(engine._cuts(graph._u_csc, [region])[0],
+                               dense_cut(graph.u_part, [3, 4])):
+            assert np.array_equal(cut, oracle)
+        assert region not in pattern.plans
+        spectrum = engine.symplectic_spectrum(engine.covariance_from_graph(graph), region)
+        assert len(spectrum) == 2
+
+    def test_planar_factors_order_blocks_once(self, monkeypatch):
+        # the block order and the scatter of U into the blocks come from the
+        # pattern, and a factor served from them equals a fresh one
+        orders = counted(monkeypatch, engine, "_block_order")
+        graphs, pattern = surface_graphs(9, 7, "planar", (0.5, 2.0, 3.0))
+        factors = [engine.covariance_from_graph(graph)._factor for graph in graphs]
+        assert len(orders) == 1 and "blocks" in pattern.plans
+        fresh = engine.BlockCholesky(engine.Csc.from_dense(graphs[-1].u_part))
+        assert len(orders) == 2
+        for got, want in zip(factors[-1]._inv + factors[-1]._sub, fresh._inv + fresh._sub):
+            assert np.array_equal(got, want)
+
+
 class TestMeasurements:
     def test_measure_q_two_mode(self):
         g = engine.measure_q(two_mode_cluster(2.0), 1)

@@ -542,6 +542,42 @@ class TestSurfaceCodeGraph:
             gt.surface_code_graph_analytic(gt.LatticeSpec(6, 6, "planar", 0.0))
 
 
+# even tori 4..24 (rectangular ones too) and planar grids 1..12
+SURFACE_SHAPES = st.one_of(
+    st.tuples(st.sampled_from(range(4, 25, 2)), st.sampled_from(range(4, 25, 2)),
+              st.just("torus")),
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar")))
+
+
+class TestSharedPattern:
+    """U's pattern does not depend on log s: one pattern serves the graphs of
+    every log s of a lattice, and each refill equals a fresh build."""
+
+    @settings(max_examples=60)
+    @given(shape=SURFACE_SHAPES, log_s=st.tuples(st.floats(-3.0, 3.25), st.floats(-3.0, 3.25)))
+    def test_refill_equals_fresh_build(self, shape, log_s):
+        rows, cols, boundary = shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            pattern = lattice._surface_code_pattern(gt.LatticeSpec(rows, cols, boundary, log_s[0]))
+            spec = gt.LatticeSpec(rows, cols, boundary, log_s[1])
+            fresh = gt.surface_code_graph_analytic(spec)
+        graph = lattice._surface_code_graph(spec, pattern)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(graph._u_csc, name), getattr(fresh._u_csc, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (graph._cond, graph._torus) == (fresh._cond, fresh._torus)
+        # the refill shares the pattern's arrays and plans, and keeps its values
+        assert graph._u_csc.indices is pattern.indices and graph._u_csc.plans is pattern.plans
+        assert np.array_equal(pattern.toarray(), np.eye(rows * cols))
+
+    def test_pattern_keeps_the_checks(self):
+        with pytest.raises(ValidationError, match="even sides >= 4"):
+            lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "torus", 1.0))
+        with pytest.warns(UserWarning, match="planar closed form"):
+            lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "planar", 1.0))
+
+
 class TestPipeline:
     @pytest.mark.parametrize("rows,cols", [(6, 6), (6, 8)])
     def test_matches_closed_form(self, rows, cols):
