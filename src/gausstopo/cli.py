@@ -161,7 +161,8 @@ def _sweep_point(spec_base, log_s, kappas, args, built):
                    "n_above": union.n_above, "n_half": union.n_half}
             for name, union in zip(names, unions)}
         # pure-state entropy of each KP union, from the reduction tee_kp sums
-        entropies = dict(zip(names, topo._kp_entropies(unions, 1.0).tolist()))
+        entropies = dict(zip(names, topo._kp_entropies(topo._kp_values(cov_pure, kp),
+                                                       1.0).tolist()))
     if "tee_kp" in metrics:
         shared["tee_kp"] = topo.tee_kp(cov_pure, kp)
     if "tee_lw" in metrics:

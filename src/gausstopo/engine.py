@@ -51,32 +51,56 @@ def _symmetrized(mat, name):
     return 0.5 * (mat + mat.T)
 
 
-class Csc:
+class _Stored:
+    """A square matrix held as the pattern of its stored entries and one
+    value per entry (`data`, read-only).  A subclass places the entries of
+    a set of columns (`positions`); `entries`, `toarray` and `with_data`
+    follow from that.
+
+    numpy index arithmetic reads the entries (`_cuts`, `gamma_block`,
+    `p_entry`).  `plans` memoises what is read from the pattern alone: the
+    cut of each region (`_cuts`), the index plan of a batch of spectra
+    (`_factor_spectra`) and the block order of `BlockCholesky`.  `with_data`
+    gives the matrix of another set of values on the same pattern, which
+    shares `plans`.
+    """
+
+    torus = None  # (rows, cols) of the even torus of a `CellStencil`
+
+    def with_data(self, data):
+        """The matrix with this pattern and the values `data`, one per
+        stored entry; it shares the pattern's arrays and `plans`."""
+        if data.shape != self.data.shape:
+            raise ValidationError("values of shape %s for a pattern of %d entries"
+                                  % (data.shape, self.data.size))
+        twin = copy.copy(self)
+        twin.data = _read_only(data)
+        return twin
+
+    def entries(self, cols):
+        """Row ids, positions in `cols` and values of the stored entries of
+        the columns `cols`."""
+        rows, k, at = self.positions(cols)
+        return rows, k, self.data[at]
+
+    def toarray(self):
+        """The dense matrix, in column-major layout."""
+        rows, k, values = self.entries(np.arange(self.shape[1]))
+        dense = np.zeros(self.shape, order="F")
+        dense[rows, k] = values
+        return dense
+
+
+class Csc(_Stored):
     """Canonical CSC arrays of a square matrix: the row `indices` of each
     column of `indptr` sorted, with no duplicates, int32 while they fit.
-    All three arrays are read-only.
-
-    numpy index arithmetic reads them (`_csc_entries`, `_cuts`,
-    `_cell_columns`, `BlockCholesky`).  `plans` memoises what those read
-    from the pattern (`indptr` and `indices`) alone: the cut of each region
-    (`_cuts`) and the block order of `BlockCholesky`.  `with_data` gives the
-    arrays of another matrix of the same pattern, which share `plans`.
+    All three arrays are read-only.  `BlockCholesky` reads them directly.
     """
 
     def __init__(self, indptr, indices, data):
         self.indptr, self.indices, self.data = map(_read_only, (indptr, indices, data))
         self.shape = (indptr.size - 1,) * 2
         self.plans = {}
-
-    def with_data(self, data):
-        """The arrays of the matrix with this pattern and the values `data`,
-        one per stored entry; they share `indptr`, `indices` and `plans`."""
-        if data.shape != self.data.shape:
-            raise ValidationError("values of shape %s for a pattern of %d entries"
-                                  % (data.shape, self.data.size))
-        twin = Csc(self.indptr, self.indices, data)
-        twin.plans = self.plans
-        return twin
 
     @classmethod
     def from_keys(cls, key, n, data):
@@ -98,11 +122,72 @@ class Csc:
         """The column of each stored entry."""
         return np.repeat(np.arange(self.shape[1], dtype=self.indices.dtype), np.diff(self.indptr))
 
-    def toarray(self):
-        """The dense matrix, in column-major layout."""
-        dense = np.zeros(self.shape, order="F")
-        dense[self.indices, self.columns()] = self.data
-        return dense
+    def positions(self, cols):
+        """Row ids, positions in `cols` and positions in `indices` and
+        `data` of the stored entries of the columns `cols`, column by
+        column."""
+        starts = self.indptr[cols]
+        at, k = _runs(starts, self.indptr[cols + 1] - starts)
+        return self.indices[at], k, at
+
+
+class CellStencil(_Stored):
+    """A symmetric matrix on an even rows x cols torus of sites (id r * cols
+    + c) that is invariant under the translations (a, b) with a + b even,
+    held as the entries of the four columns of one 2 x 2-site cell; every
+    other column holds those of its cell site, translated.  An entry is
+    the key 9 * source + 3 * (dr + 1) + dc + 1 of the cell site of its
+    column, source = 2 * (r % 2) + c % 2, and of the step (dr, dc) in
+    {-1, 0, 1}^2 from that site to its row's.  `key` is sorted and
+    distinct, with one value per key in `data`.  On tori >= 4 wide no two
+    entries of a column land on one site.
+
+    Equivalently U is fixed by the nine 4 x 4 blocks B(D)[a, b] between
+    cell site b of a cell and cell site a of the cell D in {-1, 0, 1}^2
+    cells away (`blocks`).  The translation (1, 1) lets the U^-1 columns of
+    two sites serve every column (`_gather`).
+    """
+
+    def __init__(self, torus, key, data):
+        self.torus = torus
+        self.shape = (torus[0] * torus[1],) * 2
+        self.data = _read_only(data)
+        self.plans = {}
+        source, step = np.divmod(key, 9)
+        dr, dc = np.divmod(step, 3)  # the step + 1
+        self._dr, self._dc = dr - 1, dc - 1
+        self._count = np.bincount(source, minlength=4)
+        self._start = np.cumsum(self._count) - self._count
+        # the row site is cell site a of the cell D away, 2 D + a = the cell
+        # site of the column + step: flat (D_r + 1, D_c + 1, a_r, a_c, b)
+        # position 48 (D_r + 1) + 8 a_r + 16 (D_c + 1) + 4 a_c + b
+        self._block_at = (np.take((8, 48, 56, 96), source // 2 + dr)
+                          + np.take((4, 16, 20, 32), source % 2 + dc) + source)
+
+    def positions(self, cols):
+        """Row ids, positions in `cols` and positions in `data` of the
+        stored entries of the columns `cols`, column by column."""
+        n_rows, n_cols = self.torus
+        r, c = np.divmod(cols, n_cols)
+        source = r % 2 * 2 + c % 2
+        at, k = _runs(self._start[source], self._count[source])
+        rows = (r[k] + self._dr[at]) % n_rows * n_cols + (c[k] + self._dc[at]) % n_cols
+        return rows, k, at
+
+    def blocks(self):
+        """The nine blocks B(D) as a (3, 3, 4, 4) array, D + 1 first."""
+        blocks = np.zeros(144)
+        blocks[self._block_at] = self.data
+        return blocks.reshape(3, 3, 4, 4)
+
+
+def _runs(starts, counts):
+    """The positions of runs of `counts` consecutive entries from `starts`,
+    concatenated, and the run of each."""
+    # the t-th position, entry e of run k, is starts[k] + e, and
+    # t = e + (the entries of the runs before k)
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return at, np.repeat(np.arange(counts.size), counts)
 
 
 def symplectic_form(n_modes):
@@ -122,13 +207,16 @@ class GaussGraph:
     u_part : (N, N) array_like
         Imaginary part of Z; must be symmetric positive definite.
 
-    A graph may hold U as canonical CSC arrays (`Csc`: the analytic surface
-    code and the measurement pipeline off odd tori); `u_part` and a zero
-    `v_part` are then built on first read.
+    A graph may hold U as its stored entries (`_u_sparse`): CSC arrays
+    (`Csc`: the planar analytic surface code and the measurement pipeline
+    off odd tori) or, on an even torus, its 2 x 2-cell stencil
+    (`CellStencil`); `u_part` and a zero `v_part` are then built on first
+    read.
     """
 
-    _torus = None  # (rows, cols) of an even torus whose U has the 2 x 2-cell symmetry
     _cond = 1.0  # cond(U), or an upper bound on it; 1 for a graph of no modes
+    # (rows, cols) of an even torus whose U has the 2 x 2-cell symmetry
+    _torus = property(lambda self: None if self._u_sparse is None else self._u_sparse.torus)
 
     def __init__(self, v_part, u_part):
         u = np.atleast_2d(np.asarray(u_part, dtype=float))
@@ -136,7 +224,7 @@ class GaussGraph:
         if u.ndim != 2 or u.shape[0] != u.shape[1] or (v is not None and v.shape != u.shape):
             raise ValidationError("v_part and u_part must be square matrices of equal shape")
         self.n_modes = u.shape[0]
-        self._u_csc = None
+        self._u_sparse = None
         if u.size:
             v = None if v is None else _symmetrized(v, "v_part")
             u = _symmetrized(u, "u_part")
@@ -146,18 +234,16 @@ class GaussGraph:
         self._v = None if v is None else _read_only(v)
 
     @classmethod
-    def _with_extremes(cls, u_csc, lam_min, lam_max, torus=None):
-        """V = 0 graph of the `Csc` arrays `u_csc` of a U that its builder
-        constructs finite and symmetric, with a spectrum it knows to lie in
-        [lam_min, lam_max] (`_cond` is then an upper bound on cond(U)): only
-        positive definiteness and cond(U) are checked, from those extremes.
-        `torus` = (rows, cols) records that U on that even torus is
-        invariant under the translations (a, b) with a + b even."""
+    def _with_extremes(cls, u_sparse, lam_min, lam_max):
+        """V = 0 graph of the stored entries `u_sparse` (`Csc` or
+        `CellStencil`) of a U that its builder constructs finite and
+        symmetric, with a spectrum it knows to lie in [lam_min, lam_max]
+        (`_cond` is then an upper bound on cond(U)): only positive
+        definiteness and cond(U) are checked, from those extremes."""
         graph = cls.__new__(cls)
-        graph.n_modes = u_csc.shape[0]
-        graph._u_csc = u_csc
+        graph.n_modes = u_sparse.shape[0]
+        graph._u_sparse = u_sparse
         graph._u = graph._v = None
-        graph._torus = torus
         if graph.n_modes:
             graph._check_extremes(lam_min, lam_max)
         return graph
@@ -176,7 +262,7 @@ class GaussGraph:
     def u_part(self):
         """Imaginary part U (dense, read-only)."""
         if self._u is None:
-            self._u = _read_only(self._u_csc.toarray())
+            self._u = _read_only(self._u_sparse.toarray())
         return self._u
 
     @property
@@ -255,15 +341,16 @@ class CovMatrix:
 
     `covariance_from_graph` marks its result as a kappa-scaled pure state
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
-    A marked V = 0 state is U-native: it holds U's `Csc` arrays, kappa and,
-    instead of gamma, what serves U^-1 (`_u_inv`): the two cell columns of
-    U^-1 on an even torus, one `BlockCholesky` factor of U elsewhere.  It builds
-    `gamma`, `q_block` and `p_block` on first read and keeps them, and
-    memoises the pure-state spectra of its regions.
+    A marked V = 0 state is U-native: it holds U's stored entries (`Csc`
+    or `CellStencil`), kappa and, instead of gamma, what serves U^-1
+    (`_u_inv`): the two cell columns of U^-1 on an even torus, one
+    `BlockCholesky` factor of U elsewhere.  It builds `gamma`, `q_block`
+    and `p_block` on first read and keeps them, and memoises the pure-state
+    spectra of its regions.
     """
 
     _scaled_pure = False
-    _u = None  # Csc arrays of U of a U-native state; None when gamma is dense
+    _u = None  # stored entries of U of a U-native state; None when gamma is dense
     _cell = None  # (U^-1 columns of sites (0, 0) and (0, 1), (rows, cols)) on an even torus
     block_diagonal = property(lambda self: self._block_diagonal,
                               doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
@@ -288,8 +375,9 @@ class CovMatrix:
 
     @classmethod
     def _u_native(cls, u, factor=None, cell=None):
-        """Marked U-native pure state of the graph V = 0, U (`Csc`), served by
-        its `BlockCholesky` `factor` or, on an even torus, by its `cell` columns."""
+        """Marked U-native pure state of the graph V = 0, U (stored entries
+        `u`), served by its `BlockCholesky` `factor` or, on an even torus, by
+        its `cell` columns."""
         cov = cls.__new__(cls)
         cov.kappa = 1.0
         cov.n_modes = u.shape[0]
@@ -298,14 +386,13 @@ class CovMatrix:
         cov._gamma = cov._q = cov._p = None
         return cov
 
-    def _u_inv(self, rows, cols):
+    def _u_inv(self, rows, cols, gather=None):
         """U^-1[rows, cols] of a U-native state (`rows` may be a slice).
 
-        On an even torus it is a gather: the translation (r_j, c_j - p) with
-        p = (r_j + c_j) mod 2 keeps U and takes site (0, p) to site j, so
-        U^-1[i, j] is entry i - (r_j, c_j - p) of the column of (0, p).
-        Otherwise it is one solve with the factor for the smaller of `rows`
-        and `cols`, as U^-1[rows, cols] = U^-1[cols, rows]^T.
+        On an even torus it is a gather from the cell columns (`_gather`,
+        or the planned `gather` of these rows and columns).  Otherwise it is
+        one solve with the factor for the smaller of `rows` and `cols`, as
+        U^-1[rows, cols] = U^-1[cols, rows]^T.
         """
         cols = np.asarray(cols, dtype=int)
         if self._cell is None:
@@ -316,12 +403,8 @@ class CovMatrix:
             rhs[ids, np.arange(ids.size)] = 1.0
             solved = self._factor.solve(rhs, wanted)
             return solved.T if by_rows else solved
-        columns, (n_rows, n_cols) = self._cell
-        r_i, c_i = np.divmod(np.arange(self.n_modes)[rows], n_cols)
-        r_j, c_j = np.divmod(cols, n_cols)
-        parity = (r_j + c_j) % 2
-        at = (r_i[:, None] - r_j) % n_rows * n_cols + (c_i[:, None] - c_j + parity) % n_cols
-        return columns[at, parity]
+        columns, torus = self._cell
+        return np.take(columns, _gather(torus, rows, cols) if gather is None else gather)
 
     @property
     def gamma(self):
@@ -371,7 +454,7 @@ class CovMatrix:
         if self._u is None:
             return self.p_block[i, j]
         modes = range(self.n_modes)  # numpy's index rules: negatives wrap, others raise
-        rows, _, values = _csc_entries(self._u, np.array([modes[j]]))
+        rows, _, values = self._u.entries(np.array([modes[j]]))
         return 0.5 * self.kappa * values[rows == modes[i]].sum()
 
     def gamma_block(self, ids):
@@ -390,7 +473,7 @@ class CovMatrix:
         p = ids[~q] - n
         at = np.full(n, -1)
         at[p] = np.arange(p.size)
-        rows, k, values = _csc_entries(self._u, p)
+        rows, k, values = self._u.entries(p)
         inside = at[rows] >= 0
         u_p = np.zeros((p.size, p.size))
         u_p[at[rows[inside]], k[inside]] = values[inside]
@@ -441,34 +524,30 @@ class SymplecticSpectrum:
         return SymplecticSpectrum(kappa * vals)
 
 
-def _csc_positions(u, cols):
-    """Positions in `u.indices` and `u.data` of the stored entries of the
-    columns `cols` of the `Csc` arrays `u`, and the position in `cols` of
-    the column of each."""
-    starts = u.indptr[cols]
-    counts = u.indptr[cols + 1] - starts
-    # the t-th entry read, entry e of column k, sits at starts[k] + e, and
-    # t = e + (the entries of the columns before k)
-    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    return at, np.repeat(np.arange(cols.size), counts)
-
-
-def _csc_entries(u, cols):
-    """Row ids, positions in `cols` and values of the stored entries of the
-    columns `cols` of the `Csc` arrays `u`."""
-    at, k = _csc_positions(u, cols)
-    return u.indices[at], k, u.data[at]
+def _gather(torus, rows, cols):
+    """Positions in the flattened N x 2 cell columns of an even `torus`
+    (`_cell_columns`) of the entries U^-1[rows, cols] (`rows` may be a
+    slice): the translation (r_j, c_j - p) with p = (r_j + c_j) mod 2 keeps
+    U and takes site (0, p) to site j, so U^-1[i, j] is entry
+    i - (r_j, c_j - p) of the column of (0, p)."""
+    n_rows, n_cols = torus
+    r_i, c_i = np.divmod(np.arange(n_rows * n_cols)[rows], n_cols)
+    r_j, c_j = np.divmod(cols, n_cols)
+    parity = (r_j + c_j) % 2
+    at = (r_i[:, None] - r_j) % n_rows * n_cols + (c_i[:, None] - c_j + parity) % n_cols
+    return 2 * at + parity
 
 
 def _cuts(u, regions):
     """The cuts of `regions` (each a sequence of mode ids) in the symmetric
-    `Csc` arrays `u`: for each region S its edge dS (the modes outside S
-    that U couples to S), its rim d'S (the modes of S coupled outside S),
-    both sorted, and the dense block U[dS, d'S].
+    U of the stored entries `u` (`Csc` or `CellStencil`): for each region
+    S its edge dS (the modes outside S that U couples to S), its rim d'S
+    (the modes of S coupled outside S), both sorted, and the dense block
+    U[dS, d'S].
 
     The part that depends on U's pattern alone is planned once per region
-    tuple (`_cut_plans`) and kept in `u.plans`, which every `Csc.with_data`
-    of the pattern shares; each block is then filled from `u.data`.
+    tuple (`_cut_plans`) and kept in `u.plans`, which every `with_data` of
+    the pattern shares; each block is then filled from `u.data`.
     """
     keys = [tuple(region) for region in regions]
     found = {key: u.plans.get(key) for key in keys}
@@ -486,10 +565,10 @@ def _cuts(u, regions):
 
 def _cut_plans(u, regions):
     """The pattern part of the cuts of `regions` (tuples of mode ids) in the
-    symmetric `Csc` arrays `u`, from one read of the columns of all their
-    modes: for each region its edge dS and rim d'S, and, for the entries of
-    U[dS, d'S], their flat row-major positions in that block and their
-    positions in `u.data`.  The plan of a region is also kept in `u.plans`
+    symmetric U of the stored entries `u`, from one read of the columns of
+    all their modes: for each region its edge dS and rim d'S, and, for the
+    entries of U[dS, d'S], their flat row-major positions in that block and
+    their positions in `u.data`.  The plan of a region is also kept in `u.plans`
     when the region has as many modes as ids, which holds only for distinct
     ids in range(n) (an id out of range lands outside the region's keys):
     `_factor_spectra` takes a kept key for a checked region.
@@ -505,8 +584,7 @@ def _cut_plans(u, regions):
     inside[np.repeat(np.arange(0, count * n, n), [len(region) for region in regions])
            + np.concatenate([np.asarray(region, dtype=np.intp) for region in regions])] = True
     members = np.flatnonzero(inside)
-    at, k = _csc_positions(u, members % n)
-    rows = u.indices[at]
+    rows, k, at = u.positions(members % n)
     column = members[k]  # the key of the column each entry was read from
     owner = column - column % n  # r * n
     out = np.flatnonzero(~inside[owner + rows])
@@ -531,27 +609,33 @@ def _cut_plans(u, regions):
     return plans
 
 
-def _cell_columns(u, torus):
-    """U^-1 columns of the sites (0, 0) and (0, 1) of an even rows x cols
-    torus, as an N x 2 array.
+def _cell_columns(u):
+    """U^-1 columns of the sites (0, 0) and (0, 1) of the even rows x cols
+    torus of the `CellStencil` u, as an N x 2 array.
 
-    U is block-circulant over the 2 x 2-site cell, so U^-1 is the inverse
-    FFT of the inverted 4 x 4 symbols at the (rows/2) x (cols/2) momenta.
-    The symbols come from the 4 source columns of the cell (0, 0) in U.
+    U is block-circulant over the 2 x 2-site cell, with the 4 x 4 symbol
+    U(k) = sum_D B(D) e^{-ik.D} over its nine blocks (`CellStencil.blocks`)
+    at the (rows/2) x (cols/2) cell momenta k, each e^{-ik.D} a product of
+    a phase in k_x and one in k_y.  U is real, so U(-k) = conj U(k): the
+    two source columns are solved at the momenta with k_y in [0, pi] only,
+    and `irfft2` takes them back to the columns of U^-1.
     """
-    rows, cols = torus
+    rows, cols = u.torus
     cells = (rows // 2, cols // 2)
-    # kernel[X, Y, a, b, k]: U between site (2X + a, 2Y + b) and the k-th cell site
-    kernel = np.zeros((rows * cols, 4))
-    at, k, values = _csc_entries(u, np.array([0, 1, cols, cols + 1]))
-    kernel[at, k] = values
-    kernel = kernel.reshape(cells[0], 2, cells[1], 2, 4)
-    symbol = np.fft.fft2(kernel.transpose(0, 2, 1, 3, 4).reshape(*cells, 4, 4), axes=(0, 1))
+    # phases[D + 1, k] = e^{-ikD} for D = -1, 0, 1; fftfreq holds -k as the
+    # exact negation of k, so the phases at -k are the conjugates of those at k
+    phases = [np.exp(-2j * np.pi * k) for k in (np.fft.fftfreq(cells[0]),
+                                               np.fft.rfftfreq(cells[1]))]
+    phases = [np.stack([phase.conj(), np.ones_like(phase), phase]) for phase in phases]
+    # symbol[kx, ky, a, b] = sum_{Dx, Dy} e^{-i kx Dx} e^{-i ky Dy} B(Dx, Dy)[a, b]
+    symbol = np.tensordot(phases[0], np.tensordot(phases[1], u.blocks(), axes=(0, 1)),
+                          axes=(0, 1))
+    sources = np.broadcast_to(np.eye(4)[:, :2], symbol.shape[:2] + (4, 2))
     try:
-        inverse = np.linalg.inv(symbol)
+        half = np.linalg.solve(symbol, sources)
     except np.linalg.LinAlgError:
         raise IllConditionedGraphError("a 2 x 2-cell symbol of U is singular") from None
-    columns = np.fft.ifft2(inverse[..., :2], axes=(0, 1)).real
+    columns = np.fft.irfft2(half, s=cells, axes=(0, 1))
     return columns.reshape(*cells, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(rows * cols, 2)
 
 
@@ -716,10 +800,10 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
     if graph._torus is not None:
-        u = graph._u_csc
-        return CovMatrix._u_native(u, cell=(_cell_columns(u, graph._torus), graph._torus))
+        u = graph._u_sparse
+        return CovMatrix._u_native(u, cell=(_cell_columns(u), u.torus))
     if graph.is_v_zero():
-        u = graph._u_csc
+        u = graph._u_sparse
         if u is None:
             u = Csc.from_dense(graph.u_part)
         return CovMatrix._u_native(u, factor=BlockCholesky(u))
@@ -743,10 +827,10 @@ def _factor_spectra(cov, regions):
     eigenvalues lambda are those of (U^-1)[d'S, dS] U[dS, d'S], or of the
     reverse product, whichever is smaller: sigma = 1/2 sqrt(max(1, 1 -
     lambda)), with the rest of S padded with exact 1/2 entries.  The
-    spectra not yet known take their cuts from one `_cuts` call, planned on
-    U's pattern the first time, and share one block of U^-1
-    (`CovMatrix._u_inv`): the union of their rims by the union of their
-    edges.
+    spectra not yet known take their cuts from one `_cuts` call and share
+    one block of U^-1 (`CovMatrix._u_inv`), the union of their rims by the
+    union of their edges; both are planned on U's pattern the first time
+    (`_cut_plans`, `_batch_plan`).
     """
     memo, plans = cov._memo, cov._u.plans
     # a key of either memo was checked against the same N before it was
@@ -755,18 +839,34 @@ def _factor_spectra(cov, regions):
             for key in map(tuple, regions)]
     new = [key for key in dict.fromkeys(keys) if key not in memo]
     if new:
-        cuts = dict(zip(new, _cuts(cov._u, new)))
-        rows = _sorted_distinct(np.concatenate([rim for _, rim, _ in cuts.values()]))
-        cols = _sorted_distinct(np.concatenate([edge for edge, _, _ in cuts.values()]))
-        u_inv = cov._u_inv(rows, cols)
-        for key, (edge, rim, coupling) in cuts.items():
-            block = u_inv[np.ix_(np.searchsorted(rows, rim), np.searchsorted(cols, edge))]
+        cuts = _cuts(cov._u, new)
+        rows, cols, pairs, gather = _batch_plan(cov._u, tuple(new), cuts)
+        u_inv = cov._u_inv(rows, cols, gather)
+        for key, (edge, rim, coupling), pair in zip(new, cuts, pairs):
+            block = u_inv[pair]
             cross = block @ coupling if rim.size < edge.size else coupling @ block
             sigma = 0.5 * np.sqrt(np.clip(1.0 - np.linalg.eigvals(cross).real, 1.0, None))
             memo[key] = SymplecticSpectrum(
                 np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
             memo[key].boundary, memo[key].rim = edge.size, rim.size
     return [memo[key] for key in keys]
+
+
+def _batch_plan(u, batch, cuts):
+    """What the spectra of the region keys `batch`, with their `cuts`, read
+    from U's pattern alone, kept in `u.plans["batches"]` under the batch:
+    the union of their rims, the union of their edges, the index pair of
+    each cut's block of U^-1 in the union block, and on an even torus the
+    positions of the union block in the cell columns (`_gather`)."""
+    batches = u.plans.setdefault("batches", {})
+    if batch not in batches:
+        rows = _sorted_distinct(np.concatenate([rim for _, rim, _ in cuts]))
+        cols = _sorted_distinct(np.concatenate([edge for edge, _, _ in cuts]))
+        pairs = [np.ix_(np.searchsorted(rows, rim), np.searchsorted(cols, edge))
+                 for edge, rim, _ in cuts]
+        batches[batch] = (rows, cols, pairs,
+                          None if u.torus is None else _gather(u.torus, rows, cols))
+    return batches[batch]
 
 
 def _spectrum_block_diagonal(cov, region):

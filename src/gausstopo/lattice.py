@@ -151,7 +151,7 @@ def _cluster_blocks(adj, *blocks):
     for rows, cols in blocks:
         at = np.full(adj.shape[0], -1)
         at[rows] = np.arange(len(rows))
-        row, k, values = engine._csc_entries(adj, np.asarray(cols, dtype=np.intp))
+        row, k, values = adj.entries(np.asarray(cols, dtype=np.intp))
         inside = at[row] >= 0
         block = np.zeros((len(rows), len(cols)))
         block[at[row[inside]], k[inside]] = values[inside]
@@ -172,7 +172,7 @@ def _kept_gram(adj, p_nodes, kept):
     n = len(kept)
     at = np.full(adj.shape[0], -1)
     at[kept] = np.arange(n)
-    node, p_index, _ = engine._csc_entries(adj, np.asarray(p_nodes, dtype=np.intp))
+    node, p_index, _ = adj.entries(np.asarray(p_nodes, dtype=np.intp))
     is_p = np.zeros(adj.shape[0], dtype=bool)
     is_p[p_nodes] = True
     mode = at[node]
@@ -212,14 +212,41 @@ def measurement_pattern(spec):
             np.flatnonzero(odd_row != odd_col).tolist())
 
 
+def _surface_links(shape):
+    """The links of A_SC over a grid of `shape`, as `_stencil_adjacency`
+    takes them: the square lattice, and both diagonals through every
+    plaquette whose lower-left corner (x, y) has x + y even."""
+    every = np.ones(shape, dtype=bool)
+    even = np.indices(shape).sum(axis=0) % 2 == 0
+    return ([(link, every) for link in _SQUARE]
+            + [(((0, 0), (1, 1)), even), (((1, 0), (0, 1)), even)])
+
+
 def _surface_code_links(spec, off=1.0, diag=None):
     """`engine.Csc` arrays of off * A_SC + diag * I (A_SC alone for diag None);
     `surface_code_adjacency` is the dense A_SC."""
-    every = np.ones((spec.rows, spec.cols), dtype=bool)
-    even = np.indices((spec.rows, spec.cols)).sum(axis=0) % 2 == 0
-    links = [(link, every) for link in _SQUARE]
-    links += [(((0, 0), (1, 1)), even), (((1, 0), (0, 1)), even)]
-    return _stencil_adjacency(spec, links, off, diag)
+    return _stencil_adjacency(spec, _surface_links((spec.rows, spec.cols)), off, diag)
+
+
+def _cell_stencil(spec, links):
+    """`engine.CellStencil` with the pattern of the matrix that
+    `_stencil_adjacency` builds from `links` and a diagonal on an even
+    torus, for links whose masks are given on the 2 x 2-site cell and
+    repeat over the torus, holding the values of the identity.
+
+    Both orientations of each link from each masked corner of the cell (0,
+    0) are an entry: the site of one end is its column, moved by whole
+    cells into the cell (0, 0), and the step to the other end its row.
+    Each site also has a diagonal entry.  Repeated links are stored once,
+    and on tori >= 4 wide no link closes on itself or on another's sites.
+    """
+    steps = np.array([ends for ends, _ in links])
+    link, r, c = np.nonzero(np.array([mask for _, mask in links]))
+    ends = steps[link] + np.column_stack([r, c])[:, None]  # [link corner, end, (r, c)]
+    column, row = ends.reshape(-1, 2), ends[:, ::-1].reshape(-1, 2)
+    key = np.append(column % 2 @ [18, 9] + (row - column) @ [3, 1], np.arange(4) * 9) + 4
+    key = engine._sorted_distinct(key)
+    return engine.CellStencil((spec.rows, spec.cols), key, (key % 9 == 4).astype(float))
 
 
 def surface_code_adjacency(spec):
@@ -235,8 +262,10 @@ def surface_code_adjacency(spec):
 def surface_code_graph_analytic(spec):
     """Closed-form surface-code graph V = 0, U = s^2 A_SC + (s^-2 + 2s^2) I.
 
-    `spec` dimensions count surface-code modes.  U is built as CSC arrays
-    with numpy (at most 7 entries per column) and no scipy; its dense form is
+    `spec` dimensions count surface-code modes.  On an even torus U is held
+    as its 2 x 2-cell stencil (`engine.CellStencil`: the 28 entries of the
+    four columns of one cell), on a planar grid as CSC arrays (at most 7
+    entries per column), both with numpy and no scipy; its dense form is
     built only when `u_part` is read.
     The closed form is the surface code on an even torus with both sides
     >= 4; any other torus raises ValidationError.  A planar spec returns the
@@ -246,30 +275,31 @@ def surface_code_graph_analytic(spec):
 
 
 def _surface_code_pattern(spec):
-    """`engine.Csc` arrays with the pattern of U on the lattice of `spec`,
-    which does not depend on log s, and the values of the identity (the
-    entries off the diagonal stored as 0); `surface_code_graph_analytic`'s
+    """The stored entries of U on the lattice of `spec`, which do not
+    depend on log s, holding the values of the identity (the entries off
+    the diagonal stored as 0): on an even torus its `engine.CellStencil`,
+    on a planar grid `engine.Csc` arrays.  `surface_code_graph_analytic`'s
     checks and warning are made here."""
     if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
         # odd tori break the plaquette parity; 2-wide ones saturate wrapped links
         raise ValidationError("the closed-form surface code needs a torus with even sides >= 4")
-    if spec.boundary == "planar":
-        warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
+    if spec.boundary == "torus":
+        return _cell_stencil(spec, _surface_links((2, 2)))
+    warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
     return _surface_code_links(spec, 0.0, 1.0)
 
 
 def _surface_code_graph(spec, pattern):
     """The closed-form graph of `spec`, its U filled into `pattern`
     (`_surface_code_pattern` of the same lattice, at any log s): s^2 off the
-    diagonal and s^-2 + 2s^2 on it.  The arrays share the pattern's plans."""
+    diagonal and s^-2 + 2s^2 on it.  U shares the pattern's arrays and plans."""
     s = spec.s
     c, d = s ** 2, s ** -2 + 2 * s ** 2
     u = pattern.with_data(np.where(pattern.data == 1.0, d, c))
     # U = s^-2 I + s^2 B^T B (B the p-to-kept incidence) with spec(B^T B) =
     # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
     # interlacing on a planar grid, a principal submatrix of a larger torus
-    torus = (spec.rows, spec.cols) if spec.boundary == "torus" else None
-    return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c, torus)
+    return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
 
 
 def _off_diagonal_support(mat):
@@ -289,7 +319,12 @@ def kept_mode_adjacency(spec):
     diagonal torus identification.
     """
     _, p_nodes, kept = measurement_pattern(spec)
-    return _off_diagonal_support(_kept_gram(_cluster_links(spec), p_nodes, kept)[0].toarray())
+    gram = _kept_gram(_cluster_links(spec), p_nodes, kept)[0]
+    rows, cols = gram.indices, gram.columns()
+    off = (rows != cols) & (gram.data != 0)
+    adjacency = np.zeros(gram.shape)
+    adjacency[rows[off], cols[off]] = 1.0
+    return adjacency
 
 
 def map_cluster_to_surface(spec):

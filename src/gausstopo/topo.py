@@ -158,11 +158,23 @@ def _kp_sum(term, items):
     return -sum(sign * term(item) for item, sign in zip(items, KP_SIGNS))
 
 
-def _kp_values(spectra):
+def _concatenated(spectra):
     """The values of the seven `spectra`, concatenated, and the union index
     of each."""
     values = np.concatenate([spec.values for spec in spectra])
     return values, np.repeat(np.arange(len(spectra)), [len(spec) for spec in spectra])
+
+
+def _kp_values(cov, regions):
+    """`_concatenated` of `_kp_spectra`, the input of every KP reduction.  A
+    U-native state keeps it next to its spectra, in the "kp" entry of its
+    spectrum memo, under the seven unions; its thermal_scale copies share
+    the memo."""
+    memo = cov._memo.setdefault("kp", {}) if cov._u is not None else {}
+    key = regions.kp_unions
+    if key not in memo:
+        memo[key] = _concatenated(_kp_spectra(cov, regions))
+    return memo[key]
 
 
 def _per_union(union, terms):
@@ -175,12 +187,12 @@ def _kp_signed(per_union):
     return -float(np.dot(KP_SIGNS, per_union))
 
 
-def _kp_entropies(spectra, kappa):
+def _kp_entropies(kp_values, kappa):
     """Entropies (bits) of the seven KP unions of the kappa-scaled state,
-    from `_kp_spectra`, as one reduction: a pure value within tol_half of
+    from `_kp_values`, as one reduction: a pure value within tol_half of
     1/2 scales from exactly 1/2 (`SymplecticSpectrum.scaled`), and only
     scaled values above 1/2 + tol_half add entropy (`von_neumann_entropy`)."""
-    values, union = _kp_values(spectra)
+    values, union = kp_values
     tol = engine.SymplecticSpectrum.tol_half
     scaled = kappa * np.where(values <= 0.5 + tol, 0.5, values)
     above = scaled > 0.5 + tol
@@ -188,24 +200,24 @@ def _kp_entropies(spectra, kappa):
     return _per_union(union[above], np.log1p(a) + a * np.log1p(1.0 / a))
 
 
-def _kp_entropy(spectra, kappa):
-    """-sum sign S_X of the kappa-scaled state, from `_kp_spectra`."""
-    return _kp_signed(_kp_entropies(spectra, kappa))
+def _kp_entropy(kp_values, kappa):
+    """-sum sign S_X of the kappa-scaled state, from `_kp_values`."""
+    return _kp_signed(_kp_entropies(kp_values, kappa))
 
 
-def _kp_log_negativity(spectra, kappa):
-    """-sum sign N_X of the kappa-scaled state, from `_kp_spectra`, as one
+def _kp_log_negativity(kp_values, kappa):
+    """-sum sign N_X of the kappa-scaled state, from `_kp_values`, as one
     reduction of `pure_log_negativity`'s terms: only pure values above
     1/2 + tol_half add."""
-    values, union = _kp_values(spectra)
+    values, union = kp_values
     above = values > 0.5 + engine.SymplecticSpectrum.tol_half
     terms = np.maximum(np.arccosh(2.0 * values[above]) - np.log(kappa), 0.0)
     return _kp_signed(_per_union(union[above], terms))
 
 
-def _kp_log_sum(spectra):
-    """-sum sign sum_i log2(2 sigma_i^X), from `_kp_spectra`."""
-    values, union = _kp_values(spectra)
+def _kp_log_sum(kp_values):
+    """-sum sign sum_i log2(2 sigma_i^X), from `_kp_values`."""
+    values, union = kp_values
     return _kp_signed(_per_union(union, np.log(2.0 * values)))
 
 
@@ -213,7 +225,7 @@ def tee_kp(cov, regions):
     """Kitaev-Preskill combination -(S_A+S_B+S_C-S_AB-S_BC-S_AC+S_ABC)."""
     if regions.kind != "KP":
         raise ValidationError("tee_kp requires KP regions")
-    return _kp_entropy(_kp_spectra(cov, regions), cov.kappa)
+    return _kp_entropy(_kp_values(cov, regions), cov.kappa)
 
 
 def tee_lw(cov, regions):
@@ -230,7 +242,7 @@ def tln_kp(cov, regions):
     if regions.kind != "KP":
         raise ValidationError("tln_kp requires KP regions")
     if cov._scaled_pure and cov.block_diagonal:
-        return _kp_log_negativity(_kp_spectra(cov, regions), cov.kappa)
+        return _kp_log_negativity(_kp_values(cov, regions), cov.kappa)
     return _kp_sum(lambda key: engine.log_negativity(cov, key), regions.kp_unions)
 
 
@@ -257,7 +269,7 @@ def tmi(cov, regions):
     if regions.kind != "KP":
         raise ValidationError("tmi requires KP regions")
     if cov._scaled_pure:
-        return _kp_entropy(_kp_spectra(cov, regions), cov.kappa)
+        return _kp_entropy(_kp_values(cov, regions), cov.kappa)
     return 0.5 * _kp_sum(lambda key: mutual_information(cov, key), regions.kp_unions)
 
 
@@ -275,7 +287,7 @@ def tmi_lower_bound(cov_pure, regions):
         raise ValidationError("tmi_lower_bound requires KP regions")
     if cov_pure.kappa != 1.0:
         raise ValidationError("tmi_lower_bound expects the pure (kappa=1) state")
-    return _kp_log_sum(_kp_spectra(cov_pure, regions))
+    return _kp_log_sum(_kp_values(cov_pure, regions))
 
 
 def sandwich_regions(lw):

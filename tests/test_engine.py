@@ -609,9 +609,73 @@ class TestTorusCells:
             raise np.linalg.LinAlgError("Singular matrix")
 
         graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 1.0))
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(IllConditionedGraphError):
             engine.covariance_from_graph(graph)
+
+
+# even tori 4..24, rectangular ones too, at log s in [-3, 3.25]
+EVEN_TORI = dict(rows=st.sampled_from(range(4, 25, 2)), cols=st.sampled_from(range(4, 25, 2)),
+                 log_s=st.floats(-3.0, 3.25))
+
+
+def torus_graph(rows, cols, log_s):
+    return lattice.surface_code_graph_analytic(lattice.LatticeSpec(rows, cols, "torus", log_s))
+
+
+class TestCellStencil:
+    """An even torus holds U as its 2 x 2-cell stencil: every entry, cut,
+    covariance block and the cell columns of U^-1 against the dense U."""
+
+    @settings(max_examples=40)
+    @given(**EVEN_TORI)
+    def test_u_part_is_the_closed_form(self, rows, cols, log_s):
+        graph = torus_graph(rows, cols, log_s)
+        assert isinstance(graph._u_sparse, engine.CellStencil)
+        spec = lattice.LatticeSpec(rows, cols, "torus", log_s)
+        s, eye = spec.s, np.eye(rows * cols)
+        closed = s ** 2 * lattice.surface_code_adjacency(spec) + (s ** -2 + 2 * s ** 2) * eye
+        assert np.array_equal(graph.u_part, closed)
+
+    @settings(max_examples=40)
+    @given(**EVEN_TORI, seed=st.integers(0, 2 ** 32 - 1))
+    def test_cuts_equal_dense_cuts(self, rows, cols, log_s, seed):
+        graph = torus_graph(rows, cols, log_s)
+        regions = TestCut.random_regions(np.random.default_rng(seed), rows * cols, cols)
+        u = graph.u_part
+        for region, cut in zip(regions, engine._cuts(graph._u_sparse, regions)):
+            for read, oracle in zip(cut, dense_cut(u, region)):
+                assert read.shape == oracle.shape and np.array_equal(read, oracle)
+
+    @settings(max_examples=30)
+    @given(**EVEN_TORI, kappa=st.sampled_from([1.0, 10.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_and_entries_equal_dense_state(self, rows, cols, log_s, kappa, seed):
+        cov = engine.thermal_scale(engine.covariance_from_graph(torus_graph(rows, cols, log_s)),
+                                   kappa)
+        dense = engine.CovMatrix(cov.gamma, kappa=cov.kappa)
+        n = rows * cols
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(2 * n, size=int(rng.integers(1, 2 * n + 1)), replace=False)
+        assert np.array_equal(cov.gamma_block(ids), dense.gamma_block(ids))
+        for i, j in rng.integers(n, size=(20, 2)).tolist() + [[0, 1], [0, cols], [5, 5]]:
+            assert cov.p_entry(i, j) == dense.p_entry(i, j)
+
+    @settings(max_examples=40)
+    @given(**EVEN_TORI)
+    def test_cell_columns_match_dense_inverse(self, rows, cols, log_s):
+        graph = torus_graph(rows, cols, log_s)
+        u = graph.u_part
+        inverse = np.linalg.inv(u)
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(u) * np.abs(inverse).max()
+        columns = engine._cell_columns(graph._u_sparse)
+        assert np.abs(columns - inverse[:, [0, 1]]).max() <= tol
+
+    def test_stencil_holds_28_entries(self):
+        # the four columns of one cell, 7 entries each, whatever the torus
+        for rows, cols in [(4, 4), (36, 36), (8, 24)]:
+            u = torus_graph(rows, cols, 1.0)._u_sparse
+            assert u.torus == (rows, cols) and u.shape == (rows * cols,) * 2
+            assert u.data.size == 28 and u.blocks().shape == (3, 3, 4, 4)
 
 
 def factored_u(kind, rows, cols, log_s):
@@ -662,7 +726,7 @@ class TestBlockCholesky:
     def test_order_is_the_cheaper_one(self, rows, cols, natural):
         # natural order cut every bandwidth modes (cols + 1 on a planar grid
         # of two rows or more) or the level sets, by the sum of cubed sizes
-        u = factored_u("planar", rows, cols, 1.0)._u_csc
+        u = factored_u("planar", rows, cols, 1.0)._u_sparse
         n = rows * cols
         width = cols + 1 if rows > 1 else 1
         cut = [width] * (n // width) + [n % width] * (n % width > 0)
@@ -679,7 +743,8 @@ class TestBlockCholesky:
         # level sets of at most 136 modes; no N x N block is built
         graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(36, 36, "torus", 2.0))
         loaded = engine.GaussGraph.from_json(graph.to_json())
-        u = loaded._u_csc if loaded._u_csc is not None else engine.Csc.from_dense(loaded.u_part)
+        u = loaded._u_sparse
+        u = engine.Csc.from_dense(loaded.u_part) if u is None else u
         assert np.abs(u.indices - u.columns()).max() == 1295
         perm, sizes = engine._block_order(u)
         assert sizes.size == 19 and sizes.max() == 136
@@ -900,7 +965,7 @@ class TestPatternPlans:
         rng = np.random.default_rng(seed)
         regions = [tuple(sorted(set(map(int, region))))
                    for region in TestCut.random_regions(rng, n, cols)]
-        engine._cuts(first._u_csc, regions)
+        engine._cuts(first._u_sparse, regions)
         assert set(regions) <= set(pattern.plans)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -908,10 +973,10 @@ class TestPatternPlans:
                 lattice.LatticeSpec(rows, cols, boundary, log_s[1]))
         with pytest.MonkeyPatch.context() as patch:
             plans = counted(patch, engine, "_cut_plans")
-            served = engine._cuts(second._u_csc, regions)
+            served = engine._cuts(second._u_sparse, regions)
         assert plans == []
         u = second.u_part
-        for region, cut, new in zip(regions, served, engine._cuts(fresh._u_csc, regions)):
+        for region, cut, new in zip(regions, served, engine._cuts(fresh._u_sparse, regions)):
             for read, again, oracle in zip(cut, new, dense_cut(u, list(region))):
                 assert read.shape == again.shape == oracle.shape
                 assert np.array_equal(read, again) and np.array_equal(read, oracle)
@@ -937,12 +1002,33 @@ class TestPatternPlans:
         # so its spectrum is still checked and has one value per distinct mode
         (graph,), pattern = surface_graphs(8, 8, "torus", (1.0,))
         region = (3, 3, 4)
-        for cut, oracle in zip(engine._cuts(graph._u_csc, [region])[0],
+        for cut, oracle in zip(engine._cuts(graph._u_sparse, [region])[0],
                                dense_cut(graph.u_part, [3, 4])):
             assert np.array_equal(cut, oracle)
         assert region not in pattern.plans
         spectrum = engine.symplectic_spectrum(engine.covariance_from_graph(graph), region)
         assert len(spectrum) == 2
+
+    @pytest.mark.parametrize("boundary", ["torus", "planar"])
+    def test_batch_planned_once(self, monkeypatch, boundary):
+        # the unions of rims and edges of a batch, the index pair of each
+        # block and, on a torus, the offsets of the U^-1 gather are planned at
+        # the first log s; the spectra at the next equal a fresh build's
+        (first, second), pattern = surface_graphs(12, 12, boundary, (1.0, 2.8))
+        regions = [tuple(range(k, k + 20)) for k in (0, 30, 60)] + [(5, 17, 29)]
+        engine._factor_spectra(engine.covariance_from_graph(first), regions)
+        assert list(pattern.plans["batches"]) == [tuple(regions)]
+        distinct = counted(monkeypatch, engine, "_sorted_distinct")
+        gathers = counted(monkeypatch, engine, "_gather")
+        served = engine._factor_spectra(engine.covariance_from_graph(second), regions)
+        assert distinct == [] and gathers == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            fresh = lattice.surface_code_graph_analytic(
+                lattice.LatticeSpec(12, 12, boundary, 2.8))
+        for got, want in zip(served, engine._factor_spectra(engine.covariance_from_graph(fresh),
+                                                            regions)):
+            assert np.array_equal(got.values, want.values)
 
     def test_planar_factors_order_blocks_once(self, monkeypatch):
         # the block order and the scatter of U into the blocks come from the

@@ -334,6 +334,21 @@ class TestStencilArrays:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    def assert_same_entries(self, u, oracle):
+        """CSC arrays as `assert_same_arrays`; a `CellStencil`'s entries of
+        every column, sorted by column, then row, are the oracle's arrays,
+        its values byte for byte."""
+        if isinstance(u, engine.Csc):
+            self.assert_same_arrays(u, oracle)
+            return
+        n = u.shape[0]
+        rows, cols, values = u.entries(np.arange(n))
+        order = np.lexsort((rows, cols))
+        assert np.array_equal(np.bincount(cols, minlength=n).cumsum(), oracle.indptr[1:])
+        assert np.array_equal(rows[order], oracle.indices)
+        assert values.dtype == oracle.data.dtype
+        assert values[order].tobytes() == oracle.data.tobytes()
+
     def assert_matches_scipy(self, spec):
         n = spec.n_nodes
         s = spec.s
@@ -351,7 +366,7 @@ class TestStencilArrays:
         if spec.boundary == "planar" or min(spec.rows, spec.cols) >= 4:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the planar closed form warns
-                self.assert_same_arrays(gt.surface_code_graph_analytic(spec)._u_csc, u)
+                self.assert_same_entries(gt.surface_code_graph_analytic(spec)._u_sparse, u)
 
     @settings(max_examples=60)
     @given(shape=st.one_of(
@@ -563,12 +578,23 @@ class TestSharedPattern:
             spec = gt.LatticeSpec(rows, cols, boundary, log_s[1])
             fresh = gt.surface_code_graph_analytic(spec)
         graph = lattice._surface_code_graph(spec, pattern)
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(graph._u_csc, name), getattr(fresh._u_csc, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got, want = graph._u_sparse, fresh._u_sparse
+        assert type(got) is type(want) is type(pattern)
+        assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data)
+        # the same entries in the same places: the CSC arrays, or the
+        # stencil's entries of every column
+        every = np.arange(rows * cols)
+        for a, b in zip(got.positions(every), want.positions(every)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        if isinstance(got, engine.Csc):
+            for name in ("indptr", "indices"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
         assert (graph._cond, graph._torus) == (fresh._cond, fresh._torus)
         # the refill shares the pattern's arrays and plans, and keeps its values
-        assert graph._u_csc.indices is pattern.indices and graph._u_csc.plans is pattern.plans
+        shared = ("indptr", "indices") if isinstance(got, engine.Csc) else ("_dr", "_dc")
+        assert all(getattr(got, name) is getattr(pattern, name) for name in shared)
+        assert got.plans is pattern.plans
         assert np.array_equal(pattern.toarray(), np.eye(rows * cols))
 
     def test_pattern_keeps_the_checks(self):

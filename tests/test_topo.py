@@ -367,14 +367,41 @@ class TestKPReduction:
         entropies = [engine.von_neumann_entropy(spec.scaled(kappa)) for spec in spectra]
         negativities = [engine.pure_log_negativity(spec, kappa) for spec in spectra]
         log_sums = [float(np.sum(np.log2(2.0 * spec.values))) for spec in spectra]
-        assert np.abs(topo._kp_entropies(spectra, kappa) - entropies).max() <= (
+        kp_values = topo._concatenated(spectra)
+        assert np.abs(topo._kp_entropies(kp_values, kappa) - entropies).max() <= (
             1e-12 * max(1.0, sum(entropies)))
-        for fast, per_union in [(topo._kp_entropy(spectra, kappa), entropies),
-                                (topo._kp_log_negativity(spectra, kappa), negativities),
-                                (topo._kp_log_sum(spectra), log_sums)]:
+        for fast, per_union in [(topo._kp_entropy(kp_values, kappa), entropies),
+                                (topo._kp_log_negativity(kp_values, kappa), negativities),
+                                (topo._kp_log_sum(kp_values), log_sums)]:
             # sums taken in another order: rounding relative to their terms
             reference = topo._kp_sum(lambda term: term, per_union)
             assert abs(fast - reference) <= 1e-12 * max(1.0, sum(per_union))
+
+
+class TestKPValuesMemo:
+    """The concatenated pure values of the seven KP spectra are built once
+    per state and serve every KP diagnostic, at every kappa."""
+
+    def test_one_concatenation_per_state(self, monkeypatch):
+        spec = gt.LatticeSpec(16, 16, "torus", 2.0)
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+        kp, small = topo.kp_regions(spec), topo.kp_regions(spec, radius=4.5)
+        calls, concatenated = [], topo._concatenated
+        monkeypatch.setattr(topo, "_concatenated",
+                            lambda spectra: calls.append(1) or concatenated(spectra))
+        hot = engine.thermal_scale(cov, 10.0)
+        values = [topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),
+                  topo.tmi(hot, kp), topo.tln_kp(hot, kp), topo.tmi_lower_bound(cov, kp)]
+        assert len(calls) == 1
+        # each region set keeps its own values
+        other = topo.tee_kp(hot, small)
+        assert len(calls) == 2
+        # the reductions of a fresh concatenation of the memoised spectra
+        fresh = concatenated(topo._kp_spectra(cov, kp))
+        assert values == [topo._kp_entropy(fresh, 1.0), topo._kp_log_negativity(fresh, 1.0),
+                          topo._kp_entropy(fresh, 1.0), topo._kp_entropy(fresh, 10.0),
+                          topo._kp_log_negativity(fresh, 10.0), topo._kp_log_sum(fresh)]
+        assert other == topo._kp_entropy(concatenated(topo._kp_spectra(cov, small)), 10.0)
 
 
 class TestTMILowerBound:
@@ -606,6 +633,37 @@ class TestFactoredKPPass:
             outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
                                           capture_output=True, text=True, timeout=300).stdout)
         assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
+
+    def test_36_values_identical_across_blas_threads(self):
+        # the KP values of the 36 x 36 torus (cell route) and planar grid
+        # (factor route) at log s 2.8, and area_law_fit's alpha at 3.2, from
+        # two fresh interpreters at 1 and 2 OpenBLAS threads
+        script = "\n".join([
+            "import warnings",
+            "from gausstopo import correlations, engine, lattice, topo",
+            "warnings.simplefilter('ignore')",
+            "values = []",
+            "for boundary in ('torus', 'planar'):",
+            "    spec = lattice.LatticeSpec(36, 36, boundary, 2.8)",
+            "    cov = engine.covariance_from_graph(lattice.surface_code_graph_analytic(spec))",
+            "    kp = topo.kp_regions(spec)",
+            "    values += [topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),",
+            "               topo.tmi(engine.thermal_scale(cov, 10.0), kp),",
+            "               topo.tmi_lower_bound(cov, kp)]",
+            "spec = lattice.LatticeSpec(36, 36, 'planar', 3.2)",
+            "cov = engine.covariance_from_graph(lattice.surface_code_graph_analytic(spec))",
+            "values.append(correlations.area_law_fit(cov, spec)[0])",
+            "print(repr(values))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gt.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src] + sys.path))
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                          capture_output=True, text=True, timeout=300).stdout)
+        assert len(eval(outputs[0])) == 11
         assert outputs[0] == outputs[1]
 
     def test_lw_entropies_from_one_solve(self, factor_counts):
