@@ -114,7 +114,7 @@ def verify_bound(cov, spec):
     if n != spec.n_nodes:
         raise ValidationError("state size does not match the mode grid")
     if (cov._cell is not None and spec.boundary == "torus"
-            and cov._cell[1] == (spec.rows, spec.cols)):
+            and cov._u.torus == (spec.rows, spec.cols)):
         sources, weight = np.arange(2), n // 2
         # the two columns of q_block: 0.5 kappa (U^-1 + U^-1^T) / 2, as it symmetrizes
         u_inv = cov._u_inv(slice(None), sources) + cov._u_inv(sources, np.arange(n)).T

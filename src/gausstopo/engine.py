@@ -54,10 +54,10 @@ def _symmetrized(mat, name):
 class _Stored:
     """A square matrix held as the pattern of its stored entries and one
     value per entry (`data`, read-only).  A subclass places the entries of
-    a set of columns (`positions`); `entries`, `toarray` and `with_data`
-    follow from that.
+    a set of columns (`positions`); `entries`, `block`, `toarray` and
+    `with_data` follow from that.
 
-    numpy index arithmetic reads the entries (`_cuts`, `gamma_block`,
+    numpy index arithmetic reads the entries (`_cuts`, `block`,
     `p_entry`).  `plans` memoises what is read from the pattern alone: the
     cut of each region (`_cuts`), the index plan of a batch of spectra
     (`_factor_spectra`) and the block order of `BlockCholesky`.  `with_data`
@@ -83,12 +83,20 @@ class _Stored:
         rows, k, at = self.positions(cols)
         return rows, k, self.data[at]
 
+    def block(self, rows, cols):
+        """The dense block [rows, cols] for distinct ids `rows` and `cols`."""
+        at = np.full(self.shape[0], -1)
+        at[rows] = np.arange(len(rows))
+        row, k, values = self.entries(np.asarray(cols, dtype=np.intp))
+        inside = at[row] >= 0
+        block = np.zeros((len(rows), len(cols)))
+        block[at[row[inside]], k[inside]] = values[inside]
+        return block
+
     def toarray(self):
-        """The dense matrix, in column-major layout."""
-        rows, k, values = self.entries(np.arange(self.shape[1]))
-        dense = np.zeros(self.shape, order="F")
-        dense[rows, k] = values
-        return dense
+        """The dense matrix."""
+        ids = np.arange(self.shape[0])
+        return self.block(ids, ids)
 
 
 class Csc(_Stored):
@@ -134,18 +142,14 @@ class Csc(_Stored):
 class CellStencil(_Stored):
     """A symmetric matrix on an even rows x cols torus of sites (id r * cols
     + c) that is invariant under the translations (a, b) with a + b even,
-    held as the entries of the four columns of one 2 x 2-site cell; every
-    other column holds those of its cell site, translated.  An entry is
-    the key 9 * source + 3 * (dr + 1) + dc + 1 of the cell site of its
-    column, source = 2 * (r % 2) + c % 2, and of the step (dr, dc) in
-    {-1, 0, 1}^2 from that site to its row's.  `key` is sorted and
-    distinct, with one value per key in `data`.  On tori >= 4 wide no two
-    entries of a column land on one site.
-
-    Equivalently U is fixed by the nine 4 x 4 blocks B(D)[a, b] between
-    cell site b of a cell and cell site a of the cell D in {-1, 0, 1}^2
-    cells away (`blocks`).  The translation (1, 1) lets the U^-1 columns of
-    two sites serve every column (`_gather`).
+    held as the entries of the columns of its two cell sites (0, 0) and (0,
+    1); every other column holds those of the cell site of its parity p =
+    (r + c) mod 2, translated.  An entry is the key 9 * p + 3 * (dr + 1) +
+    dc + 1 of that parity and of the step (dr, dc) in {-1, 0, 1}^2 from its
+    column's site to its row's (`steps`).  `key` is sorted and distinct,
+    with one value per key in `data`.  On tori >= 4 wide no two entries of
+    a column land on one site.  The same translations let the U^-1 columns
+    of the two cell sites serve every column (`_gather`).
     """
 
     def __init__(self, torus, key, data):
@@ -153,32 +157,29 @@ class CellStencil(_Stored):
         self.shape = (torus[0] * torus[1],) * 2
         self.data = _read_only(data)
         self.plans = {}
-        source, step = np.divmod(key, 9)
+        self._key = key
+        parity, step = np.divmod(key, 9)
         dr, dc = np.divmod(step, 3)  # the step + 1
         self._dr, self._dc = dr - 1, dc - 1
-        self._count = np.bincount(source, minlength=4)
+        self._count = np.bincount(parity, minlength=2)
         self._start = np.cumsum(self._count) - self._count
-        # the row site is cell site a of the cell D away, 2 D + a = the cell
-        # site of the column + step: flat (D_r + 1, D_c + 1, a_r, a_c, b)
-        # position 48 (D_r + 1) + 8 a_r + 16 (D_c + 1) + 4 a_c + b
-        self._block_at = (np.take((8, 48, 56, 96), source // 2 + dr)
-                          + np.take((4, 16, 20, 32), source % 2 + dc) + source)
 
     def positions(self, cols):
         """Row ids, positions in `cols` and positions in `data` of the
         stored entries of the columns `cols`, column by column."""
         n_rows, n_cols = self.torus
         r, c = np.divmod(cols, n_cols)
-        source = r % 2 * 2 + c % 2
-        at, k = _runs(self._start[source], self._count[source])
+        parity = (r + c) % 2
+        at, k = _runs(self._start[parity], self._count[parity])
         rows = (r[k] + self._dr[at]) % n_rows * n_cols + (c[k] + self._dc[at]) % n_cols
         return rows, k, at
 
-    def blocks(self):
-        """The nine blocks B(D) as a (3, 3, 4, 4) array, D + 1 first."""
-        blocks = np.zeros(144)
-        blocks[self._block_at] = self.data
-        return blocks.reshape(3, 3, 4, 4)
+    def steps(self):
+        """v[p, dr + 1, dc + 1] = U[site + (dr, dc), site] for a site of
+        parity p, as a (2, 3, 3) array."""
+        steps = np.zeros(18)
+        steps[self._key] = self.data
+        return steps.reshape(2, 3, 3)
 
 
 def _runs(starts, counts):
@@ -209,13 +210,13 @@ class GaussGraph:
 
     A graph may hold U as its stored entries (`_u_sparse`): CSC arrays
     (`Csc`: the planar analytic surface code and the measurement pipeline
-    off odd tori) or, on an even torus, its 2 x 2-cell stencil
-    (`CellStencil`); `u_part` and a zero `v_part` are then built on first
+    off odd tori) or, on an even torus, its stencil on the two sites of its
+    cell (`CellStencil`); `u_part` and a zero `v_part` are then built on first
     read.
     """
 
     _cond = 1.0  # cond(U), or an upper bound on it; 1 for a graph of no modes
-    # (rows, cols) of an even torus whose U has the 2 x 2-cell symmetry
+    # (rows, cols) of an even torus whose U is held as its `CellStencil`
     _torus = property(lambda self: None if self._u_sparse is None else self._u_sparse.torus)
 
     def __init__(self, v_part, u_part):
@@ -343,7 +344,8 @@ class CovMatrix:
     and `thermal_scale` keeps the mark; a hand-built CovMatrix is unmarked.
     A marked V = 0 state is U-native: it holds U's stored entries (`Csc`
     or `CellStencil`), kappa and, instead of gamma, what serves U^-1
-    (`_u_inv`): the two cell columns of U^-1 on an even torus, one
+    (`_u_inv`): on an even torus the U^-1 columns of the two sites of the
+    cell of U's `CellStencil`, which also gives the torus, and one
     `BlockCholesky` factor of U elsewhere.  It builds `gamma`, `q_block`
     and `p_block` on first read and keeps them, and memoises the pure-state
     spectra of its regions.
@@ -351,7 +353,7 @@ class CovMatrix:
 
     _scaled_pure = False
     _u = None  # stored entries of U of a U-native state; None when gamma is dense
-    _cell = None  # (U^-1 columns of sites (0, 0) and (0, 1), (rows, cols)) on an even torus
+    _cell = None  # N x 2 U^-1 columns of the sites (0, 0) and (0, 1) on an even torus
     block_diagonal = property(lambda self: self._block_diagonal,
                               doc="q-p cross block below 1e-12 max(1, max|gamma|), set once")
 
@@ -403,8 +405,8 @@ class CovMatrix:
             rhs[ids, np.arange(ids.size)] = 1.0
             solved = self._factor.solve(rhs, wanted)
             return solved.T if by_rows else solved
-        columns, torus = self._cell
-        return np.take(columns, _gather(torus, rows, cols) if gather is None else gather)
+        gather = _gather(self._u.torus, rows, cols) if gather is None else gather
+        return np.take(self._cell, gather)
 
     @property
     def gamma(self):
@@ -471,13 +473,7 @@ class CovMatrix:
         u_inv = self._u_inv(ids[q], ids[q])
         block[np.ix_(q, q)] = 0.5 * self.kappa * (0.5 * (u_inv + u_inv.T))
         p = ids[~q] - n
-        at = np.full(n, -1)
-        at[p] = np.arange(p.size)
-        rows, k, values = self._u.entries(p)
-        inside = at[rows] >= 0
-        u_p = np.zeros((p.size, p.size))
-        u_p[at[rows[inside]], k[inside]] = values[inside]
-        block[np.ix_(~q, ~q)] = 0.5 * self.kappa * u_p
+        block[np.ix_(~q, ~q)] = 0.5 * self.kappa * self._u.block(p, p)
         return block
 
 
@@ -613,30 +609,40 @@ def _cell_columns(u):
     """U^-1 columns of the sites (0, 0) and (0, 1) of the even rows x cols
     torus of the `CellStencil` u, as an N x 2 array.
 
-    U is block-circulant over the 2 x 2-site cell, with the 4 x 4 symbol
-    U(k) = sum_D B(D) e^{-ik.D} over its nine blocks (`CellStencil.blocks`)
-    at the (rows/2) x (cols/2) cell momenta k, each e^{-ik.D} a product of
-    a phase in k_x and one in k_y.  U is real, so U(-k) = conj U(k): the
-    two source columns are solved at the momenta with k_y in [0, pi] only,
-    and `irfft2` takes them back to the columns of U^-1.
+    With the steps v_p of parity p (`CellStencil.steps`), a = (v_0 + v_1) / 2
+    and b = (v_0 - v_1) / 2, U is the convolution by a plus that by b after
+    a product with (-1)^(r + c), which shifts momentum by Q = (pi, pi):
+    (Uf)(k) = a(k) f(k) + b(k) f(k + Q).  So U couples only the pairs k,
+    k + Q, and each is solved in closed form, x(k) = (a(k + Q) d(k) - b(k)
+    d(k + Q)) / det(k) with det(k) = a(k) a(k + Q) - b(k) b(k + Q), for the
+    source d = 1 of site (0, 0) and d(k) = -d(k + Q) = e^{-ik_y} of site
+    (0, 1).  a(k + Q) and b(k + Q) are the symbols of (-1)^(dr + dc) a and
+    (-1)^(dr + dc) b.  U is real, so only the momenta with k_y in [0, pi]
+    are solved, and `irfft2` gives the columns.  det(k), the determinant of
+    U on the plane waves k and k + Q, is positive for a positive definite U;
+    an exact 0 raises IllConditionedGraphError.
     """
     rows, cols = u.torus
-    cells = (rows // 2, cols // 2)
     # phases[D + 1, k] = e^{-ikD} for D = -1, 0, 1; fftfreq holds -k as the
     # exact negation of k, so the phases at -k are the conjugates of those at k
-    phases = [np.exp(-2j * np.pi * k) for k in (np.fft.fftfreq(cells[0]),
-                                               np.fft.rfftfreq(cells[1]))]
+    phases = [np.exp(-2j * np.pi * k) for k in (np.fft.fftfreq(rows), np.fft.rfftfreq(cols))]
     phases = [np.stack([phase.conj(), np.ones_like(phase), phase]) for phase in phases]
-    # symbol[kx, ky, a, b] = sum_{Dx, Dy} e^{-i kx Dx} e^{-i ky Dy} B(Dx, Dy)[a, b]
-    symbol = np.tensordot(phases[0], np.tensordot(phases[1], u.blocks(), axes=(0, 1)),
-                          axes=(0, 1))
-    sources = np.broadcast_to(np.eye(4)[:, :2], symbol.shape[:2] + (4, 2))
-    try:
-        half = np.linalg.solve(symbol, sources)
-    except np.linalg.LinAlgError:
-        raise IllConditionedGraphError("a 2 x 2-cell symbol of U is singular") from None
-    columns = np.fft.irfft2(half, s=cells, axes=(0, 1))
-    return columns.reshape(*cells, 2, 2, 2).transpose(0, 2, 1, 3, 4).reshape(rows * cols, 2)
+    v = u.steps()
+    a, b = 0.5 * (v[0] + v[1]), 0.5 * (v[0] - v[1])
+    shift = (-1.0) ** np.add.outer(range(3), range(3))  # (-1)^(dr + dc)
+    # the symbol of w at (kx, ky): sum_{dr, dc} e^{-i kx dr} w[dr, dc] e^{-i ky dc}
+    a_k, b_k, a_q, b_q = (phases[0].T @ w @ phases[1] for w in (a, b, shift * a, shift * b))
+    det = a_k * a_q - b_k * b_q
+    if not det.all():
+        raise IllConditionedGraphError("U is singular on a pair of momenta k, k + Q")
+    # the two sources on a trailing axis, so the columns need no transpose
+    half = np.empty(det.shape + (2,), dtype=complex)
+    np.subtract(a_q, b_k, out=half[..., 0])
+    np.add(a_q, b_k, out=half[..., 1])
+    half[..., 1] *= phases[1][2]
+    half /= det[..., None]
+    del a_k, b_k, a_q, b_q, det  # freed before the inverse FFT
+    return np.fft.irfft2(half, s=(rows, cols), axes=(0, 1)).reshape(rows * cols, 2)
 
 
 def _level_sets(u, budget):
@@ -794,14 +800,14 @@ def covariance_from_graph(graph, cond_threshold=1e12):
     CovMatrix
         Pure-state covariance (kappa = 1), marked as such.  For V = 0 it is
         U-native and holds no dense gamma: on an even torus recorded by the
-        graph's builder it keeps two columns of U^-1 from the 2 x 2-cell FFT,
-        otherwise one `BlockCholesky` factor of U.
+        graph's builder it keeps the two cell columns of U^-1
+        (`_cell_columns`), otherwise one `BlockCholesky` factor of U.
     """
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
     if graph._torus is not None:
         u = graph._u_sparse
-        return CovMatrix._u_native(u, cell=(_cell_columns(u), u.torus))
+        return CovMatrix._u_native(u, cell=_cell_columns(u))
     if graph.is_v_zero():
         u = graph._u_sparse
         if u is None:
@@ -894,12 +900,12 @@ def _spectrum_general(gamma_red):
 def _checked_region(cov, region):
     """The sorted distinct mode ids of `region`: the one place a region is
     normalized and checked to be a non-empty subset of cov's modes."""
-    region = sorted(set(int(i) for i in region))
-    if not region:
+    ids = _sorted_distinct(np.asarray(region).astype(int, copy=False))
+    if not ids.size:
         raise ValidationError("region must be non-empty")
-    if region[0] < 0 or region[-1] >= cov.n_modes:
+    if ids[0] < 0 or ids[-1] >= cov.n_modes:
         raise ValidationError("region indices out of range")
-    return region
+    return ids.tolist()
 
 
 def symplectic_spectra(cov, regions, force_general=False):

@@ -144,21 +144,6 @@ def _cluster_links(spec):
     return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
 
 
-def _cluster_blocks(adj, *blocks):
-    """Dense blocks A_d[rows, cols], one per (rows, cols) pair of id lists,
-    all read from the `engine.Csc` arrays `adj` of A_d."""
-    out = []
-    for rows, cols in blocks:
-        at = np.full(adj.shape[0], -1)
-        at[rows] = np.arange(len(rows))
-        row, k, values = adj.entries(np.asarray(cols, dtype=np.intp))
-        inside = at[row] >= 0
-        block = np.zeros((len(rows), len(cols)))
-        block[at[row[inside]], k[inside]] = values[inside]
-        out.append(block)
-    return out
-
-
 def _kept_gram(adj, p_nodes, kept):
     """(gram, p_adjacent): `engine.Csc` arrays of B^T B for the incidence B
     of the `p_nodes` to the `kept` nodes, with every diagonal entry stored,
@@ -231,20 +216,21 @@ def _surface_code_links(spec, off=1.0, diag=None):
 def _cell_stencil(spec, links):
     """`engine.CellStencil` with the pattern of the matrix that
     `_stencil_adjacency` builds from `links` and a diagonal on an even
-    torus, for links whose masks are given on the 2 x 2-site cell and
-    repeat over the torus, holding the values of the identity.
+    torus, for links whose masks are given on a 2 x 2 grid of corners,
+    repeat over the torus and are kept by the translation (1, 1), holding
+    the values of the identity.
 
-    Both orientations of each link from each masked corner of the cell (0,
-    0) are an entry: the site of one end is its column, moved by whole
-    cells into the cell (0, 0), and the step to the other end its row.
-    Each site also has a diagonal entry.  Repeated links are stored once,
-    and on tori >= 4 wide no link closes on itself or on another's sites.
+    Both orientations of each link from each masked corner are an entry:
+    the parity of the site of one end gives its column, and the step to
+    the other end its row.  Each parity also has a diagonal entry.
+    Repeated links are stored once, and on tori >= 4 wide no link closes
+    on itself or on another's sites.
     """
     steps = np.array([ends for ends, _ in links])
     link, r, c = np.nonzero(np.array([mask for _, mask in links]))
     ends = steps[link] + np.column_stack([r, c])[:, None]  # [link corner, end, (r, c)]
     column, row = ends.reshape(-1, 2), ends[:, ::-1].reshape(-1, 2)
-    key = np.append(column % 2 @ [18, 9] + (row - column) @ [3, 1], np.arange(4) * 9) + 4
+    key = np.append(column.sum(axis=1) % 2 * 9 + (row - column) @ [3, 1], (0, 9)) + 4
     key = engine._sorted_distinct(key)
     return engine.CellStencil((spec.rows, spec.cols), key, (key % 9 == 4).astype(float))
 
@@ -263,8 +249,8 @@ def surface_code_graph_analytic(spec):
     """Closed-form surface-code graph V = 0, U = s^2 A_SC + (s^-2 + 2s^2) I.
 
     `spec` dimensions count surface-code modes.  On an even torus U is held
-    as its 2 x 2-cell stencil (`engine.CellStencil`: the 28 entries of the
-    four columns of one cell), on a planar grid as CSC arrays (at most 7
+    as its stencil (`engine.CellStencil`: the 14 entries of the columns of
+    the two sites of its cell), on a planar grid as CSC arrays (at most 7
     entries per column), both with numpy and no scipy; its dense form is
     built only when `u_part` is read.
     The closed form is the surface code on an even torus with both sides
@@ -369,7 +355,7 @@ def map_cluster_to_surface(spec):
         u = gram.with_data(data)
         return GaussGraph._with_extremes(u, lam.min(initial=np.inf),
                                          lam.max(initial=-np.inf) + 8 * weight), index_map
-    z_pk, a_pp, a_kk = _cluster_blocks(adj, (p_nodes, kept), (p_nodes, p_nodes), (kept, kept))
+    z_pk, a_pp, a_kk = adj.block(p_nodes, kept), adj.block(p_nodes, p_nodes), adj.block(kept, kept)
     z_pp = a_pp + 1j * eps * np.eye(len(p_nodes))
     try:
         z_new = a_kk + 1j * eps * np.eye(len(kept)) - z_pk.T @ np.linalg.solve(z_pp, z_pk)
@@ -431,7 +417,8 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        b, a_qk = _cluster_blocks(_cluster_links(spec), (p_nodes, kept), (q_nodes, kept))
+        adj = _cluster_links(spec)
+        b, a_qk = adj.block(p_nodes, kept), adj.block(q_nodes, kept)
         # the N/S edges of a face are the kept sites on rows of vertices
         self.vertex_incidence = b
         self.face_incidence = np.where(np.array(kept) // spec.cols % 2 == 0, a_qk, -a_qk)

@@ -77,7 +77,7 @@ def star_pipeline_graph(s):
 def factor_counts(monkeypatch):
     """Live {"factor": n, "solve": n} counts of the block Cholesky
     factorizations of U and of the solves with those factors, made after
-    the fixture runs.  The first 2 x 2-cell U^-1 column build of an even
+    the fixture runs.  The first build of the U^-1 cell columns of an even
     torus adds a "cell" count, so a state that builds none compares as
     before."""
     counts = {"factor": 0, "solve": 0}

@@ -465,7 +465,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_blas_thread_count_invariance(self, tmp_path):
-        # the KP path (2 x 2-cell FFT of U, small boundary eigensolves) prints the
+        # the KP path (cell-column FFT of U, small boundary eigensolves) prints the
         # same bits under 1 and 2 BLAS threads; the gate leaves room for last digits
         argv = ["sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
                 "--log-s-max", "3.2", "--steps", "4", "--kappas", "1,2,10",

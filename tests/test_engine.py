@@ -604,14 +604,22 @@ class TestTorusCells:
             engine.covariance_from_graph(graph)
         assert factor_counts == {"factor": 0, "solve": 0}
 
-    def test_singular_symbol_is_numerical(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        graph = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 1.0))
-        monkeypatch.setattr(np.linalg, "solve", singular)
+    def test_singular_symbol_is_numerical(self):
+        # a stencil of zeros: U vanishes on every pair of momenta k, k + Q
+        u = lattice.surface_code_graph_analytic(lattice.LatticeSpec(8, 8, "torus", 1.0))._u_sparse
         with pytest.raises(IllConditionedGraphError):
-            engine.covariance_from_graph(graph)
+            engine._cell_columns(u.with_data(np.zeros(u.data.size)))
+
+    @pytest.mark.parametrize("rows,cols,log_s", [(40, 64, 3.25), (64, 40, -3.0), (26, 90, 2.0)])
+    def test_wide_cell_columns_match_factor(self, rows, cols, log_s):
+        # tori wider than the hypothesis cases, against the block Cholesky
+        # solve of the dense U; cond(U) = 1 + 8 s^4 is exact on a torus
+        graph = lattice.surface_code_graph_analytic(
+            lattice.LatticeSpec(rows, cols, "torus", log_s))
+        factor = engine.BlockCholesky(engine.Csc.from_dense(graph.u_part))
+        oracle = factor.solve(np.eye(graph.n_modes)[:, :2])
+        tol = 16 * np.finfo(float).eps * graph._cond * np.abs(oracle).max()
+        assert np.abs(engine._cell_columns(graph._u_sparse) - oracle).max() <= tol
 
 
 # even tori 4..24, rectangular ones too, at log s in [-3, 3.25]
@@ -624,7 +632,7 @@ def torus_graph(rows, cols, log_s):
 
 
 class TestCellStencil:
-    """An even torus holds U as its 2 x 2-cell stencil: every entry, cut,
+    """An even torus holds U as its two-site cell stencil: every entry, cut,
     covariance block and the cell columns of U^-1 against the dense U."""
 
     @settings(max_examples=40)
@@ -670,12 +678,12 @@ class TestCellStencil:
         columns = engine._cell_columns(graph._u_sparse)
         assert np.abs(columns - inverse[:, [0, 1]]).max() <= tol
 
-    def test_stencil_holds_28_entries(self):
-        # the four columns of one cell, 7 entries each, whatever the torus
+    def test_stencil_holds_14_entries(self):
+        # the columns of the two cell sites, 7 entries each, whatever the torus
         for rows, cols in [(4, 4), (36, 36), (8, 24)]:
             u = torus_graph(rows, cols, 1.0)._u_sparse
             assert u.torus == (rows, cols) and u.shape == (rows * cols,) * 2
-            assert u.data.size == 28 and u.blocks().shape == (3, 3, 4, 4)
+            assert u.data.size == 14 and u.steps().shape == (2, 3, 3)
 
 
 def factored_u(kind, rows, cols, log_s):
