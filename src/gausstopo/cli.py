@@ -139,7 +139,7 @@ def _sweep_point(spec_base, log_s, kappas, args, built):
     """Reports for one log s, one per kappa in `kappas`, sharing one
     covariance and one set of KP spectra of the pure state.  `built` is
     the triple (KP regions, LW regions or None, U's pattern) the sweep built
-    once; the point fills U's values into the pattern, whose cut plans every
+    once; the point fills U's values into the pattern, whose batch plans every
     point shares."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
@@ -155,7 +155,7 @@ def _sweep_point(spec_base, log_s, kappas, args, built):
     if metrics & {"tee_kp", "tln", "tmi", "tmi_lower"}:
         # the seven KP union spectra, memoised on cov_pure for the calls below
         names = ["".join(subset) for subset in topo.KP_SUBSETS]
-        unions = topo._kp_spectra(cov_pure, kp)
+        unions = engine._pure_spectra(cov_pure, kp.kp_unions)
         meta["kp_unions"] = {
             name: {"boundary": union.boundary, "rim": union.rim,
                    "n_above": union.n_above, "n_half": union.n_half}

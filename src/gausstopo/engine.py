@@ -58,11 +58,12 @@ class _Stored:
     `with_data` follow from that.
 
     numpy index arithmetic reads the entries (`_cuts`, `block`,
-    `p_entry`).  `plans` memoises what is read from the pattern alone: the
-    cut of each region (`_cuts`), the index plan of a batch of spectra
-    (`_factor_spectra`) and the block order of `BlockCholesky`.  `with_data`
-    gives the matrix of another set of values on the same pattern, which
-    shares `plans`.
+    `p_entry`).  `plans` memoises what is read from the pattern alone: under
+    "batches" the plan of each batch of regions whose spectra were asked for
+    together (`_batch_plan`: checked when it was planned), and under
+    "blocks" the block order of `BlockCholesky`.  `with_data` gives the
+    matrix of another set of values on the same pattern, which shares
+    `plans`.
     """
 
     torus = None  # (rows, cols) of the even torus of a `CellStencil`
@@ -448,7 +449,8 @@ class CovMatrix:
         `_u_inv` and builds no block."""
         if self._u is None:
             return self.q_block[:, cols]
-        return 0.5 * self.kappa * self._u_inv(slice(None), cols)
+        # numpy's index rules, which the torus gather would wrap modulo N
+        return 0.5 * self.kappa * self._u_inv(slice(None), np.arange(self.n_modes)[cols])
 
     def p_entry(self, i, j):
         """Entry (i, j) of the p block; a U-native state reads kappa/2 U[i, j]
@@ -532,77 +534,6 @@ def _gather(torus, rows, cols):
     parity = (r_j + c_j) % 2
     at = (r_i[:, None] - r_j) % n_rows * n_cols + (c_i[:, None] - c_j + parity) % n_cols
     return 2 * at + parity
-
-
-def _cuts(u, regions):
-    """The cuts of `regions` (each a sequence of mode ids) in the symmetric
-    U of the stored entries `u` (`Csc` or `CellStencil`): for each region
-    S its edge dS (the modes outside S that U couples to S), its rim d'S
-    (the modes of S coupled outside S), both sorted, and the dense block
-    U[dS, d'S].
-
-    The part that depends on U's pattern alone is planned once per region
-    tuple (`_cut_plans`) and kept in `u.plans`, which every `with_data` of
-    the pattern shares; each block is then filled from `u.data`.
-    """
-    keys = [tuple(region) for region in regions]
-    found = {key: u.plans.get(key) for key in keys}
-    new = [key for key, plan in found.items() if plan is None]
-    if new:
-        found.update(zip(new, _cut_plans(u, new)))
-    cuts = []
-    for key in keys:
-        edge, rim, flat, at = found[key]
-        coupling = np.zeros(edge.size * rim.size)
-        coupling[flat] = u.data[at]
-        cuts.append((edge, rim, coupling.reshape(edge.size, rim.size)))
-    return cuts
-
-
-def _cut_plans(u, regions):
-    """The pattern part of the cuts of `regions` (tuples of mode ids) in the
-    symmetric U of the stored entries `u`, from one read of the columns of
-    all their modes: for each region its edge dS and rim d'S, and, for the
-    entries of U[dS, d'S], their flat row-major positions in that block and
-    their positions in `u.data`.  The plan of a region is also kept in `u.plans`
-    when the region has as many modes as ids, which holds only for distinct
-    ids in range(n) (an id out of range lands outside the region's keys):
-    `_factor_spectra` takes a kept key for a checked region.
-
-    Mode i of the r-th region is the key r * n + i.  The entries are read
-    in key order of their columns, so each region's are contiguous; the
-    edges of all regions are the distinct keys of the rows read outside
-    their region, and the rims those of the columns they were read from:
-    one sort each, in region order, then mode order.
-    """
-    n, count = u.shape[0], len(regions)
-    inside = np.zeros(count * n, dtype=bool)
-    inside[np.repeat(np.arange(0, count * n, n), [len(region) for region in regions])
-           + np.concatenate([np.asarray(region, dtype=np.intp) for region in regions])] = True
-    members = np.flatnonzero(inside)
-    rows, k, at = u.positions(members % n)
-    column = members[k]  # the key of the column each entry was read from
-    owner = column - column % n  # r * n
-    out = np.flatnonzero(~inside[owner + rows])
-    column, at, region = column[out], at[out], owner[out] // n
-    edge_keys, at_edge = np.unique(owner[out] + rows[out], return_inverse=True)
-    rim_keys, at_rim = np.unique(column, return_inverse=True)
-    starts = np.arange(count + 1) * n
-    edge_at, rim_at, entry_at, member_at = (np.searchsorted(keys, starts) for keys in
-                                            (edge_keys, rim_keys, column, members))
-    rim_size = np.diff(rim_at)
-    flat = (at_edge - edge_at[region]) * rim_size[region] + at_rim - rim_at[region]
-    edges, rims = edge_keys % n, rim_keys % n
-    distinct = np.diff(member_at).tolist()
-    edge_at, rim_at, entry_at = edge_at.tolist(), rim_at.tolist(), entry_at.tolist()
-    plans = []
-    for r, key in enumerate(regions):
-        entries = slice(entry_at[r], entry_at[r + 1])
-        plans.append((edges[edge_at[r]:edge_at[r + 1]], rims[rim_at[r]:rim_at[r + 1]],
-                      flat[entries], at[entries]))
-        if 0 < len(key) == distinct[r]:
-            u.plans[key] = plans[-1]
-    return plans
 
 
 def _cell_columns(u):
@@ -824,55 +755,103 @@ def covariance_from_graph(graph, cond_threshold=1e12):
 
 
 def _factor_spectra(cov, regions):
-    """Pure-state spectra of `regions` of a U-native state, memoised by the
-    sorted mode tuple.
+    """Pure-state spectra of `regions` of a U-native state, memoised by each
+    region's own tuple of mode ids.
 
     For a region S with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS,
     and U_LS is zero outside the rows dS and the columns d'S of the cut
     (`_cuts`).  So (U^-1)_SL U_LS is block lower-triangular, and its nonzero
     eigenvalues lambda are those of (U^-1)[d'S, dS] U[dS, d'S], or of the
     reverse product, whichever is smaller: sigma = 1/2 sqrt(max(1, 1 -
-    lambda)), with the rest of S padded with exact 1/2 entries.  The
-    spectra not yet known take their cuts from one `_cuts` call and share
-    one block of U^-1 (`CovMatrix._u_inv`), the union of their rims by the
-    union of their edges; both are planned on U's pattern the first time
-    (`_cut_plans`, `_batch_plan`).
+    lambda)), with the rest of the distinct modes of S padded with exact
+    1/2 entries.  The regions not yet known form one batch, planned and
+    checked on U's pattern the first time (`_batch_plan`); they take their
+    cuts from that plan and share one block of U^-1 (`CovMatrix._u_inv`),
+    the union of their rims by the union of their edges.  A key is kept only
+    after its batch was planned, so a hit needs no check.
     """
-    memo, plans = cov._memo, cov._u.plans
-    # a key of either memo was checked against the same N before it was
-    # kept, so a hit needs no check
-    keys = [key if key in memo or key in plans else tuple(_checked_region(cov, key))
-            for key in map(tuple, regions)]
+    memo = cov._memo
+    keys = [tuple(region) for region in regions]
     new = [key for key in dict.fromkeys(keys) if key not in memo]
     if new:
-        cuts = _cuts(cov._u, new)
-        rows, cols, pairs, gather = _batch_plan(cov._u, tuple(new), cuts)
+        plan = _batch_plan(cov._u, tuple(new))
+        rows, cols, gather, pairs, modes, _ = plan
         u_inv = cov._u_inv(rows, cols, gather)
-        for key, (edge, rim, coupling), pair in zip(new, cuts, pairs):
+        cuts = _cuts(cov._u, plan)
+        for key, pair, count, (edge, rim, coupling) in zip(new, pairs, modes, cuts):
             block = u_inv[pair]
             cross = block @ coupling if rim.size < edge.size else coupling @ block
             sigma = 0.5 * np.sqrt(np.clip(1.0 - np.linalg.eigvals(cross).real, 1.0, None))
             memo[key] = SymplecticSpectrum(
-                np.concatenate([sigma, np.full(len(key) - sigma.size, 0.5)]))
+                np.concatenate([sigma, np.full(count - sigma.size, 0.5)]))
             memo[key].boundary, memo[key].rim = edge.size, rim.size
     return [memo[key] for key in keys]
 
 
-def _batch_plan(u, batch, cuts):
-    """What the spectra of the region keys `batch`, with their `cuts`, read
-    from U's pattern alone, kept in `u.plans["batches"]` under the batch:
-    the union of their rims, the union of their edges, the index pair of
-    each cut's block of U^-1 in the union block, and on an even torus the
-    positions of the union block in the cell columns (`_gather`)."""
-    batches = u.plans.setdefault("batches", {})
-    if batch not in batches:
-        rows = _sorted_distinct(np.concatenate([rim for _, rim, _ in cuts]))
-        cols = _sorted_distinct(np.concatenate([edge for edge, _, _ in cuts]))
-        pairs = [np.ix_(np.searchsorted(rows, rim), np.searchsorted(cols, edge))
-                 for edge, rim, _ in cuts]
-        batches[batch] = (rows, cols, pairs,
-                          None if u.torus is None else _gather(u.torus, rows, cols))
-    return batches[batch]
+def _batch_plan(u, batch):
+    """What the spectra of the regions `batch` (a tuple of mode-id tuples)
+    read from U's pattern alone, from one read of the columns of all their
+    modes.  The batch is checked (`_region_ids`) when it is planned, and the
+    plan is kept in `u.plans["batches"]`, which every `with_data` of the
+    pattern shares.  It holds the union of the regions' rims, the union of
+    their edges, on an even torus the positions of that union block in the
+    cell columns (`_gather`), and for each region the index pair of its
+    block in the union block, its count of distinct modes and its cut: its
+    edge dS and rim d'S and, for the entries of U[dS, d'S], their flat
+    row-major positions in that block and their positions in `u.data`.
+
+    Mode i of the r-th region is the key r * n + i.  The entries are read
+    in key order of their columns, so each region's are contiguous; the
+    edges of all regions are the distinct keys of the rows read outside
+    their region, and the rims those of the columns they were read from:
+    one sort each, in region order, then mode order.
+    """
+    if batch not in u.plans.get("batches", ()):
+        n, count = u.shape[0], len(batch)
+        ids, sizes = _region_ids(batch, n)
+        inside = np.zeros(count * n, dtype=bool)
+        inside[np.repeat(np.arange(0, count * n, n), sizes) + ids] = True
+        members = np.flatnonzero(inside)
+        rows, k, at = u.positions(members % n)
+        column = members[k]  # the key of the column each entry was read from
+        owner = column - column % n  # r * n
+        out = np.flatnonzero(~inside[owner + rows])
+        column, at, region = column[out], at[out], owner[out] // n
+        edge_keys, at_edge = np.unique(owner[out] + rows[out], return_inverse=True)
+        rim_keys, at_rim = np.unique(column, return_inverse=True)
+        starts = np.arange(count + 1) * n
+        edge_at, rim_at, entry_at, member_at = (np.searchsorted(keys, starts) for keys in
+                                                (edge_keys, rim_keys, column, members))
+        rim_size = np.diff(rim_at)
+        flat = (at_edge - edge_at[region]) * rim_size[region] + at_rim - rim_at[region]
+        edges, rims = edge_keys % n, rim_keys % n
+        union_rows, union_cols = _sorted_distinct(rims), _sorted_distinct(edges)
+        rim_in, edge_in = np.searchsorted(union_rows, rims), np.searchsorted(union_cols, edges)
+        edge_at, rim_at, entry_at = edge_at.tolist(), rim_at.tolist(), entry_at.tolist()
+        pairs, cuts = [], []
+        for r in range(count):
+            edge, rim = slice(edge_at[r], edge_at[r + 1]), slice(rim_at[r], rim_at[r + 1])
+            entries = slice(entry_at[r], entry_at[r + 1])
+            pairs.append(np.ix_(rim_in[rim], edge_in[edge]))
+            cuts.append((edges[edge], rims[rim], flat[entries], at[entries]))
+        gather = None if u.torus is None else _gather(u.torus, union_rows, union_cols)
+        u.plans.setdefault("batches", {})[batch] = (
+            union_rows, union_cols, gather, pairs, np.diff(member_at).tolist(), cuts)
+    return u.plans["batches"][batch]
+
+
+def _cuts(u, plan):
+    """The cuts of the regions of a batch `plan` (`_batch_plan`) in the
+    symmetric U of the stored entries `u` (`Csc` or `CellStencil`): for each
+    region S its edge dS (the modes outside S that U couples to S), its rim
+    d'S (the modes of S coupled outside S), both sorted, and the dense block
+    U[dS, d'S], filled from `u.data`."""
+    cuts = []
+    for edge, rim, flat, at in plan[-1]:
+        coupling = np.zeros(edge.size * rim.size)
+        coupling[flat] = u.data[at]
+        cuts.append((edge, rim, coupling.reshape(edge.size, rim.size)))
+    return cuts
 
 
 def _spectrum_block_diagonal(cov, region):
@@ -897,15 +876,22 @@ def _spectrum_general(gamma_red):
     return ev[ev > 0]
 
 
-def _checked_region(cov, region):
-    """The sorted distinct mode ids of `region`: the one place a region is
-    normalized and checked to be a non-empty subset of cov's modes."""
-    ids = _sorted_distinct(np.asarray(region).astype(int, copy=False))
-    if not ids.size:
+def _region_ids(regions, n):
+    """The mode ids of `regions` (each a sequence of ids), concatenated as
+    one integer array, and the size of each region: the one place regions
+    are checked to be non-empty subsets of range(n)."""
+    sizes = [len(region) for region in regions]
+    if 0 in sizes:
         raise ValidationError("region must be non-empty")
-    if ids[0] < 0 or ids[-1] >= cov.n_modes:
+    ids = np.concatenate(regions).astype(int, copy=False)
+    if ids.min() < 0 or ids.max() >= n:
         raise ValidationError("region indices out of range")
-    return ids.tolist()
+    return ids, sizes
+
+
+def _checked_region(cov, region):
+    """The sorted distinct mode ids of `region`, checked by `_region_ids`."""
+    return _sorted_distinct(_region_ids([region], cov.n_modes)[0]).tolist()
 
 
 def symplectic_spectra(cov, regions, force_general=False):

@@ -146,34 +146,23 @@ def _entropies(cov, regions):
     return [von_neumann_entropy(spec) for spec in symplectic_spectra(cov, regions)]
 
 
-def _kp_spectra(cov, regions):
-    """Spectra of the seven KP unions of `cov` divided by `cov.kappa`: for a
-    kappa-scaled pure state, the spectra of the pure state, requested
-    together (one solve on a U-native state, then memoised)."""
-    return engine._pure_spectra(cov, regions.kp_unions)
-
-
 def _kp_sum(term, items):
     """-sum sign * term(item) over the seven KP `items`, in KP_SUBSETS order."""
     return -sum(sign * term(item) for item, sign in zip(items, KP_SIGNS))
 
 
-def _concatenated(spectra):
-    """The values of the seven `spectra`, concatenated, and the union index
-    of each."""
-    values = np.concatenate([spec.values for spec in spectra])
-    return values, np.repeat(np.arange(len(spectra)), [len(spec) for spec in spectra])
-
-
 def _kp_values(cov, regions):
-    """`_concatenated` of `_kp_spectra`, the input of every KP reduction.  A
-    U-native state keeps it next to its spectra, in the "kp" entry of its
-    spectrum memo, under the seven unions; its thermal_scale copies share
-    the memo."""
+    """The values of the seven KP spectra of `cov` divided by `cov.kappa`
+    (of the pure state, if marked), requested together and concatenated, and
+    the union index of each: the input of every KP reduction.  A U-native
+    state keeps them in the "kp" entry of its spectrum memo, under the seven
+    unions; its thermal_scale copies share the memo."""
     memo = cov._memo.setdefault("kp", {}) if cov._u is not None else {}
     key = regions.kp_unions
     if key not in memo:
-        memo[key] = _concatenated(_kp_spectra(cov, regions))
+        spectra = engine._pure_spectra(cov, key)
+        memo[key] = (np.concatenate([spec.values for spec in spectra]),
+                     np.repeat(np.arange(len(spectra)), [len(spec) for spec in spectra]))
     return memo[key]
 
 

@@ -491,11 +491,12 @@ class TestSweep:
 
     def test_pattern_built_and_regions_planned_once(self, tmp_path, capsys, monkeypatch):
         # U's pattern is built once, each point fills its values in, and the
-        # cut of each KP union and LW region is planned at the first point only
+        # batch of the KP unions and that of the LW regions are planned, and
+        # so checked, at the first point only
         calls = {"pattern": [], "graph": [], "plans": []}
         for module, name, key in ((lattice, "_surface_code_pattern", "pattern"),
                                   (lattice, "_surface_code_graph", "graph"),
-                                  (engine, "_cut_plans", "plans")):
+                                  (engine, "_region_ids", "plans")):
             monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _k=key:
                                 calls[_k].append(a) or _f(*a))
         monkeypatch.setattr(lattice, "surface_code_graph_analytic", None)  # no fresh build
@@ -507,7 +508,7 @@ class TestSweep:
         assert len(calls["pattern"]) == 1 and len(calls["graph"]) == 4
         spec = gt.LatticeSpec(16, 16, "torus", 1.0)
         lw = topo.lw_regions(spec)
-        planned = [key for _, batch in calls["plans"] for key in batch]
+        planned = [key for batch, _ in calls["plans"] for key in batch]
         assert sorted(planned) == sorted(list(topo.kp_regions(spec).kp_unions)
                                          + [tuple(lw.regions[name]) for name in "ABCD"])
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausstopo import engine, lattice
+from gausstopo import correlations, engine, lattice
 from gausstopo.errors import (
     IllConditionedGraphError,
     SingularPivotError,
@@ -553,6 +553,27 @@ class TestFactoredState:
         assert np.array_equal(engine.symplectic_spectrum(cov, range(64)).values,
                               np.full(64, 0.5))
 
+    @pytest.mark.parametrize("boundary", ["torus", "planar"])
+    def test_q_columns_follow_numpy_index_rules(self, boundary):
+        # a column id outside [-N, N) raises IndexError, as on the dense
+        # state, also on a torus, whose gather would wrap it modulo N
+        (graph,), _ = surface_graphs(8, 8, boundary, (1.0,))
+        cov = engine.covariance_from_graph(graph)
+        dense = engine.CovMatrix(cov.gamma)
+        n, u = graph.n_modes, graph.u_part
+        inverse = np.linalg.inv(u)
+        tol = 16 * np.finfo(float).eps * np.linalg.cond(u) * np.abs(inverse).max()
+        for j in (n, n + 5, -1, -n, -n - 1):
+            try:
+                want = dense.q_columns([j])
+            except IndexError:
+                with pytest.raises(IndexError):
+                    cov.q_columns([j])
+            else:
+                assert np.abs(cov.q_columns([j]) - want).max() <= tol
+        with pytest.raises(IndexError):
+            correlations.qq_correlation(cov, 0, n)
+
     def test_failed_factorization_is_numerical(self, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -631,6 +652,11 @@ def torus_graph(rows, cols, log_s):
     return lattice.surface_code_graph_analytic(lattice.LatticeSpec(rows, cols, "torus", log_s))
 
 
+def batch_cuts(u, regions):
+    """The cuts of `regions`, planned as one batch on the stored entries `u`."""
+    return engine._cuts(u, engine._batch_plan(u, tuple(map(tuple, regions))))
+
+
 class TestCellStencil:
     """An even torus holds U as its two-site cell stencil: every entry, cut,
     covariance block and the cell columns of U^-1 against the dense U."""
@@ -651,7 +677,7 @@ class TestCellStencil:
         graph = torus_graph(rows, cols, log_s)
         regions = TestCut.random_regions(np.random.default_rng(seed), rows * cols, cols)
         u = graph.u_part
-        for region, cut in zip(regions, engine._cuts(graph._u_sparse, regions)):
+        for region, cut in zip(regions, batch_cuts(graph._u_sparse, regions)):
             for read, oracle in zip(cut, dense_cut(u, region)):
                 assert read.shape == oracle.shape and np.array_equal(read, oracle)
 
@@ -845,7 +871,7 @@ class TestCut:
         regions = self.random_regions(rng, graph.n_modes, cols)
         # one batch, which also holds a region twice
         regions.append(regions[int(rng.integers(len(regions)))])
-        cuts = engine._cuts(u_csc, regions)
+        cuts = batch_cuts(u_csc, regions)
         assert len(cuts) == len(regions)
         for region, cut in zip(regions, cuts):
             for read, oracle in zip(cut, dense_cut(u, region)):
@@ -873,14 +899,25 @@ class TestCut:
         self.assert_cuts_match(graph, 6, seed)
 
     @settings(max_examples=20)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_values_cuts_match_dense(self, seed):
+        # the surface-code U has one value on every coupling of a cut, so
+        # only values that all differ show an entry placed in the wrong spot
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+        self.assert_cuts_match(engine.GaussGraph(None, m @ m.T + np.eye(n)), n, seed)
+
+    @settings(max_examples=20)
     @given(shape=st.one_of(
                st.tuples(st.sampled_from(range(4, 17, 2)), st.sampled_from(range(4, 17, 2)),
                          st.just("torus")),
                st.tuples(st.integers(1, 10), st.integers(1, 10), st.just("planar"))),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_memo_hits_mixed_with_misses(self, shape, seed):
-        # only the regions not yet memoised are cut, in one batch, and a hit
-        # returns the memoised spectrum
+        # only the regions not yet memoised, by their own tuples, are planned,
+        # in one batch; a hit returns the memoised spectrum, and a spectrum
+        # has one value per distinct mode
         rows, cols, boundary = shape
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the planar closed form warns
@@ -892,24 +929,19 @@ class TestCut:
         regions = self.random_regions(rng, graph.n_modes, cols)
         known = [regions[i] for i in rng.permutation(len(regions))[:len(regions) // 2]]
         first = engine._factor_spectra(cov, known)
-        batches, cuts = [], engine._cuts
-
-        def recorded(u_csc, batch):
-            batches.append(list(batch))
-            return cuts(u_csc, batch)
-
         mixed = known + regions + [regions[0]]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_cuts", recorded)
+            batches = counted(patch, engine, "_batch_plan")
             spectra = engine._factor_spectra(cov, mixed)
-        keys = [tuple(sorted(set(int(i) for i in region))) for region in mixed]
-        misses = list(dict.fromkeys(key for key in keys[len(known):]
-                                    if key not in keys[:len(known)]))
-        assert batches == ([misses] if misses else [])
+        keys = [tuple(region) for region in mixed]
+        misses = tuple(dict.fromkeys(key for key in keys[len(known):]
+                                     if key not in keys[:len(known)]))
+        assert [batch for _, batch in batches] == ([misses] if misses else [])
         assert all(a is b for a, b in zip(spectra, first))
         for key, spec in zip(keys, spectra):
-            edge, rim, _ = dense_cut(u, list(key))
-            assert (spec.boundary, spec.rim, len(spec)) == (edge.size, rim.size, len(key))
+            modes = sorted(set(map(int, key)))
+            edge, rim, _ = dense_cut(u, modes)
+            assert (spec.boundary, spec.rim, len(spec)) == (edge.size, rim.size, len(modes))
             assert spec is spectra[keys.index(key)]
 
 
@@ -936,8 +968,8 @@ def counted(monkeypatch, module, name):
 
 
 class TestPatternPlans:
-    """What `_cuts` and `BlockCholesky` read from U's pattern alone is planned
-    once and served to every matrix of that pattern."""
+    """What a batch of spectra and `BlockCholesky` read from U's pattern alone
+    is planned once and served to every matrix of that pattern."""
 
     def test_arrays_read_only(self):
         csc = engine.Csc.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -971,51 +1003,95 @@ class TestPatternPlans:
         (first, second), pattern = surface_graphs(rows, cols, boundary, log_s)
         n = first.n_modes
         rng = np.random.default_rng(seed)
-        regions = [tuple(sorted(set(map(int, region))))
-                   for region in TestCut.random_regions(rng, n, cols)]
-        engine._cuts(first._u_sparse, regions)
-        assert set(regions) <= set(pattern.plans)
+        batch = tuple(tuple(map(int, region)) for region in TestCut.random_regions(rng, n, cols))
+        engine._batch_plan(first._u_sparse, batch)
+        assert list(pattern.plans) == ["batches"] and list(pattern.plans["batches"]) == [batch]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fresh = lattice.surface_code_graph_analytic(
                 lattice.LatticeSpec(rows, cols, boundary, log_s[1]))
         with pytest.MonkeyPatch.context() as patch:
-            plans = counted(patch, engine, "_cut_plans")
-            served = engine._cuts(second._u_sparse, regions)
-        assert plans == []
+            checks = counted(patch, engine, "_region_ids")
+            served = engine._cuts(second._u_sparse, engine._batch_plan(second._u_sparse, batch))
+        assert checks == []
         u = second.u_part
-        for region, cut, new in zip(regions, served, engine._cuts(fresh._u_sparse, regions)):
+        for region, cut, new in zip(batch, served, batch_cuts(fresh._u_sparse, batch)):
             for read, again, oracle in zip(cut, new, dense_cut(u, list(region))):
                 assert read.shape == again.shape == oracle.shape
                 assert np.array_equal(read, again) and np.array_equal(read, oracle)
 
     def test_planned_keys_skip_the_region_check(self, monkeypatch):
-        # a key planned on the pattern was checked then; a new key, an empty
-        # one and one out of range are still checked
+        # a batch planned on the pattern was checked then, and a memoised
+        # region needs no plan; a new batch is checked once, as a whole, and
+        # one that holds an empty region or an id out of range is refused
         (first, second), _ = surface_graphs(8, 8, "torus", (1.0, 2.0))
         keys = [tuple(range(10)), (3, 4, 11, 12)]
         engine.symplectic_spectra(engine.covariance_from_graph(first), keys)
-        checks = counted(monkeypatch, engine, "_checked_region")
+        checks = counted(monkeypatch, engine, "_region_ids")
         cov = engine.covariance_from_graph(second)
         engine.symplectic_spectra(cov, keys)
         assert checks == []
-        engine.symplectic_spectra(cov, [[5, 2]])
-        assert [list(region) for _, region in checks] == [[5, 2]]
+        engine.symplectic_spectra(cov, keys + [[5, 2]])
+        assert checks == [(((5, 2),), 64)]
         for bad in ([], [64], [-1, 3]):
             with pytest.raises(ValidationError):
-                engine.symplectic_spectra(cov, keys + [bad])
+                engine.symplectic_spectra(engine.covariance_from_graph(second), keys + [bad])
 
-    def test_cut_of_repeated_modes_is_not_kept(self):
-        # a region with a repeated mode is cut right but its plan is not kept,
-        # so its spectrum is still checked and has one value per distinct mode
-        (graph,), pattern = surface_graphs(8, 8, "torus", (1.0,))
+    def test_repeated_modes_count_once(self):
+        # a region with a repeated mode is planned under its own tuple: its
+        # cut is that of its distinct modes and its spectrum has one value per
+        # distinct mode, the values of any other form of the region
+        (graph,), _ = surface_graphs(8, 8, "torus", (1.0,))
         region = (3, 3, 4)
-        for cut, oracle in zip(engine._cuts(graph._u_sparse, [region])[0],
+        for cut, oracle in zip(batch_cuts(graph._u_sparse, [region])[0],
                                dense_cut(graph.u_part, [3, 4])):
             assert np.array_equal(cut, oracle)
-        assert region not in pattern.plans
-        spectrum = engine.symplectic_spectrum(engine.covariance_from_graph(graph), region)
+        assert engine._batch_plan(graph._u_sparse, (region,))[4] == [2]
+        cov = engine.covariance_from_graph(graph)
+        spectrum = engine.symplectic_spectrum(cov, region)
         assert len(spectrum) == 2
+        assert np.array_equal(spectrum.values, engine.symplectic_spectrum(cov, (4, 3)).values)
+
+    @pytest.mark.parametrize("state", ["torus", "planar", "dense"])
+    def test_region_forms_give_equal_values(self, state):
+        # each form of one region is converted on a fresh pattern, so none is
+        # served by the plan or the spectrum of another form
+        base = list(range(5, 17))
+        forms = [base, tuple(base), range(5, 17), np.array(base, dtype=np.int32),
+                 np.array(base, dtype=np.int64),
+                 np.random.default_rng(3).permutation(base + base[:4]),
+                 [float(i) for i in base]]
+        values = []
+        for form in forms:
+            (graph,), _ = surface_graphs(8, 8, "planar" if state == "planar" else "torus", (1.5,))
+            cov = engine.covariance_from_graph(graph)
+            if state == "dense":
+                cov = engine.CovMatrix(cov.gamma)
+            values.append(engine.symplectic_spectrum(cov, form).values)
+        assert values[0].size == len(base)
+        for got in values[1:]:
+            assert np.array_equal(got, values[0])
+
+    @pytest.mark.parametrize("boundary", ["torus", "planar"])
+    @pytest.mark.parametrize("bad", [[], [-1, 3], [64]], ids=["empty", "negative", "N"])
+    def test_failed_check_leaves_nothing_behind(self, boundary, bad):
+        # a batch with a bad region raises before any plan or spectrum is
+        # kept, on a fresh pattern and on one with plans; without the bad
+        # region the batch then succeeds
+        (graph,), pattern = surface_graphs(8, 8, boundary, (1.5,))
+        cov = engine.covariance_from_graph(graph)
+        batch = [list(range(10)), (3, 4, 11), bad, range(20, 30)]
+        for known in ([], [(40, 41)]):
+            engine.symplectic_spectra(cov, known)
+            plans, memo = dict(pattern.plans.get("batches", {})), dict(cov._memo)
+            message = "non-empty" if not bad else "out of range"
+            with pytest.raises(ValidationError, match=message):
+                engine.symplectic_spectra(cov, batch + known)
+            assert pattern.plans.get("batches", {}) == plans and cov._memo == memo
+            assert set(pattern.plans) == ({"batches"} if known else set()) | (
+                {"blocks"} if boundary == "planar" else set())
+        good = engine.symplectic_spectra(cov, batch[:2] + batch[3:])
+        assert [len(spec) for spec in good] == [10, 3, 10]
 
     @pytest.mark.parametrize("boundary", ["torus", "planar"])
     def test_batch_planned_once(self, monkeypatch, boundary):

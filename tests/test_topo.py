@@ -367,7 +367,10 @@ class TestKPReduction:
         entropies = [engine.von_neumann_entropy(spec.scaled(kappa)) for spec in spectra]
         negativities = [engine.pure_log_negativity(spec, kappa) for spec in spectra]
         log_sums = [float(np.sum(np.log2(2.0 * spec.values))) for spec in spectra]
-        kp_values = topo._concatenated(spectra)
+        with pytest.MonkeyPatch.context() as patch:  # _kp_values of these seven spectra
+            patch.setattr(engine, "_pure_spectra", lambda cov, unions: spectra)
+            kp_values = topo._kp_values(product_cov(1),
+                                        topo.RegionSet("KP", dict.fromkeys("ABC", [0])))
         assert np.abs(topo._kp_entropies(kp_values, kappa) - entropies).max() <= (
             1e-12 * max(1.0, sum(entropies)))
         for fast, per_union in [(topo._kp_entropy(kp_values, kappa), entropies),
@@ -386,22 +389,27 @@ class TestKPValuesMemo:
         spec = gt.LatticeSpec(16, 16, "torus", 2.0)
         cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
         kp, small = topo.kp_regions(spec), topo.kp_regions(spec, radius=4.5)
-        calls, concatenated = [], topo._concatenated
-        monkeypatch.setattr(topo, "_concatenated",
-                            lambda spectra: calls.append(1) or concatenated(spectra))
+        calls, pure_spectra = [], engine._pure_spectra
+
+        def counted(state, unions):
+            calls.append(unions)
+            return pure_spectra(state, unions)
+
+        monkeypatch.setattr(engine, "_pure_spectra", counted)
         hot = engine.thermal_scale(cov, 10.0)
         values = [topo.tee_kp(cov, kp), topo.tln_kp(cov, kp), topo.tmi(cov, kp),
                   topo.tmi(hot, kp), topo.tln_kp(hot, kp), topo.tmi_lower_bound(cov, kp)]
-        assert len(calls) == 1
+        assert calls == [kp.kp_unions]
         # each region set keeps its own values
         other = topo.tee_kp(hot, small)
-        assert len(calls) == 2
+        assert calls == [kp.kp_unions, small.kp_unions]
         # the reductions of a fresh concatenation of the memoised spectra
-        fresh = concatenated(topo._kp_spectra(cov, kp))
+        del cov._memo["kp"]
+        fresh = topo._kp_values(cov, kp)
         assert values == [topo._kp_entropy(fresh, 1.0), topo._kp_log_negativity(fresh, 1.0),
                           topo._kp_entropy(fresh, 1.0), topo._kp_entropy(fresh, 10.0),
                           topo._kp_log_negativity(fresh, 10.0), topo._kp_log_sum(fresh)]
-        assert other == topo._kp_entropy(concatenated(topo._kp_spectra(cov, small)), 10.0)
+        assert other == topo._kp_entropy(topo._kp_values(cov, small), 10.0)
 
 
 class TestTMILowerBound:
@@ -585,21 +593,22 @@ class TestFactoredKPPass:
         assert any(rim.size < edge.size for edge, rim, _ in cuts)
 
     def test_each_union_checked_once(self, monkeypatch):
-        checked = engine._checked_region
+        # the seven unions are checked once, as one batch, when it is planned
+        checked = engine._region_ids
         calls = []
 
-        def counted(cov, region):
-            calls.append(len(region))
-            return checked(cov, region)
+        def counted(regions, n):
+            calls.append([len(region) for region in regions])
+            return checked(regions, n)
 
-        monkeypatch.setattr(engine, "_checked_region", counted)
+        monkeypatch.setattr(engine, "_region_ids", counted)
         spec = gt.LatticeSpec(12, 12, "torus", 2.8)
         cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
         kp = topo.kp_regions(spec)
         for state in (cov, engine.thermal_scale(cov, 10.0)):
             topo.tee_kp(state, kp), topo.tln_kp(state, kp), topo.tmi(state, kp)
         topo.tmi_lower_bound(cov, kp)
-        assert calls == [len(kp.union(*names)) for names in topo.KP_SUBSETS]
+        assert calls == [[len(kp.union(*names)) for names in topo.KP_SUBSETS]]
 
     def test_memo_hit_matches_checked_region(self):
         spec = gt.LatticeSpec(12, 12, "torus", 2.0)
