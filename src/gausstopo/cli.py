@@ -8,6 +8,7 @@ topological diagnostics over squeezing sweeps.  Exit codes: 0 success,
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -90,11 +91,6 @@ def cmd_build(args):
             json.dump({"kept": index_map}, fh)
         print("index map: %s" % map_path)
     return EXIT_OK
-
-
-def cmd_map(args):
-    args.kind = "surface-pipeline"
-    return cmd_build(args)
 
 
 def cmd_tee(args):
@@ -217,11 +213,18 @@ def cmd_sweep(args):
     kp = _kp(spec_base, args)
     lw = (topo.lw_regions(spec_base, inner=args.inner, width=args.width)
           if "tee_lw" in metrics else None)
+    # rows are keyed as printed, so each key runs once, at its first
+    # (log s, kappa) in grid and --kappas order, and a rerun skips the rows
+    # already in --out
     done = _existing_points(args.out)
-    pending = {log_s: [k for k in kappas if ("%.12g" % log_s, "%.12g" % k) not in done]
-               for log_s in grid}
-    built = (kp, lw, lattice._surface_code_pattern(spec_base)
-             if any(pending.values()) else None)
+    keys, pending = set(done), {}
+    for log_s in grid:
+        for kappa in kappas:
+            key = ("%.12g" % log_s, "%.12g" % kappa)
+            if key not in keys:
+                keys.add(key)
+                pending.setdefault(log_s, []).append(kappa)
+    built = (kp, lw, lattice._surface_code_pattern(spec_base) if pending else None)
 
     mode = "a" if done else "w"
     failures = []
@@ -234,8 +237,6 @@ def cmd_sweep(args):
         # rows go out as soon as it is done, so an interrupted sweep keeps
         # them and a rerun resumes after them
         for log_s, ks in pending.items():
-            if not ks:
-                continue
             try:
                 reports = _sweep_point(spec_base, log_s, ks, args, built)
             except (GaussTopoError, np.linalg.LinAlgError) as exc:
@@ -309,6 +310,7 @@ def _build_flags(p):
 def _map_flags(p):
     _add_lattice_flags(p)
     p.add_argument("--out", required=True)
+    p.set_defaults(kind="surface-pipeline")
 
 
 def _tee_flags(p):
@@ -370,7 +372,7 @@ def _upper_bound_flags(p):
 # subcommand: (help, handler, flags)
 _COMMANDS = {
     "build": ("serialize a cluster or surface-code state", cmd_build, _build_flags),
-    "map": ("run the measurement pipeline on a cluster", cmd_map, _map_flags),
+    "map": ("run the measurement pipeline on a cluster", cmd_build, _map_flags),
     "tee": ("topological entanglement entropy", cmd_tee, _tee_flags),
     "tln": ("topological log-negativity", cmd_tln, _tln_flags),
     "tmi": ("topological mutual information", cmd_tmi, _tmi_flags),
@@ -393,24 +395,12 @@ def build_parser():
     return parser
 
 
-def _parse(argv):
-    """The arguments of `argv`.  When argv[0] names a subcommand, only that
-    subcommand's parser is built, as the full parser builds it; the full
-    parser parses no, an unknown or a top-level option, and arguments the
-    subcommand leaves over, so that its usage and errors read as before."""
-    if argv and argv[0] in _COMMANDS:
-        _, func, flags = _COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog="gausstopo " + argv[0])
-        flags(parser)
-        parser.set_defaults(func=func, command=argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+# built on first use, so importing the module builds no parser
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -879,19 +879,26 @@ def _spectrum_general(gamma_red):
 def _region_ids(regions, n):
     """The mode ids of `regions` (each a sequence of ids), concatenated as
     one integer array, and the size of each region: the one place regions
-    are checked to be non-empty subsets of range(n)."""
+    are checked to be non-empty subsets of range(n).  Ids are integers or
+    integer-valued floats; bools, strings and other objects are refused."""
     sizes = [len(region) for region in regions]
     if 0 in sizes:
         raise ValidationError("region must be non-empty")
-    ids = np.concatenate(regions).astype(int, copy=False)
+    arrays = [np.asarray(region) for region in regions]
+    if any(a.dtype.kind not in "iuf" for a in arrays):
+        raise ValidationError("region indices must be integers")
+    ids = np.concatenate(arrays)
+    if ids.dtype.kind == "f" and not (np.isfinite(ids).all() and (ids == np.trunc(ids)).all()):
+        raise ValidationError("region indices must be integers")
     if ids.min() < 0 or ids.max() >= n:
         raise ValidationError("region indices out of range")
-    return ids, sizes
+    return ids.astype(int, copy=False), sizes
 
 
 def _checked_region(cov, region):
-    """The sorted distinct mode ids of `region`, checked by `_region_ids`."""
-    return _sorted_distinct(_region_ids([region], cov.n_modes)[0]).tolist()
+    """The sorted distinct mode ids of `region`, checked by `_region_ids` on
+    its tuple of ids, as the U-native path reads a region."""
+    return _sorted_distinct(_region_ids([tuple(region)], cov.n_modes)[0]).tolist()
 
 
 def symplectic_spectra(cov, regions, force_general=False):

@@ -10,7 +10,6 @@ even x even cluster: p-measured sites are the vertices, q-measured sites
 the faces, kept sites the edges.
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -461,16 +460,6 @@ class SurfaceGraph:
         da, db = wrapped_offsets(spec.rows // 2, spec.cols // 2, spec.boundary,
                                  coords_a, coords_b)
         return float(np.hypot(da, db))
-
-    def to_json(self):
-        record = {
-            "rows": self.spec.rows,
-            "cols": self.spec.cols,
-            "boundary": self.spec.boundary,
-            "edge_endpoints": [list(e) for e in self.edge_endpoints],
-            "face_boundaries": [[[e, s] for e, s in fb] for fb in self.face_boundaries],
-        }
-        return json.dumps(record)
 
 
 class NullifierSet:

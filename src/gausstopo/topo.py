@@ -97,6 +97,8 @@ def kp_regions(spec, center=None, radius=None):
         center = ((n - 1) / 2.0, (m - 1) / 2.0)
     if radius is None:
         radius = min(n, m) / 6.0 + 0.5
+    if not radius > 0:
+        raise ValidationError("radius must be positive, not %g" % radius)
     _check_margin(spec, center, radius, radius / 2.0)
     dx, dy = _offsets(spec, center)
     disk = dx * dx + dy * dy <= radius * radius

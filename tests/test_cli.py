@@ -1,8 +1,11 @@
 """Command-line driver tests (run in-process via main)."""
 
+import argparse
 import importlib.util
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -329,10 +332,13 @@ class TestSweep:
                    if r["log_s"] == record["log_s"] and r["kappa"] == 1.0]
             assert abs(signed - tee[0]) <= 1e-12
 
-    @pytest.mark.parametrize("extra", [("--radius", "9"),
-                                       ("--metrics", "tee_lw", "--inner", "20")],
-                             ids=["kp-radius", "lw-inner"])
-    def test_region_that_does_not_fit_refused(self, tmp_path, capsys, monkeypatch, extra):
+    @pytest.mark.parametrize("extra,message", [
+        (("--radius", "9"), "region of reach"),
+        (("--metrics", "tee_lw", "--inner", "20"), "region of reach"),
+        (("--radius", "-100"), "radius must be positive, not -100"),
+    ], ids=["kp-radius", "lw-inner", "kp-negative-radius"])
+    def test_region_that_does_not_fit_refused(self, tmp_path, capsys, monkeypatch, extra,
+                                              message):
         # the regions are built before any point: a validation error, no CSV
         monkeypatch.setattr(cli, "_sweep_point", None)  # no point may run
         out = tmp_path / "x.csv"
@@ -341,7 +347,7 @@ class TestSweep:
                                    *extra, "--out", str(out))
         assert code == cli.EXIT_VALIDATION
         assert stdout == ""
-        assert stderr.startswith("error: region of reach")
+        assert stderr.startswith("error: " + message)
         assert not out.exists()
 
     def test_regions_built_once_per_sweep(self, tmp_path, capsys, monkeypatch):
@@ -402,6 +408,28 @@ class TestSweep:
         code, _, _ = run(capsys, *args)
         assert code == 0
         assert out.read_text().splitlines() == lines[:3] + lines[4:] + [dropped]
+
+    @pytest.mark.parametrize("grid,expected", [
+        (("--log-s-min", "0", "--log-s-max", "1", "--steps", "2", "--kappas", "1,10,1"),
+         [("0", "1"), ("0", "10"), ("1", "1"), ("1", "10")]),
+        (("--log-s-min", "1", "--log-s-max", "1.0000000000001", "--steps", "3",
+          "--kappas", "1,1.0000000000001"), [("1", "1")]),
+    ], ids=["repeated-kappa", "equal-keys"])
+    def test_each_printed_key_runs_once(self, tmp_path, capsys, grid, expected):
+        # rows are keyed as printed: the first (log s, kappa) of each key
+        # runs, and a rerun finds every key done
+        out, jout = tmp_path / "d.csv", tmp_path / "d.jsonl"
+        args = ("sweep", "--rows", "8", "--cols", "8", *grid, "--metrics", "tee_kp,tmi",
+                "--out", str(out), "--json-out", str(jout))
+        assert run(capsys, *args)[0] == cli.EXIT_OK
+        _, rows = read_rows(out)
+        assert [(row.split(",")[0], row.split(",")[-1]) for row in rows] == expected
+        records = [json.loads(line) for line in jout.read_text().splitlines()]
+        assert [(r["log_s"], r["kappa"]) for r in records] == [
+            (float(log_s), float(kappa)) for log_s, kappa in expected]
+        first = out.read_text(), jout.read_text()
+        assert run(capsys, *args)[0] == cli.EXIT_OK
+        assert (out.read_text(), jout.read_text()) == first
 
     def test_interrupted_sweep_keeps_finished_points(self, tmp_path, capsys, monkeypatch):
         class Interrupt(BaseException):
@@ -545,8 +573,8 @@ def exit_of(capsys, parse, argv):
 
 
 class TestParser:
-    """A subcommand builds only its own parser; help, usage and errors read
-    as the full parser writes them."""
+    """One full parser, built once per process, parses every command line;
+    help, usage and errors read as that parser writes them."""
 
     @pytest.mark.parametrize("command", list(cli.build_parser()._subparsers._group_actions[0]
                                              .choices))
@@ -565,11 +593,16 @@ class TestParser:
         assert done == exit_of(capsys, cli.build_parser().parse_args, argv)
         assert done[0] == (0 if argv == ["--help"] else cli.EXIT_VALIDATION)
 
-    def test_subcommand_builds_no_full_parser(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "build_parser", None)
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run(capsys, "upper-bound", "--log-s", "0")
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
         code, stdout, _ = run(capsys, "upper-bound", "--log-s", "0")
         assert code == cli.EXIT_OK
         assert json.loads(stdout)["log_s"] == 0.0
+        assert built == []
 
 
 # past ln(float max / 8) / 4 ~ 176.93, 8 s^4 or 8 s^-4 overflows
@@ -634,6 +667,21 @@ class TestLogSRange:
             assert code == cli.EXIT_OK
             ratios.append(float(stdout.splitlines()[-1].split(",")[-1]))
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-9)
+
+
+def test_readme_examples_parse():
+    """Every `gausstopo ...` line of README's sh blocks parses, so its
+    examples follow the flags as they change."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.S | re.M)
+    lines = [shlex.split(line, comments=True)
+             for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    examples = [argv[1:] for argv in lines if argv[:1] == ["gausstopo"]]
+    assert len(examples) >= 10
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 def test_python_m_runs_cli(tmp_path):

@@ -1073,7 +1073,9 @@ class TestPatternPlans:
             assert np.array_equal(got, values[0])
 
     @pytest.mark.parametrize("boundary", ["torus", "planar"])
-    @pytest.mark.parametrize("bad", [[], [-1, 3], [64]], ids=["empty", "negative", "N"])
+    @pytest.mark.parametrize("bad", [[], [-1, 3], [64], [1.5, 2.7], np.arange(64) < 2,
+                                     [float("nan")], ["a"]],
+                             ids=["empty", "negative", "N", "fraction", "mask", "nan", "string"])
     def test_failed_check_leaves_nothing_behind(self, boundary, bad):
         # a batch with a bad region raises before any plan or spectrum is
         # kept, on a fresh pattern and on one with plans; without the bad
@@ -1084,7 +1086,8 @@ class TestPatternPlans:
         for known in ([], [(40, 41)]):
             engine.symplectic_spectra(cov, known)
             plans, memo = dict(pattern.plans.get("batches", {})), dict(cov._memo)
-            message = "non-empty" if not bad else "out of range"
+            message = ("non-empty" if len(bad) == 0 else "out of range"
+                       if isinstance(bad[0], int) else "must be integers")
             with pytest.raises(ValidationError, match=message):
                 engine.symplectic_spectra(cov, batch + known)
             assert pattern.plans.get("batches", {}) == plans and cov._memo == memo
@@ -1092,6 +1095,15 @@ class TestPatternPlans:
                 {"blocks"} if boundary == "planar" else set())
         good = engine.symplectic_spectra(cov, batch[:2] + batch[3:])
         assert [len(spec) for spec in good] == [10, 3, 10]
+
+    @pytest.mark.parametrize("bad", [[1.5, 2.7], np.arange(64) < 2, [float("nan")],
+                                     [float("inf")], ["a"], [1, None]],
+                             ids=["fraction", "mask", "nan", "inf", "string", "object"])
+    def test_ids_that_are_not_integers_refused_on_a_dense_state(self, bad):
+        (graph,), _ = surface_graphs(8, 8, "torus", (1.5,))
+        cov = engine.CovMatrix(engine.covariance_from_graph(graph).gamma)
+        with pytest.raises(ValidationError, match="must be integers"):
+            engine.symplectic_spectrum(cov, bad)
 
     @pytest.mark.parametrize("boundary", ["torus", "planar"])
     def test_batch_planned_once(self, monkeypatch, boundary):

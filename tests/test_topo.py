@@ -184,10 +184,12 @@ class TestRegionsMatchLoops:
 
 
 class TestKPRegions:
-    def test_empty_disk_rejected(self):
+    @pytest.mark.parametrize("radius", [0.4, 0, -1, -100, float("nan")])
+    def test_empty_disk_rejected(self, radius):
+        # a radius that is not positive squares to a disk over the whole torus
         spec = gt.LatticeSpec(16, 16, "torus", 0.0)
         with pytest.raises(ValidationError):
-            topo.kp_regions(spec, radius=0.4)
+            topo.kp_regions(spec, radius=radius)
 
     def test_benchmark_sector_sizes(self):
         spec = gt.LatticeSpec(36, 36, "torus", 0.0)
