@@ -131,16 +131,16 @@ def cmd_tmi(args):
     return EXIT_OK
 
 
-def _sweep_point(spec_base, log_s, kappas, args, built):
+def _sweep_point(spec_base, log_s, kappas, args, regions):
     """Reports for one log s, one per kappa in `kappas`, sharing one
-    covariance and one set of KP spectra of the pure state.  `built` is
-    the triple (KP regions, LW regions or None, U's pattern) the sweep built
-    once; the point fills U's values into the pattern, whose batch plans every
-    point shares."""
+    covariance and one set of KP spectra of the pure state.  `regions` is
+    the pair (KP regions, LW regions or None) the sweep built once; every
+    point's U fills its values into the pattern of the lattice, whose batch
+    plans every point shares."""
     spec = lattice.LatticeSpec(spec_base.rows, spec_base.cols,
                                spec_base.boundary, log_s)
-    kp, lw, pattern = built
-    graph = lattice._surface_code_graph(spec, pattern)
+    kp, lw = regions
+    graph = lattice.surface_code_graph_analytic(spec)
     cov_pure = engine.covariance_from_graph(graph)
     geometry = dict(kp.geometry)
     metrics = set(args.metrics.split(","))
@@ -207,9 +207,9 @@ def cmd_sweep(args):
         kappas = [engine._check_kappa(float(k)) for k in args.kappas.split(",")]
     except ValueError:
         raise ValidationError("kappas must be comma-separated numbers")
-    # the regions and U's pattern depend on the lattice only: built once, and
-    # a region that does not fit, or a torus with no closed form, is refused
-    # before any point runs; a sweep with no point left builds no pattern
+    # the regions depend on the lattice only: built once, and a region that
+    # does not fit, or a torus with no closed form, is refused before any
+    # point runs; a sweep with no point left reads no pattern
     kp = _kp(spec_base, args)
     lw = (topo.lw_regions(spec_base, inner=args.inner, width=args.width)
           if "tee_lw" in metrics else None)
@@ -224,7 +224,8 @@ def cmd_sweep(args):
             if key not in keys:
                 keys.add(key)
                 pending.setdefault(log_s, []).append(kappa)
-    built = (kp, lw, lattice._surface_code_pattern(spec_base) if pending else None)
+    if pending:
+        lattice._surface_code_pattern(spec_base)  # its checks, before any point
 
     mode = "a" if done else "w"
     failures = []
@@ -238,7 +239,7 @@ def cmd_sweep(args):
         # them and a rerun resumes after them
         for log_s, ks in pending.items():
             try:
-                reports = _sweep_point(spec_base, log_s, ks, args, built)
+                reports = _sweep_point(spec_base, log_s, ks, args, (kp, lw))
             except (GaussTopoError, np.linalg.LinAlgError) as exc:
                 failures.append((log_s, exc))
                 continue

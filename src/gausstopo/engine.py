@@ -8,6 +8,7 @@ construction and all operations are pure functions.
 """
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ SERIALIZATION_VERSION = 1
 
 _SYM_TOL = 1e-12
 PIVOT_TOL = 1e-12  # smallest |Z_kk| a p-measurement divides by
+_BATCH_PLANS = 16  # batch plans kept per pattern; the least recently used goes first
 
 
 def _read_only(array):
@@ -59,11 +61,11 @@ class _Stored:
 
     numpy index arithmetic reads the entries (`_cuts`, `block`,
     `p_entry`).  `plans` memoises what is read from the pattern alone: under
-    "batches" the plan of each batch of regions whose spectra were asked for
-    together (`_batch_plan`: checked when it was planned), and under
-    "blocks" the block order of `BlockCholesky`.  `with_data` gives the
-    matrix of another set of values on the same pattern, which shares
-    `plans`.
+    "batches" the plans of the last `_BATCH_PLANS` batches of regions whose
+    spectra were asked for together (`_batch_plan`: checked when it was
+    planned), and under "blocks" the block order of `BlockCholesky`.
+    `with_data` gives the matrix of another set of values on the same
+    pattern, which shares `plans`.
     """
 
     torus = None  # (rows, cols) of the even torus of a `CellStencil`
@@ -158,12 +160,11 @@ class CellStencil(_Stored):
         self.shape = (torus[0] * torus[1],) * 2
         self.data = _read_only(data)
         self.plans = {}
-        self._key = key
         parity, step = np.divmod(key, 9)
         dr, dc = np.divmod(step, 3)  # the step + 1
-        self._dr, self._dc = dr - 1, dc - 1
-        self._count = np.bincount(parity, minlength=2)
-        self._start = np.cumsum(self._count) - self._count
+        count = np.bincount(parity, minlength=2)
+        self._key, self._dr, self._dc, self._count, self._start = map(
+            _read_only, (key, dr - 1, dc - 1, count, np.cumsum(count) - count))
 
     def positions(self, cols):
         """Row ids, positions in `cols` and positions in `data` of the
@@ -768,10 +769,12 @@ def _factor_spectra(cov, regions):
     checked on U's pattern the first time (`_batch_plan`); they take their
     cuts from that plan and share one block of U^-1 (`CovMatrix._u_inv`),
     the union of their rims by the union of their edges.  A key is kept only
-    after its batch was planned, so a hit needs no check.
+    after its batch was planned, so a hit needs no check but that for bools
+    (`_refuse_bools`).
     """
     memo = cov._memo
     keys = [tuple(region) for region in regions]
+    _refuse_bools(keys)
     new = [key for key in dict.fromkeys(keys) if key not in memo]
     if new:
         plan = _batch_plan(cov._u, tuple(new))
@@ -793,7 +796,9 @@ def _batch_plan(u, batch):
     read from U's pattern alone, from one read of the columns of all their
     modes.  The batch is checked (`_region_ids`) when it is planned, and the
     plan is kept in `u.plans["batches"]`, which every `with_data` of the
-    pattern shares.  It holds the union of the regions' rims, the union of
+    pattern shares, with the `_BATCH_PLANS` - 1 plans used last before it.
+    Its caller (`_factor_spectra`) refuses bool ids before a plan is served
+    from there.  It holds the union of the regions' rims, the union of
     their edges, on an even torus the positions of that union block in the
     cell columns (`_gather`), and for each region the index pair of its
     block in the union block, its count of distinct modes and its cut: its
@@ -806,7 +811,10 @@ def _batch_plan(u, batch):
     their region, and the rims those of the columns they were read from:
     one sort each, in region order, then mode order.
     """
-    if batch not in u.plans.get("batches", ()):
+    batches = u.plans.get("batches", {})
+    if batch in batches:
+        plan = batches.pop(batch)  # and put back last: the most recently used
+    else:
         n, count = u.shape[0], len(batch)
         ids, sizes = _region_ids(batch, n)
         inside = np.zeros(count * n, dtype=bool)
@@ -827,6 +835,10 @@ def _batch_plan(u, batch):
         edges, rims = edge_keys % n, rim_keys % n
         union_rows, union_cols = _sorted_distinct(rims), _sorted_distinct(edges)
         rim_in, edge_in = np.searchsorted(union_rows, rims), np.searchsorted(union_cols, edges)
+        # every graph of the pattern shares the plan: its arrays, and the views
+        # taken of them below, are read-only
+        for array in (edges, rims, flat, at, union_rows, union_cols, rim_in, edge_in):
+            _read_only(array)
         edge_at, rim_at, entry_at = edge_at.tolist(), rim_at.tolist(), entry_at.tolist()
         pairs, cuts = [], []
         for r in range(count):
@@ -834,10 +846,13 @@ def _batch_plan(u, batch):
             entries = slice(entry_at[r], entry_at[r + 1])
             pairs.append(np.ix_(rim_in[rim], edge_in[edge]))
             cuts.append((edges[edge], rims[rim], flat[entries], at[entries]))
-        gather = None if u.torus is None else _gather(u.torus, union_rows, union_cols)
-        u.plans.setdefault("batches", {})[batch] = (
-            union_rows, union_cols, gather, pairs, np.diff(member_at).tolist(), cuts)
-    return u.plans["batches"][batch]
+        gather = None if u.torus is None else _read_only(_gather(u.torus, union_rows, union_cols))
+        plan = union_rows, union_cols, gather, pairs, np.diff(member_at).tolist(), cuts
+    batches = u.plans.setdefault("batches", {})
+    if len(batches) >= _BATCH_PLANS:
+        del batches[next(iter(batches))]
+    batches[batch] = plan
+    return plan
 
 
 def _cuts(u, plan):
@@ -876,6 +891,15 @@ def _spectrum_general(gamma_red):
     return ev[ev > 0]
 
 
+def _refuse_bools(regions):
+    """ValidationError if an id of `regions` (each a sequence of ids) is a
+    bool or np.bool_, which a memo keyed by tuples of ids would match to
+    the ints 0 and 1."""
+    kinds = set(map(type, itertools.chain.from_iterable(regions)))
+    if bool in kinds or np.bool_ in kinds:
+        raise ValidationError("region indices must be integers")
+
+
 def _region_ids(regions, n):
     """The mode ids of `regions` (each a sequence of ids), concatenated as
     one integer array, and the size of each region: the one place regions
@@ -884,6 +908,7 @@ def _region_ids(regions, n):
     sizes = [len(region) for region in regions]
     if 0 in sizes:
         raise ValidationError("region must be non-empty")
+    _refuse_bools(regions)
     arrays = [np.asarray(region) for region in regions]
     if any(a.dtype.kind not in "iuf" for a in arrays):
         raise ValidationError("region indices must be integers")

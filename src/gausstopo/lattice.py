@@ -12,6 +12,7 @@ the faces, kept sites the edges.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -179,7 +180,7 @@ def cluster_adjacency(spec):
     Multi-edges from wrapping dims < 3 saturate at 1 (simple-graph
     convention).
     """
-    return _cluster_links(spec).toarray()
+    return _lattice_of(spec).links.toarray()
 
 
 def cluster_graph(spec):
@@ -190,10 +191,7 @@ def cluster_graph(spec):
 
 def measurement_pattern(spec):
     """Return (q_nodes, p_nodes, kept_nodes) as sorted 0-based id lists."""
-    odd_row, odd_col = (np.indices((spec.rows, spec.cols)).reshape(2, -1) + 1) % 2
-    return (np.flatnonzero((odd_row | odd_col) == 0).tolist(),
-            np.flatnonzero(odd_row & odd_col).tolist(),
-            np.flatnonzero(odd_row != odd_col).tolist())
+    return tuple(nodes.tolist() for nodes in _lattice_of(spec).sites)
 
 
 def _surface_links(shape):
@@ -251,33 +249,13 @@ def surface_code_graph_analytic(spec):
     as its stencil (`engine.CellStencil`: the 14 entries of the columns of
     the two sites of its cell), on a planar grid as CSC arrays (at most 7
     entries per column), both with numpy and no scipy; its dense form is
-    built only when `u_part` is read.
+    built only when `u_part` is read.  U fills its values into the pattern
+    of its lattice (`_surface_code_pattern`) and shares its arrays and plans.
     The closed form is the surface code on an even torus with both sides
     >= 4; any other torus raises ValidationError.  A planar spec returns the
     bulk pattern and warns that the boundary rows are approximate.
     """
-    return _surface_code_graph(spec, _surface_code_pattern(spec))
-
-
-def _surface_code_pattern(spec):
-    """The stored entries of U on the lattice of `spec`, which do not
-    depend on log s, holding the values of the identity (the entries off
-    the diagonal stored as 0): on an even torus its `engine.CellStencil`,
-    on a planar grid `engine.Csc` arrays.  `surface_code_graph_analytic`'s
-    checks and warning are made here."""
-    if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
-        # odd tori break the plaquette parity; 2-wide ones saturate wrapped links
-        raise ValidationError("the closed-form surface code needs a torus with even sides >= 4")
-    if spec.boundary == "torus":
-        return _cell_stencil(spec, _surface_links((2, 2)))
-    warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
-    return _surface_code_links(spec, 0.0, 1.0)
-
-
-def _surface_code_graph(spec, pattern):
-    """The closed-form graph of `spec`, its U filled into `pattern`
-    (`_surface_code_pattern` of the same lattice, at any log s): s^2 off the
-    diagonal and s^-2 + 2s^2 on it.  U shares the pattern's arrays and plans."""
+    pattern = _surface_code_pattern(spec)
     s = spec.s
     c, d = s ** 2, s ** -2 + 2 * s ** 2
     u = pattern.with_data(np.where(pattern.data == 1.0, d, c))
@@ -285,6 +263,74 @@ def _surface_code_graph(spec, pattern):
     # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
     # interlacing on a planar grid, a principal submatrix of a larger torus
     return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
+
+
+def _surface_code_pattern(spec):
+    """The stored entries of U on the lattice of `spec` (`_Lattice.pattern`),
+    after `surface_code_graph_analytic`'s checks and warning, which every call
+    makes."""
+    if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
+        # odd tori break the plaquette parity; 2-wide ones saturate wrapped links
+        raise ValidationError("the closed-form surface code needs a torus with even sides >= 4")
+    if spec.boundary == "planar":
+        warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
+    return _lattice_of(spec).pattern
+
+
+class _Lattice:
+    """What the rows x cols lattice of a boundary holds that does not depend
+    on log s, each part built on its first read and then shared: read-only
+    arrays and `engine.Csc` / `engine.CellStencil` patterns, whose `plans`
+    every matrix filled into them shares.  `_lattice` keeps one per lattice.
+    """
+
+    def __init__(self, rows, cols, boundary):
+        self.spec = LatticeSpec(rows, cols, boundary)
+
+    @cached_property
+    def links(self):
+        """A_d (`_cluster_links`)."""
+        return _cluster_links(self.spec)
+
+    @cached_property
+    def sites(self):
+        """(q_nodes, p_nodes, kept_nodes) of the measurement pattern, as
+        sorted read-only id arrays."""
+        odd_row, odd_col = (np.indices((self.spec.rows, self.spec.cols)).reshape(2, -1) + 1) % 2
+        return tuple(engine._read_only(np.flatnonzero(nodes)) for nodes in
+                     ((odd_row | odd_col) == 0, odd_row & odd_col, odd_row != odd_col))
+
+    @cached_property
+    def index_map(self):
+        """The 1-based (row, col) of each kept mode, in mode order."""
+        row, col = np.divmod(self.sites[2], self.spec.cols)
+        return tuple(zip((row + 1).tolist(), (col + 1).tolist()))
+
+    @cached_property
+    def kept_gram(self):
+        """(gram, p_adjacent) of the kept modes (`_kept_gram`)."""
+        _, p_nodes, kept = self.sites
+        return _kept_gram(self.links, p_nodes, kept)
+
+    @cached_property
+    def pattern(self):
+        """The stored entries of the closed-form U, holding the values of the
+        identity (the entries off the diagonal stored as 0): on an even torus
+        its `engine.CellStencil`, on a planar grid `engine.Csc` arrays.  Read
+        through `_surface_code_pattern`, which checks the lattice."""
+        if self.spec.boundary == "torus":
+            return _cell_stencil(self.spec, _surface_links((2, 2)))
+        return _surface_code_links(self.spec, 0.0, 1.0)
+
+
+# the structure of the 8 lattices asked for last, kept per process: one
+# process reads a few lattices over and over (a log s scan, a benchmark)
+_lattice = lru_cache(maxsize=8)(_Lattice)
+
+
+def _lattice_of(spec):
+    """The `_Lattice` of the lattice of `spec`."""
+    return _lattice(spec.rows, spec.cols, spec.boundary)
 
 
 def _off_diagonal_support(mat):
@@ -303,8 +349,7 @@ def kept_mode_adjacency(spec):
     on a torus it is the same bulk graph as `surface_code_adjacency` with a
     diagonal torus identification.
     """
-    _, p_nodes, kept = measurement_pattern(spec)
-    gram = _kept_gram(_cluster_links(spec), p_nodes, kept)[0]
+    gram = _lattice_of(spec).kept_gram[0]
     rows, cols = gram.indices, gram.columns()
     off = (rows != cols) & (gram.data != 0)
     adjacency = np.zeros(gram.shape)
@@ -335,13 +380,12 @@ def map_cluster_to_surface(spec):
     index_map : list of (row, col)
         1-based cluster coordinates of each kept mode, in mode order.
     """
-    _, p_nodes, kept = measurement_pattern(spec)
-    index_map = [(k // spec.cols + 1, k % spec.cols + 1) for k in kept]
+    built = _lattice_of(spec)
+    index_map = list(built.index_map)
     eps = spec.s ** -2
     if eps < engine.PIVOT_TOL:
         raise SingularPivotError("a p-node pivot Z[k,k] is below pivot tolerance")
-    adj = _cluster_links(spec)
-    gram, p_adjacent = _kept_gram(adj, p_nodes, kept)
+    gram, p_adjacent = built.kept_gram
     if not p_adjacent:
         weight = 1.0 / eps  # s^2 as the dense solve divides it out
         on_diagonal = gram.indices == gram.columns()
@@ -354,6 +398,7 @@ def map_cluster_to_surface(spec):
         u = gram.with_data(data)
         return GaussGraph._with_extremes(u, lam.min(initial=np.inf),
                                          lam.max(initial=-np.inf) + 8 * weight), index_map
+    adj, (_, p_nodes, kept) = built.links, built.sites
     z_pk, a_pp, a_kk = adj.block(p_nodes, kept), adj.block(p_nodes, p_nodes), adj.block(kept, kept)
     z_pp = a_pp + 1j * eps * np.eye(len(p_nodes))
     try:
@@ -416,7 +461,7 @@ class SurfaceGraph:
         self.edges = list(range(len(kept)))
         self._vertex_site = p_nodes
         self._face_site = q_nodes
-        adj = _cluster_links(spec)
+        adj = _lattice_of(spec).links
         b, a_qk = adj.block(p_nodes, kept), adj.block(q_nodes, kept)
         # the N/S edges of a face are the kept sites on rows of vertices
         self.vertex_incidence = b

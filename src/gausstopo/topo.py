@@ -5,13 +5,14 @@ grid coordinates (x, y).  All entropies are in bits.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import engine
 from .engine import symplectic_spectra, symplectic_spectrum, von_neumann_entropy
 from .errors import ValidationError
+from .lattice import LatticeSpec
 
 KP_SUBSETS = (("A",), ("B",), ("C",), ("A", "B"), ("B", "C"), ("A", "C"),
               ("A", "B", "C"))
@@ -25,6 +26,8 @@ class RegionSet:
     kind: str  # 'KP', 'LW' or 'custom'
     regions: dict
     geometry: dict = field(default_factory=dict)
+    # the memoised RegionSet (regions as tuples) these regions were copied from
+    _source: "RegionSet" = field(default=None, repr=False, compare=False)
 
     def union(self, *names):
         out = set()
@@ -35,8 +38,23 @@ class RegionSet:
     @cached_property
     def kp_unions(self):
         """The seven KP unions as sorted mode tuples, in KP_SUBSETS order,
-        built on first read: the spectrum memo keys of every KP diagnostic."""
+        built on first read from A, B and C as they are then: the spectrum
+        memo keys of every KP diagnostic, so a bool id is refused here
+        (`engine._refuse_bools`).  They are the unions of `_source` while A,
+        B and C equal its own."""
+        parts = [tuple(self.regions[name]) for name in "ABC"]
+        engine._refuse_bools(parts)
+        source = self._source
+        if source is not None and parts == [source.regions[name] for name in "ABC"]:
+            return source.kp_unions
         return tuple(tuple(self.union(*names)) for names in KP_SUBSETS)
+
+
+def _fresh(source, geometry):
+    """A RegionSet of `source`'s regions as lists its caller may change, with
+    `geometry`."""
+    return RegionSet(source.kind, {name: list(ids) for name, ids in source.regions.items()},
+                     geometry, source)
 
 
 @dataclass
@@ -90,24 +108,18 @@ def kp_regions(spec, center=None, radius=None):
 
     Sector boundaries tie-break deterministically: polar angle in
     [0, 120) degrees goes to A, [120, 240) to B, the rest to C.  The
-    complement of the disk is the implicit fourth region D.
+    complement of the disk is the implicit fourth region D.  The regions
+    are built once per lattice, center and radius (`_kp_sectors`), and each
+    call returns a copy (`_fresh`).
     """
     n, m = spec.rows, spec.cols
     if center is None:
         center = ((n - 1) / 2.0, (m - 1) / 2.0)
     if radius is None:
         radius = min(n, m) / 6.0 + 0.5
-    if not radius > 0:
-        raise ValidationError("radius must be positive, not %g" % radius)
-    _check_margin(spec, center, radius, radius / 2.0)
-    dx, dy = _offsets(spec, center)
-    disk = dx * dx + dy * dy <= radius * radius
-    sector = np.digitize(np.degrees(np.arctan2(dy, dx)) % 360.0, [120.0, 240.0])
-    parts = {name: np.flatnonzero(disk & (sector == k)).tolist() for k, name in enumerate("ABC")}
-    if any(not v for v in parts.values()):
-        raise ValidationError("radius %g spans an empty sector" % radius)
-    return RegionSet("KP", parts, {"center": tuple(center), "radius": float(radius),
-                                   "rows": n, "cols": m})
+    cx, cy = center
+    return _fresh(_kp_sectors(n, m, float(cx), float(cy), float(radius)),
+                  {"center": tuple(center), "radius": float(radius), "rows": n, "cols": m})
 
 
 def lw_regions(spec, center=None, inner=6, width=3):
@@ -115,26 +127,60 @@ def lw_regions(spec, center=None, inner=6, width=3):
 
     A is the full Chebyshev annulus of hole side `inner` and width
     `width`; B removes the top strip, C the bottom strip and D both
-    (leaving two disconnected arms), so that |A| - |B| = |C| - |D|.
+    (leaving two disconnected arms), so that |A| - |B| = |C| - |D|.  The
+    regions are built once per lattice, center, inner and width
+    (`_lw_annulus`), and each call returns a copy (`_fresh`).
     """
-    if width <= 0:
-        raise ValidationError("width must be positive")
     n, m = spec.rows, spec.cols
     if center is None:
         center = ((n - 1) / 2.0, (m - 1) / 2.0)
+    cx, cy = center
+    return _fresh(_lw_annulus(n, m, float(cx), float(cy), float(inner), float(width)),
+                  {"center": tuple(center), "inner": float(inner), "width": float(width),
+                   "rows": n, "cols": m})
+
+
+# Each kind keeps the regions of the 32 geometries asked for last, per
+# process, as tuples and with no geometry record: each copy takes that of its
+# call.
+@lru_cache(maxsize=32)
+def _kp_sectors(rows, cols, cx, cy, radius):
+    """The regions of `kp_regions` on a rows x cols grid, its KP unions
+    built, which every copy still equal to it reads."""
+    if not radius > 0:
+        raise ValidationError("radius must be positive, not %g" % radius)
+    grid = LatticeSpec(rows, cols, "planar")  # regions do not wrap
+    _check_margin(grid, (cx, cy), radius, radius / 2.0)
+    dx, dy = _offsets(grid, (cx, cy))
+    disk = dx * dx + dy * dy <= radius * radius
+    sector = np.digitize(np.degrees(np.arctan2(dy, dx)) % 360.0, [120.0, 240.0])
+    parts = {name: tuple(np.flatnonzero(disk & (sector == k)).tolist())
+             for k, name in enumerate("ABC")}
+    if any(not v for v in parts.values()):
+        raise ValidationError("radius %g spans an empty sector" % radius)
+    regions = RegionSet("KP", parts)
+    regions.kp_unions  # built once, read by every copy
+    return regions
+
+
+@lru_cache(maxsize=32)
+def _lw_annulus(rows, cols, cx, cy, inner, width):
+    """The regions of `lw_regions` on a rows x cols grid."""
+    if width <= 0:
+        raise ValidationError("width must be positive")
+    grid = LatticeSpec(rows, cols, "planar")  # regions do not wrap
     h = inner / 2.0
-    _check_margin(spec, center, h + width, 0.0)
-    dx, dy = _offsets(spec, center)
+    _check_margin(grid, (cx, cy), h + width, 0.0)
+    dx, dy = _offsets(grid, (cx, cy))
     cheb = np.maximum(np.abs(dx), np.abs(dy))
     ring = (h < cheb) & (cheb <= h + width)
     top, bot = dx < -h, dx > h
     masks = {"A": ring, "B": ring & ~top, "C": ring & ~bot, "D": ring & ~top & ~bot}
-    parts = {name: np.flatnonzero(mask).tolist() for name, mask in masks.items()}
+    parts = {name: tuple(np.flatnonzero(mask).tolist()) for name, mask in masks.items()}
     sizes = {k: len(v) for k, v in parts.items()}
     if sizes["A"] - sizes["B"] != sizes["C"] - sizes["D"]:
         raise ValidationError("annulus strips are unbalanced: %s" % sizes)
-    return RegionSet("LW", parts, {"center": tuple(center), "inner": float(inner),
-                                   "width": float(width), "rows": n, "cols": m})
+    return RegionSet("LW", parts)
 
 
 def region_entropy(cov, region):

@@ -8,11 +8,29 @@ import pytest
 from hypothesis import settings
 
 import gausstopo as gt
-from gausstopo import engine
+from gausstopo import engine, lattice, topo
 
 # every property test is reproducible and leaves no example database behind
 settings.register_profile("gausstopo", derandomize=True, deadline=None, database=None)
 settings.load_profile("gausstopo")
+
+
+# the per-process memos of what a lattice holds apart from log s
+LATTICE_MEMOS = (lattice._lattice, topo._kp_sectors, topo._lw_annulus)
+
+
+def clear_lattice_memos():
+    """Empty every lattice memo, so that the next build of any lattice is
+    fresh."""
+    for memo in LATTICE_MEMOS:
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_lattices():
+    """Every test starts from empty lattice memos: a test that counts the
+    builds of a pattern or the checks of a batch sees its own."""
+    clear_lattice_memos()
 
 
 @lru_cache(maxsize=None)

@@ -522,12 +522,11 @@ class TestSweep:
         # batch of the KP unions and that of the LW regions are planned, and
         # so checked, at the first point only
         calls = {"pattern": [], "graph": [], "plans": []}
-        for module, name, key in ((lattice, "_surface_code_pattern", "pattern"),
-                                  (lattice, "_surface_code_graph", "graph"),
+        for module, name, key in ((lattice, "_cell_stencil", "pattern"),
+                                  (lattice, "surface_code_graph_analytic", "graph"),
                                   (engine, "_region_ids", "plans")):
             monkeypatch.setattr(module, name, lambda *a, _f=getattr(module, name), _k=key:
                                 calls[_k].append(a) or _f(*a))
-        monkeypatch.setattr(lattice, "surface_code_graph_analytic", None)  # no fresh build
         code, _, _ = run(capsys, "sweep", "--rows", "16", "--cols", "16", "--log-s-min", "1",
                          "--log-s-max", "2.8", "--steps", "4", "--kappas", "1,10",
                          "--metrics", ",".join(cli.SWEEP_COLUMNS[1:-1]),
@@ -544,8 +543,7 @@ class TestSweep:
         out = tmp_path / "r.csv"
         assert run(capsys, *SWEEP_ARGS, "--out", str(out))[0] == 0
         written = out.read_text()
-        for name in ("_surface_code_pattern", "_surface_code_graph",
-                     "surface_code_graph_analytic"):
+        for name in ("_surface_code_pattern", "surface_code_graph_analytic"):
             monkeypatch.setattr(lattice, name, None)
         monkeypatch.setattr(cli, "_sweep_point", None)
         assert run(capsys, *SWEEP_ARGS, "--out", str(out))[0] == 0

@@ -15,7 +15,7 @@ from gausstopo.errors import (
     ValidationError,
 )
 
-from conftest import dense_cut, random_graph, star_pipeline_graph
+from conftest import clear_lattice_memos, dense_cut, random_graph, star_pipeline_graph
 
 
 def two_mode_cluster(s):
@@ -946,13 +946,14 @@ class TestCut:
 
 
 def surface_graphs(rows, cols, boundary, log_s):
-    """Graphs of the closed-form U at each of `log_s`, all filled into one
-    pattern, and the pattern."""
+    """Graphs of the closed-form U at each of `log_s`, all filled into the
+    pattern of their lattice, and the pattern."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the planar closed form warns
-        pattern = lattice._surface_code_pattern(lattice.LatticeSpec(rows, cols, boundary))
-    return [lattice._surface_code_graph(lattice.LatticeSpec(rows, cols, boundary, value), pattern)
-            for value in log_s], pattern
+        return ([lattice.surface_code_graph_analytic(lattice.LatticeSpec(rows, cols, boundary,
+                                                                         value))
+                 for value in log_s],
+                lattice._surface_code_pattern(lattice.LatticeSpec(rows, cols, boundary)))
 
 
 def counted(monkeypatch, module, name):
@@ -1000,12 +1001,14 @@ class TestPatternPlans:
         # cuts planned at one log s and served at another: the same arrays as
         # a fresh cut of a freshly built U and as the dense oracle
         rows, cols, boundary = shape
+        clear_lattice_memos()  # each example plans on a fresh pattern
         (first, second), pattern = surface_graphs(rows, cols, boundary, log_s)
         n = first.n_modes
         rng = np.random.default_rng(seed)
         batch = tuple(tuple(map(int, region)) for region in TestCut.random_regions(rng, n, cols))
         engine._batch_plan(first._u_sparse, batch)
         assert list(pattern.plans) == ["batches"] and list(pattern.plans["batches"]) == [batch]
+        clear_lattice_memos()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fresh = lattice.surface_code_graph_analytic(
@@ -1063,6 +1066,7 @@ class TestPatternPlans:
                  [float(i) for i in base]]
         values = []
         for form in forms:
+            clear_lattice_memos()
             (graph,), _ = surface_graphs(8, 8, "planar" if state == "planar" else "torus", (1.5,))
             cov = engine.covariance_from_graph(graph)
             if state == "dense":
@@ -1118,6 +1122,7 @@ class TestPatternPlans:
         gathers = counted(monkeypatch, engine, "_gather")
         served = engine._factor_spectra(engine.covariance_from_graph(second), regions)
         assert distinct == [] and gathers == []
+        clear_lattice_memos()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the planar closed form warns
             fresh = lattice.surface_code_graph_analytic(

@@ -12,7 +12,7 @@ import gausstopo as gt
 from gausstopo import engine, lattice
 from gausstopo.errors import IllConditionedGraphError, SingularPivotError, ValidationError
 
-from conftest import star_pipeline_graph
+from conftest import clear_lattice_memos, star_pipeline_graph
 
 
 def sequential_pipeline(spec):
@@ -572,12 +572,15 @@ class TestSharedPattern:
     @given(shape=SURFACE_SHAPES, log_s=st.tuples(st.floats(-3.0, 3.25), st.floats(-3.0, 3.25)))
     def test_refill_equals_fresh_build(self, shape, log_s):
         rows, cols, boundary = shape
+        spec = gt.LatticeSpec(rows, cols, boundary, log_s[1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the planar closed form warns
-            pattern = lattice._surface_code_pattern(gt.LatticeSpec(rows, cols, boundary, log_s[0]))
-            spec = gt.LatticeSpec(rows, cols, boundary, log_s[1])
+            clear_lattice_memos()
+            gt.surface_code_graph_analytic(gt.LatticeSpec(rows, cols, boundary, log_s[0]))
+            pattern = lattice._surface_code_pattern(spec)
+            graph = gt.surface_code_graph_analytic(spec)
+            clear_lattice_memos()
             fresh = gt.surface_code_graph_analytic(spec)
-        graph = lattice._surface_code_graph(spec, pattern)
         got, want = graph._u_sparse, fresh._u_sparse
         assert type(got) is type(want) is type(pattern)
         assert got.data.dtype == want.data.dtype and np.array_equal(got.data, want.data)
@@ -594,14 +597,16 @@ class TestSharedPattern:
         # the refill shares the pattern's arrays and plans, and keeps its values
         shared = ("indptr", "indices") if isinstance(got, engine.Csc) else ("_dr", "_dc")
         assert all(getattr(got, name) is getattr(pattern, name) for name in shared)
-        assert got.plans is pattern.plans
+        assert got.plans is pattern.plans and want.plans is not pattern.plans
         assert np.array_equal(pattern.toarray(), np.eye(rows * cols))
 
     def test_pattern_keeps_the_checks(self):
-        with pytest.raises(ValidationError, match="even sides >= 4"):
-            lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "torus", 1.0))
-        with pytest.warns(UserWarning, match="planar closed form"):
-            lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "planar", 1.0))
+        # on every call, also once the lattice's pattern is built
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="even sides >= 4"):
+                lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "torus", 1.0))
+            with pytest.warns(UserWarning, match="planar closed form"):
+                lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "planar", 1.0))
 
 
 class TestPipeline:
