@@ -77,8 +77,7 @@ def cmd_build(args):
         graph = lattice.surface_code_graph_analytic(spec)
         index_map = None
     else:  # surface-pipeline
-        # 2-wide tori saturate wrapped links, so they are no surface code either
-        if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
+        if lattice._no_surface_code(spec):
             raise ValidationError("surface-pipeline on a torus needs even rows and cols >= 4")
         graph, index_map = lattice.map_cluster_to_surface(spec)
     with open(args.out, "w", encoding="utf-8") as fh:

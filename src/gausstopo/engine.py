@@ -165,6 +165,13 @@ class CellStencil(_Stored):
         count = np.bincount(parity, minlength=2)
         self._key, self._dr, self._dc, self._count, self._start = map(
             _read_only, (key, dr - 1, dc - 1, count, np.cumsum(count) - count))
+        # phases[D + 1, k] = e^{-ikD} for D = -1, 0, 1 at the momenta that
+        # `_cell_columns` solves; fftfreq holds -k as the exact negation of k,
+        # so the phases at -k are the conjugates of those at k
+        phases = [np.exp(-2j * np.pi * k) for k in (np.fft.fftfreq(torus[0]),
+                                                     np.fft.rfftfreq(torus[1]))]
+        self._phases = tuple(_read_only(np.stack([phase.conj(), np.ones_like(phase), phase]))
+                             for phase in phases)
 
     def positions(self, cols):
         """Row ids, positions in `cols` and positions in `data` of the
@@ -555,10 +562,7 @@ def _cell_columns(u):
     an exact 0 raises IllConditionedGraphError.
     """
     rows, cols = u.torus
-    # phases[D + 1, k] = e^{-ikD} for D = -1, 0, 1; fftfreq holds -k as the
-    # exact negation of k, so the phases at -k are the conjugates of those at k
-    phases = [np.exp(-2j * np.pi * k) for k in (np.fft.fftfreq(rows), np.fft.rfftfreq(cols))]
-    phases = [np.stack([phase.conj(), np.ones_like(phase), phase]) for phase in phases]
+    phases = u._phases
     v = u.steps()
     a, b = 0.5 * (v[0] + v[1]), 0.5 * (v[0] - v[1])
     shift = (-1.0) ** np.add.outer(range(3), range(3))  # (-1)^(dr + dc)
@@ -577,29 +581,20 @@ def _cell_columns(u):
     return np.fft.irfft2(half, s=(rows, cols), axes=(0, 1)).reshape(rows * cols, 2)
 
 
-def _level_sets(u, budget):
+def _level_sets(u):
     """Breadth-first level sets of the pattern of the symmetric `Csc` arrays
     `u`, restarted from the lowest unvisited mode of each connected
-    component; None once the sum of cubed level sizes reaches `budget`."""
-    n = u.shape[0]
-    degree = np.diff(u.indptr)
-    # row j lists the rows stored in column j, padded with j itself
-    table = np.repeat(np.arange(n)[:, None], degree.max(initial=0), axis=1)
-    table[u.columns(), np.arange(u.indices.size) - np.repeat(u.indptr[:-1], degree)] = u.indices
-    seen = np.zeros(n, dtype=bool)
-    levels, cost, start = [], 0, 0
-    while start < n:
+    component."""
+    seen = np.zeros(u.shape[0], dtype=bool)
+    levels = []
+    for start in range(u.shape[0]):
         if seen[start]:
-            start += 1
             continue
         frontier = np.array([start])
         seen[start] = True
         while frontier.size:
             levels.append(frontier)
-            cost += frontier.size ** 3
-            if cost >= budget:
-                return None
-            reached = _sorted_distinct(table[frontier].ravel())
+            reached = _sorted_distinct(u.positions(frontier)[0])
             frontier = reached[~seen[reached]]
             seen[frontier] = True
     return levels
@@ -611,19 +606,18 @@ def _block_order(u):
 
     Natural order cut every `bandwidth` modes (cols + 1 on a planar grid)
     or breadth-first level sets (19 levels of at most 136 modes on a 36 x 36
-    torus read back from JSON, whose bandwidth is N - 1): whichever has the
-    smaller sum of cubed block sizes, the cost of the factor.  Both are read
-    from the sparsity pattern alone.
+    torus read back from JSON, whose bandwidth is N - 1): the level sets
+    when their sum of cubed block sizes, the cost of the factor, is strictly
+    the smaller, and natural order on a tie.  Both are read from the
+    sparsity pattern alone, once per pattern (`_block_plan`).
     """
     n = u.shape[0]
     width = max(int(np.abs(u.indices - u.columns()).max(initial=0)), 1)
     sizes = [width] * (n // width) + ([n % width] if n % width else [])
-    budget = sum(size ** 3 for size in sizes)
-    # blocks of one mode cost n, the least any order can
-    levels = _level_sets(u, budget) if budget > n else None
-    if levels is None:
-        return np.arange(n), np.array(sizes, dtype=int)
-    return np.concatenate(levels), np.array([level.size for level in levels])
+    levels = _level_sets(u)
+    if sum(level.size ** 3 for level in levels) < sum(size ** 3 for size in sizes):
+        return np.concatenate(levels), np.array([level.size for level in levels])
+    return np.arange(n), np.array(sizes, dtype=int)
 
 
 def _block_plan(u):

@@ -162,13 +162,12 @@ def _kept_gram(adj, p_nodes, kept):
     is_p[p_nodes] = True
     mode = at[node]
     p_index, mode = p_index[mode >= 0], mode[mode >= 0]
-    # table[p, slot]: the kept neighbours of p-node p, padded with -1
+    # each kept neighbour of a p-node, paired with the run of that p-node's
+    # kept neighbours (consecutive, as `entries` reads column by column)
     degree = np.bincount(p_index, minlength=len(p_nodes))
-    table = np.full((len(p_nodes), degree.max(initial=0)), -1)
-    table[p_index, np.arange(mode.size) - np.repeat(np.cumsum(degree) - degree, degree)] = mode
-    row, col = np.broadcast_arrays(table[:, :, None], table[:, None, :])
-    pair = (row >= 0) & (col >= 0)
-    pairs = col[pair] * n + row[pair]
+    run_start = np.cumsum(degree) - degree
+    other, one = engine._runs(run_start[p_index], degree[p_index])
+    pairs = mode[other] * n + mode[one]
     key = engine._sorted_distinct(np.concatenate([pairs, np.arange(n) * (n + 1)]))
     count = np.bincount(np.searchsorted(key, pairs), minlength=key.size).astype(float)
     return engine.Csc.from_keys(key, n, count), bool(is_p[node].any())
@@ -194,42 +193,33 @@ def measurement_pattern(spec):
     return tuple(nodes.tolist() for nodes in _lattice_of(spec).sites)
 
 
-def _surface_links(shape):
-    """The links of A_SC over a grid of `shape`, as `_stencil_adjacency`
-    takes them: the square lattice, and both diagonals through every
-    plaquette whose lower-left corner (x, y) has x + y even."""
-    every = np.ones(shape, dtype=bool)
-    even = np.indices(shape).sum(axis=0) % 2 == 0
-    return ([(link, every) for link in _SQUARE]
-            + [(((0, 0), (1, 1)), even), (((1, 0), (0, 1)), even)])
-
-
 def _surface_code_links(spec, off=1.0, diag=None):
     """`engine.Csc` arrays of off * A_SC + diag * I (A_SC alone for diag None);
-    `surface_code_adjacency` is the dense A_SC."""
-    return _stencil_adjacency(spec, _surface_links((spec.rows, spec.cols)), off, diag)
+    `surface_code_adjacency` is the dense A_SC.  A_SC's links are the square
+    lattice and both diagonals through every plaquette whose lower-left
+    corner (x, y) has x + y even."""
+    every = np.ones((spec.rows, spec.cols), dtype=bool)
+    even = np.indices(every.shape).sum(axis=0) % 2 == 0
+    links = ([(link, every) for link in _SQUARE]
+             + [(((0, 0), (1, 1)), even), (((1, 0), (0, 1)), even)])
+    return _stencil_adjacency(spec, links, off, diag)
 
 
-def _cell_stencil(spec, links):
-    """`engine.CellStencil` with the pattern of the matrix that
-    `_stencil_adjacency` builds from `links` and a diagonal on an even
-    torus, for links whose masks are given on a 2 x 2 grid of corners,
-    repeat over the torus and are kept by the translation (1, 1), holding
-    the values of the identity.
+def _cell_stencil(spec):
+    """`engine.CellStencil` with the pattern of A_SC + I on the even torus of
+    `spec`, holding the values of the identity.
 
-    Both orientations of each link from each masked corner are an entry:
-    the parity of the site of one end gives its column, and the step to
-    the other end its row.  Each parity also has a diagonal entry.
-    Repeated links are stored once, and on tori >= 4 wide no link closes
-    on itself or on another's sites.
+    The cell is read off the columns of the sites (0, 0) and (0, 1) of the
+    CSC arrays of the 4 x 4 torus, the smallest even torus on which no two
+    entries of a column share a site: row site (r, c) of column p is the
+    step (r, c - p), each coordinate in {-1, 0, 1} mod 4.
     """
-    steps = np.array([ends for ends, _ in links])
-    link, r, c = np.nonzero(np.array([mask for _, mask in links]))
-    ends = steps[link] + np.column_stack([r, c])[:, None]  # [link corner, end, (r, c)]
-    column, row = ends.reshape(-1, 2), ends[:, ::-1].reshape(-1, 2)
-    key = np.append(column.sum(axis=1) % 2 * 9 + (row - column) @ [3, 1], (0, 9)) + 4
-    key = engine._sorted_distinct(key)
-    return engine.CellStencil((spec.rows, spec.cols), key, (key % 9 == 4).astype(float))
+    cell = _surface_code_links(LatticeSpec(4, 4, "torus"), 0.0, 1.0)
+    rows, p, at = cell.positions(np.arange(2))
+    r, c = np.divmod(rows, 4)
+    key = 9 * p + 3 * ((r + 1) % 4) + (c - p + 1) % 4
+    order = np.argsort(key)
+    return engine.CellStencil((spec.rows, spec.cols), key[order], cell.data[at[order]])
 
 
 def surface_code_adjacency(spec):
@@ -265,12 +255,18 @@ def surface_code_graph_analytic(spec):
     return GaussGraph._with_extremes(u, d - 2 * c, d + 6 * c)
 
 
+def _no_surface_code(spec):
+    """Whether `spec` is a torus that holds no surface code, one without even
+    sides >= 4: odd tori break the plaquette parity, and 2-wide ones
+    saturate wrapped links."""
+    return spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4)
+
+
 def _surface_code_pattern(spec):
     """The stored entries of U on the lattice of `spec` (`_Lattice.pattern`),
     after `surface_code_graph_analytic`'s checks and warning, which every call
     makes."""
-    if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
-        # odd tori break the plaquette parity; 2-wide ones saturate wrapped links
+    if _no_surface_code(spec):
         raise ValidationError("the closed-form surface code needs a torus with even sides >= 4")
     if spec.boundary == "planar":
         warnings.warn("planar closed form is the bulk pattern; boundary modes are approximate")
@@ -319,7 +315,7 @@ class _Lattice:
         its `engine.CellStencil`, on a planar grid `engine.Csc` arrays.  Read
         through `_surface_code_pattern`, which checks the lattice."""
         if self.spec.boundary == "torus":
-            return _cell_stencil(self.spec, _surface_links((2, 2)))
+            return _cell_stencil(self.spec)
         return _surface_code_links(self.spec, 0.0, 1.0)
 
 
@@ -452,7 +448,7 @@ class SurfaceGraph:
     """
 
     def __init__(self, spec):
-        if spec.boundary == "torus" and not (spec.even_parity and min(spec.rows, spec.cols) >= 4):
+        if _no_surface_code(spec):
             raise ValidationError("torus surface graph requires even sides >= 4")
         self.spec = spec
         q_nodes, p_nodes, kept = measurement_pattern(spec)

@@ -127,7 +127,9 @@ def lw_regions(spec, center=None, inner=6, width=3):
 
     A is the full Chebyshev annulus of hole side `inner` and width
     `width`; B removes the top strip, C the bottom strip and D both
-    (leaving two disconnected arms), so that |A| - |B| = |C| - |D|.  The
+    (leaving two disconnected arms), so that |A| - |B| = |C| - |D|.  A
+    width that is not positive, an annulus that does not fit, unbalanced
+    strips or an empty part raise ValidationError.  The
     regions are built once per lattice, center, inner and width
     (`_lw_annulus`), and each call returns a copy (`_fresh`).
     """
@@ -166,7 +168,7 @@ def _kp_sectors(rows, cols, cx, cy, radius):
 @lru_cache(maxsize=32)
 def _lw_annulus(rows, cols, cx, cy, inner, width):
     """The regions of `lw_regions` on a rows x cols grid."""
-    if width <= 0:
+    if not width > 0:
         raise ValidationError("width must be positive")
     grid = LatticeSpec(rows, cols, "planar")  # regions do not wrap
     h = inner / 2.0
@@ -180,6 +182,8 @@ def _lw_annulus(rows, cols, cx, cy, inner, width):
     sizes = {k: len(v) for k, v in parts.items()}
     if sizes["A"] - sizes["B"] != sizes["C"] - sizes["D"]:
         raise ValidationError("annulus strips are unbalanced: %s" % sizes)
+    if not all(sizes.values()):
+        raise ValidationError("annulus has an empty part: %s" % sizes)
     return RegionSet("LW", parts)
 
 

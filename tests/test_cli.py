@@ -128,6 +128,14 @@ class TestDiagnostics:
             assert stdout == ""
             assert "kappa" in stderr
 
+    def test_lw_empty_part_names_the_annulus(self, capsys):
+        # D is empty with no hole on a 16 x 16 grid: refused as regions are built
+        code, stdout, stderr = run(capsys, "tee", "--rows", "16", "--cols", "16",
+                                   "--log-s", "1.0", "--method", "lw", "--inner", "0")
+        assert code == cli.EXIT_VALIDATION
+        assert stdout == ""
+        assert stderr.startswith("error: annulus has an empty part")
+
     def test_upper_bound(self, capsys):
         code, stdout, _ = run(capsys, "upper-bound", "--log-s", "0.0")
         assert code == 0
@@ -336,7 +344,16 @@ class TestSweep:
         (("--radius", "9"), "region of reach"),
         (("--metrics", "tee_lw", "--inner", "20"), "region of reach"),
         (("--radius", "-100"), "radius must be positive, not -100"),
-    ], ids=["kp-radius", "lw-inner", "kp-negative-radius"])
+        (("--rows", "16", "--cols", "16", "--metrics", "tee_lw", "--inner", "-100"),
+         "annulus has an empty part"),
+        (("--rows", "16", "--cols", "16", "--metrics", "tee_lw", "--inner", "nan"),
+         "annulus has an empty part"),
+        (("--rows", "16", "--cols", "16", "--metrics", "tee_lw", "--inner", "0"),
+         "annulus has an empty part"),
+        (("--rows", "16", "--cols", "16", "--metrics", "tee_lw", "--width", "nan"),
+         "width must be positive"),
+    ], ids=["kp-radius", "lw-inner", "kp-negative-radius", "lw-negative-inner", "lw-nan-inner",
+            "lw-empty-d", "lw-nan-width"])
     def test_region_that_does_not_fit_refused(self, tmp_path, capsys, monkeypatch, extra,
                                               message):
         # the regions are built before any point: a validation error, no CSV

@@ -731,6 +731,32 @@ def factored_u(kind, rows, cols, log_s):
     return engine.GaussGraph(None, np.diag(np.exp(np.linspace(-abs(log_s), abs(log_s), rows * cols))))
 
 
+def loop_block_order(u):
+    """Per-mode loop form of `engine._block_order`, kept as its oracle: both
+    complete orders of the pattern of `u`, natural order cut every bandwidth
+    modes and the breadth-first level sets from the lowest mode not yet
+    reached, and the level sets only when their sum of cubed sizes is
+    strictly the smaller."""
+    pattern = u.toarray() != 0
+    n = len(pattern)
+    width = max([abs(int(i) - int(j)) for i, j in zip(*np.nonzero(pattern))] + [1])
+    cut = [width] * (n // width) + [n % width] * (n % width > 0)
+    seen, levels = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        frontier = [start]
+        seen.add(start)
+        while frontier:
+            levels.append(frontier)
+            frontier = sorted({int(j) for i in frontier for j in np.flatnonzero(pattern[i])}
+                              - seen)
+            seen.update(frontier)
+    if sum(len(level) ** 3 for level in levels) < sum(size ** 3 for size in cut):
+        return [mode for level in levels for mode in level], [len(level) for level in levels]
+    return list(range(n)), cut
+
+
 class TestBlockCholesky:
     """Every V = 0 state off an even torus serves U^-1 from one numpy block
     Cholesky factor of U."""
@@ -764,13 +790,43 @@ class TestBlockCholesky:
         n = rows * cols
         width = cols + 1 if rows > 1 else 1
         cut = [width] * (n // width) + [n % width] * (n % width > 0)
-        levels = [level.size for level in engine._level_sets(u, np.inf)]
+        levels = [level.size for level in engine._level_sets(u)]
         perm, sizes = engine._block_order(u)
         cost = (np.array(cut) ** 3).sum(), (np.array(levels) ** 3).sum()
         assert (cost[0] <= cost[1]) == natural
         assert sizes.tolist() == (cut if natural else levels)
         assert np.array_equal(perm, np.arange(n)) or not natural
         assert np.array_equal(np.sort(perm), np.arange(n))
+        assert (perm.tolist(), sizes.tolist()) == loop_block_order(u)
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(["pipeline-planar", "pipeline-torus", "any-pipeline-torus",
+                                 "json-torus", "random"]),
+           rows=st.integers(1, 12), cols=st.integers(1, 12),
+           density=st.floats(0.0, 0.3), split=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_order_is_the_cheaper_one_on_every_kind(self, kind, rows, cols, density, split,
+                                                    seed):
+        # the pipeline's and JSON patterns, and symmetric patterns drawn at
+        # random, disconnected ones included, take the order of the oracle
+        if kind == "random":
+            rng = np.random.default_rng(seed)
+            n = rows * cols
+            mat = np.triu(rng.random((n, n)) < density, 1).astype(float)
+            if split:  # two components, their modes interleaved
+                mat[:n // 2, n // 2:] = 0.0
+                shuffle = rng.permutation(n)
+                mat = mat[np.ix_(shuffle, shuffle)]
+            u = engine.Csc.from_dense(mat + mat.T + n * np.eye(n))
+        else:
+            if kind == "any-pipeline-torus":  # odd sides solved dense
+                spec = lattice.LatticeSpec(rows + 2, cols + 2, "torus", 1.0)
+                graph = lattice.map_cluster_to_surface(spec)[0]
+            else:
+                graph = factored_u(kind, rows, cols, 1.0)
+            u = graph._u_sparse
+            u = engine.Csc.from_dense(graph.u_part) if u is None else u
+        perm, sizes = engine._block_order(u)
+        assert (perm.tolist(), sizes.tolist()) == loop_block_order(u)
 
     def test_json_torus_takes_level_sets(self, factor_counts):
         # a 36 x 36 torus read back from JSON has bandwidth N - 1, but 19
@@ -798,7 +854,7 @@ class TestBlockCholesky:
         for i, j in [(0, 4), (4, 2), (1, 5), (5, 3)]:
             u[i, j] = u[j, i] = 1.0
         csc = engine.Csc.from_dense(u)
-        levels = engine._level_sets(csc, np.inf)
+        levels = engine._level_sets(csc)
         assert [level.tolist() for level in levels] == [[0], [4], [2], [1], [5], [3]]
         cov = engine.covariance_from_graph(engine.GaussGraph(None, u))
         assert np.allclose(cov._factor.solve(np.eye(6)), np.linalg.inv(u), rtol=0, atol=1e-15)

@@ -122,7 +122,8 @@ class TestMemoEqualsFreshBuild:
 
     def test_one_structure_per_lattice(self, monkeypatch):
         # every build of a lattice reads one pattern, one A_d and one Gram
-        # matrix; the KP regions are built once per geometry
+        # matrix, and its torus pattern reads the cell off one 4 x 4 torus;
+        # the KP regions are built once per geometry
         builds = []
         for name in ("_cell_stencil", "_stencil_adjacency", "_kept_gram"):
             build = getattr(lattice, name)
@@ -133,7 +134,8 @@ class TestMemoEqualsFreshBuild:
             cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
             topo.tee_kp(cov, topo.kp_regions(spec))
             gt.map_cluster_to_surface(spec), gt.kept_mode_adjacency(spec), gt.SurfaceGraph(spec)
-        assert sorted(builds) == ["_cell_stencil", "_kept_gram", "_stencil_adjacency"]
+        assert sorted(builds) == ["_cell_stencil", "_kept_gram", "_stencil_adjacency",
+                                  "_stencil_adjacency"]
         assert topo._kp_sectors.cache_info()[:2] == (2, 1)  # hits, misses
 
 
@@ -263,7 +265,7 @@ class TestMemoSafe:
             arrays += [u.data, rows, cols] + [a for pair in pairs for a in pair]
             arrays += [a for cut in cuts for a in cut] + ([] if gather is None else [gather])
             arrays += ([u.indptr, u.indices] if boundary == "planar"
-                       else [u._key, u._dr, u._dc, u._count, u._start])
+                       else [u._key, u._dr, u._dc, u._count, u._start, *u._phases])
         built = lattice._lattice(8, 12, "torus")
         gt.map_cluster_to_surface(gt.LatticeSpec(8, 12, "torus", 1.0))
         gram = built.kept_gram[0]
@@ -296,6 +298,9 @@ class TestChecksOnEveryCall:
         (topo.kp_regions, {"radius": 0.1}, "empty sector"),
         (topo.lw_regions, {"inner": 20}, "does not fit"),
         (topo.lw_regions, {"width": 0}, "width must be positive"),
+        (topo.lw_regions, {"width": float("nan")}, "width must be positive"),
+        (topo.lw_regions, {"inner": 0}, "annulus has an empty part"),
+        (topo.lw_regions, {"inner": float("nan")}, "annulus has an empty part"),
     ])
     def test_region_errors_are_not_kept(self, build, kwargs, message):
         spec = gt.LatticeSpec(12, 12, "torus", 1.0)

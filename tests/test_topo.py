@@ -102,7 +102,7 @@ def loop_kp_regions(spec, center=None, radius=None):
 
 def loop_lw_regions(spec, center=None, inner=6, width=3):
     """Per-site loop form of lw_regions, kept as its oracle."""
-    if width <= 0:
+    if not width > 0:
         raise ValidationError("width must be positive")
     n, m = spec.rows, spec.cols
     if center is None:
@@ -130,6 +130,8 @@ def loop_lw_regions(spec, center=None, inner=6, width=3):
     sizes = {k: len(v) for k, v in parts.items()}
     if sizes["A"] - sizes["B"] != sizes["C"] - sizes["D"]:
         raise ValidationError("annulus strips are unbalanced: %s" % sizes)
+    if not all(sizes.values()):
+        raise ValidationError("annulus has an empty part: %s" % sizes)
     return topo.RegionSet("LW", parts, {"center": tuple(center), "inner": float(inner),
                                         "width": float(width), "rows": n, "cols": m})
 
@@ -177,7 +179,8 @@ class TestRegionsMatchLoops:
         for n, m, boundary in self.SHAPES:
             spec = gt.LatticeSpec(n, m, boundary, 0.0)
             for center in self.centres(rng, n, m):
-                for inner, width in ((6, 3), (4, 2), (2, 1), (5, 2.5), (3, 0), (-3, 2),
+                for inner, width in ((6, 3), (4, 2), (2, 1), (5, 2.5), (3, 0), (-3, 2), (0, 2),
+                                     (float("nan"), 2), (2, float("nan")),
                                      (rng.uniform(0, n / 3.0), rng.uniform(0.5, n / 4.0))):
                     assert outcome(topo.lw_regions, spec, center, inner, width) \
                         == outcome(loop_lw_regions, spec, center, inner, width)
@@ -241,8 +244,9 @@ class TestLWRegions:
 
     def test_zero_width_rejected(self):
         spec = gt.LatticeSpec(36, 36, "torus", 0.0)
-        with pytest.raises(ValidationError):
-            topo.lw_regions(spec, width=0)
+        for width in (0, -1, float("nan")):
+            with pytest.raises(ValidationError, match="width must be positive"):
+                topo.lw_regions(spec, width=width)
 
 
 class TestTEE:
