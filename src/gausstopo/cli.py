@@ -152,7 +152,7 @@ def _sweep_point(spec_base, log_s, kappas, args, regions):
         names = ["".join(subset) for subset in topo.KP_SUBSETS]
         unions = engine._pure_spectra(cov_pure, kp.kp_unions)
         meta["kp_unions"] = {
-            name: {"boundary": union.boundary, "rim": union.rim,
+            name: {"boundary": union.boundary, "rim": union.rim, "p_nodes": union.p_nodes,
                    "n_above": union.n_above, "n_half": union.n_half}
             for name, union in zip(names, unions)}
         # pure-state entropy of each KP union, from the reduction tee_kp sums

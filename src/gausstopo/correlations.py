@@ -266,7 +266,9 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
     """Linear regression S = alpha * perimeter - gamma over nested squares.
 
     Square regions of side k have perimeter 4k; the default sides 2..10
-    cover perimeters 8..40.
+    cover perimeters 8..40.  Fewer than two distinct sides fit no line, and
+    a square that leaves the grid on any side does not fit: both raise
+    ValidationError.
 
     Returns
     -------
@@ -274,6 +276,8 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
     """
     if sizes is None:
         sizes = range(2, 11)
+    if len(set(sizes)) < 2:
+        raise ValidationError("area_law_fit needs at least two distinct square sizes")
     n, m = spec.rows, spec.cols
     if offset is None:
         kmax = max(sizes)
@@ -281,7 +285,7 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
     ox, oy = offset
     perims, squares = [], []
     for k in sizes:
-        if ox + k > n or oy + k > m:
+        if min(ox, oy) < 0 or ox + k > n or oy + k > m:
             raise ValidationError("square of side %d does not fit" % k)
         perims.append(4 * k)
         squares.append([(ox + x) * m + (oy + y) for x in range(k) for y in range(k)])

@@ -66,18 +66,29 @@ class _Stored:
     planned), and under "blocks" the block order of `BlockCholesky`.
     `with_data` gives the matrix of another set of values on the same
     pattern, which shares `plans`.
+
+    A pattern may record an `incidence` B of p-nodes to its modes: a
+    function of mode ids that gives the two p-nodes of each, as a (k, 2)
+    id array.  A matrix of its values that its builder knows to be
+    s * B^T B off the diagonal records that s as its `incidence_scale`;
+    its cuts are then solved in the space of the p-nodes they cut
+    (`_cut_product`).
     """
 
     torus = None  # (rows, cols) of the even torus of a `CellStencil`
+    incidence = None  # p-node ids of modes, recorded by the pattern's builder
+    incidence_scale = None  # s with U = s * B^T B off the diagonal, or None
 
-    def with_data(self, data):
+    def with_data(self, data, incidence_scale=None):
         """The matrix with this pattern and the values `data`, one per
-        stored entry; it shares the pattern's arrays and `plans`."""
+        stored entry, and the `incidence_scale` its builder records; it
+        shares the pattern's arrays and `plans`."""
         if data.shape != self.data.shape:
             raise ValidationError("values of shape %s for a pattern of %d entries"
                                   % (data.shape, self.data.size))
         twin = copy.copy(self)
         twin.data = _read_only(data)
+        twin.incidence_scale = incidence_scale
         return twin
 
     def entries(self, cols):
@@ -497,8 +508,9 @@ class SymplecticSpectrum:
     """
 
     tol_half = 1e-9  # classification tolerance around sigma = 1/2
-    # |dS| and |d'S| of a U-native pure-state spectrum; the eigensolve has the smaller size
-    boundary = rim = None
+    # |dS| and |d'S| of a U-native pure-state spectrum and, where U records
+    # its p-node incidence, |P|; the eigensolve has size min(|P|, |dS|, |d'S|)
+    boundary = rim = p_nodes = None
 
     def __init__(self, values):
         vals = np.sort(np.asarray(values, dtype=float))[::-1]
@@ -755,34 +767,56 @@ def _factor_spectra(cov, regions):
 
     For a region S with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS,
     and U_LS is zero outside the rows dS and the columns d'S of the cut
-    (`_cuts`).  So (U^-1)_SL U_LS is block lower-triangular, and its nonzero
-    eigenvalues lambda are those of (U^-1)[d'S, dS] U[dS, d'S], or of the
-    reverse product, whichever is smaller: sigma = 1/2 sqrt(max(1, 1 -
-    lambda)), with the rest of the distinct modes of S padded with exact
-    1/2 entries.  The regions not yet known form one batch, planned and
-    checked on U's pattern the first time (`_batch_plan`); they take their
-    cuts from that plan and share one block of U^-1 (`CovMatrix._u_inv`),
-    the union of their rims by the union of their edges.  A key is kept only
-    after its batch was planned, so a hit needs no check but that for bools
-    (`_refuse_bools`).
+    (`_batch_plan`).  So (U^-1)_SL U_LS is block lower-triangular, and its
+    nonzero eigenvalues lambda are those of the smallest product of
+    `_cut_product`: sigma = 1/2 sqrt(max(1, 1 - lambda)), with the rest of
+    the distinct modes of S padded with exact 1/2 entries.  The regions not
+    yet known form one batch, planned and checked on U's pattern the first
+    time (`_batch_plan`); they take their cuts from that plan and share one
+    block of U^-1 (`CovMatrix._u_inv`), the union of their rims by the
+    union of their edges.  A key is kept only after its batch was planned,
+    so a hit needs no check but that for bools (`_refuse_bools`).
     """
     memo = cov._memo
     keys = [tuple(region) for region in regions]
     _refuse_bools(keys)
     new = [key for key in dict.fromkeys(keys) if key not in memo]
     if new:
-        plan = _batch_plan(cov._u, tuple(new))
-        rows, cols, gather, pairs, modes, _ = plan
+        u = cov._u
+        rows, cols, gather, pairs, modes, p_cuts, cuts = _batch_plan(u, tuple(new))
+        if p_cuts is None or u.incidence_scale is None:
+            p_cuts = [None] * len(new)
         u_inv = cov._u_inv(rows, cols, gather)
-        cuts = _cuts(cov._u, plan)
-        for key, pair, count, (edge, rim, coupling) in zip(new, pairs, modes, cuts):
-            block = u_inv[pair]
-            cross = block @ coupling if rim.size < edge.size else coupling @ block
+        for key, pair, count, cut, p_cut in zip(new, pairs, modes, cuts, p_cuts):
+            cross = _cut_product(u, u_inv[pair], cut, p_cut)
             sigma = 0.5 * np.sqrt(np.clip(1.0 - np.linalg.eigvals(cross).real, 1.0, None))
             memo[key] = SymplecticSpectrum(
                 np.concatenate([sigma, np.full(count - sigma.size, 0.5)]))
-            memo[key].boundary, memo[key].rim = edge.size, rim.size
+            memo[key].boundary, memo[key].rim = cut[0].size, cut[1].size
+            if p_cut is not None:
+                memo[key].p_nodes = p_cut[0]
     return [memo[key] for key in keys]
+
+
+def _cut_product(u, block, cut, p_cut):
+    """The smallest square product whose nonzero eigenvalues are those of
+    U^-1[d'S, dS] U[dS, d'S], for the block U^-1[d'S, dS] of a region of a
+    batch plan (`_batch_plan`), its planned `cut` and, where U records its
+    incidence B with the scale s (U = s B^T B off the diagonal), its
+    straddling p-nodes `p_cut`, else None.
+
+    U[dS, d'S] is that reverse product (`_coupling`) or, where U records
+    B, s B[P, dS]^T B[P, d'S] with P the p-nodes with a mode in d'S and one
+    in dS (any other p-node has no mode on one side), so the nonzero
+    eigenvalues are also those of s B[P, d'S] U^-1[d'S, dS] B[P, dS]^T: of
+    size |P| against min(|dS|, |d'S|).  A single mode has |P| = 2 and
+    |d'S| = 1, so the size decides."""
+    edge, rim = cut[0].size, cut[1].size
+    if p_cut is not None and p_cut[0] < min(edge, rim):
+        _, to_rim, to_edge = p_cut
+        return u.incidence_scale * (to_rim @ block @ to_edge.T)
+    coupling = _coupling(u, cut)
+    return block @ coupling if rim < edge else coupling @ block
 
 
 def _batch_plan(u, batch):
@@ -795,9 +829,11 @@ def _batch_plan(u, batch):
     from there.  It holds the union of the regions' rims, the union of
     their edges, on an even torus the positions of that union block in the
     cell columns (`_gather`), and for each region the index pair of its
-    block in the union block, its count of distinct modes and its cut: its
-    edge dS and rim d'S and, for the entries of U[dS, d'S], their flat
-    row-major positions in that block and their positions in `u.data`.
+    block in the union block, its count of distinct modes, its straddling
+    p-nodes where the pattern records an incidence (`_straddling`; None
+    otherwise) and its cut: its edge dS and rim d'S and, for the entries of
+    U[dS, d'S], their flat row-major positions in that block and their
+    positions in `u.data`.
 
     Mode i of the r-th region is the key r * n + i.  The entries are read
     in key order of their columns, so each region's are contiguous; the
@@ -829,6 +865,8 @@ def _batch_plan(u, batch):
         edges, rims = edge_keys % n, rim_keys % n
         union_rows, union_cols = _sorted_distinct(rims), _sorted_distinct(edges)
         rim_in, edge_in = np.searchsorted(union_rows, rims), np.searchsorted(union_cols, edges)
+        p_cuts = (None if u.incidence is None else
+                  _straddling(u.incidence, count, n, (rim_keys, rim_at), (edge_keys, edge_at)))
         # every graph of the pattern shares the plan: its arrays, and the views
         # taken of them below, are read-only
         for array in (edges, rims, flat, at, union_rows, union_cols, rim_in, edge_in):
@@ -841,7 +879,7 @@ def _batch_plan(u, batch):
             pairs.append(np.ix_(rim_in[rim], edge_in[edge]))
             cuts.append((edges[edge], rims[rim], flat[entries], at[entries]))
         gather = None if u.torus is None else _read_only(_gather(u.torus, union_rows, union_cols))
-        plan = union_rows, union_cols, gather, pairs, np.diff(member_at).tolist(), cuts
+        plan = union_rows, union_cols, gather, pairs, np.diff(member_at).tolist(), p_cuts, cuts
     batches = u.plans.setdefault("batches", {})
     if len(batches) >= _BATCH_PLANS:
         del batches[next(iter(batches))]
@@ -849,18 +887,47 @@ def _batch_plan(u, batch):
     return plan
 
 
-def _cuts(u, plan):
-    """The cuts of the regions of a batch `plan` (`_batch_plan`) in the
-    symmetric U of the stored entries `u` (`Csc` or `CellStencil`): for each
-    region S its edge dS (the modes outside S that U couples to S), its rim
-    d'S (the modes of S coupled outside S), both sorted, and the dense block
-    U[dS, d'S], filled from `u.data`."""
-    cuts = []
-    for edge, rim, flat, at in plan[-1]:
-        coupling = np.zeros(edge.size * rim.size)
-        coupling[flat] = u.data[at]
-        cuts.append((edge, rim, coupling.reshape(edge.size, rim.size)))
-    return cuts
+def _straddling(incidence, count, n, rims, edges):
+    """For each of the `count` regions of a batch, (|P|, B[P, d'S], B[P, dS]):
+    the count of its straddling p-nodes P, those of the `incidence` B with
+    a mode in its rim d'S and one in its edge dS, in id order, and the 0/1
+    blocks of B on them, read-only.  `rims` and `edges` are each the sorted
+    keys r * n + i of the modes of all regions and the start of each
+    region's in them (`_batch_plan`).  A p-node of region r is the key
+    r * width + its id, width one more than the largest id."""
+    ends = [(keys // n, incidence(keys % n), at) for keys, at in (rims, edges)]
+    width = 1 + max(int(ids.max(initial=-1)) for _, ids, _ in ends)
+    rim_p, edge_p = (region[:, None] * width + ids for region, ids, _ in ends)
+    # the keys in both: repeats of the sorted distinct keys of each side (as
+    # np.intersect1d, whose np.unique call imports numpy.ma at its first use)
+    both = np.sort(np.concatenate([_sorted_distinct(rim_p.ravel()),
+                                   _sorted_distinct(edge_p.ravel())]))
+    p_keys = both[1:][both[1:] == both[:-1]]
+    p_at = np.searchsorted(p_keys, np.arange(count + 1) * width)
+    blocks = []
+    for (region, _, at), ends_p in zip(ends, (rim_p, edge_p)):
+        # the (mode, p-node) pairs whose p-node straddles; mode i is row i
+        place = np.searchsorted(p_keys, ends_p)
+        mode, side = np.nonzero(np.append(p_keys, -1)[place] == ends_p)  # -1 is no key
+        row, col = place[mode, side] - p_at[region[mode]], mode - at[region[mode]]
+        bounds = np.searchsorted(mode, at)
+        blocks.append([])
+        for r in range(count):
+            block = np.zeros((p_at[r + 1] - p_at[r], at[r + 1] - at[r]))
+            pick = slice(bounds[r], bounds[r + 1])
+            block[row[pick], col[pick]] = 1.0
+            blocks[-1].append(_read_only(block))
+    return list(zip(np.diff(p_at).tolist(), *blocks))
+
+
+def _coupling(u, cut):
+    """The dense block U[dS, d'S] of a planned `cut` (`_batch_plan`) of the
+    symmetric U of the stored entries `u` (`Csc` or `CellStencil`), filled
+    from `u.data`."""
+    edge, rim, flat, at = cut
+    coupling = np.zeros(edge.size * rim.size)
+    coupling[flat] = u.data[at]
+    return coupling.reshape(edge.size, rim.size)
 
 
 def _spectrum_block_diagonal(cov, region):

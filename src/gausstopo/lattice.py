@@ -12,7 +12,7 @@ the faces, kept sites the edges.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -222,6 +222,24 @@ def _cell_stencil(spec):
     return engine.CellStencil((spec.rows, spec.cols), key[order], cell.data[at[order]])
 
 
+def _even_plaquettes(rows, cols, torus, modes):
+    """The ids of the two p-nodes of each of `modes` on the rows x cols mode
+    grid of the closed-form surface code, as a (len(modes), 2) array, read
+    from the mode's coordinates: the p-nodes are the even plaquettes (lower-
+    left corner (x, y) with x + y even), and mode (r, c) lies in those of
+    the corners (r, c) and (r - 1, c - 1) when r + c is even, (r - 1, c) and
+    (r, c - 1) when it is odd.  On a torus the corner wraps and has id
+    x * cols + y.  On a planar grid a plaquette is clipped to the grid, its
+    corner ranging over [-1, rows) x [-1, cols), with id (x + 1) * (cols +
+    1) + y + 1; one that holds a single mode couples none."""
+    r, c = np.divmod(np.asarray(modes, dtype=np.intp), cols)
+    odd = (r + c) % 2
+    x, y = np.stack([r - odd, r - 1 + odd], axis=-1), np.stack([c, c - 1], axis=-1)
+    if torus:
+        return x % rows * cols + y % cols
+    return (x + 1) * (cols + 1) + y + 1
+
+
 def surface_code_adjacency(spec):
     """Degree-6 surface-code mode adjacency A_SC on the rows x cols mode grid.
 
@@ -248,7 +266,9 @@ def surface_code_graph_analytic(spec):
     pattern = _surface_code_pattern(spec)
     s = spec.s
     c, d = s ** 2, s ** -2 + 2 * s ** 2
-    u = pattern.with_data(np.where(pattern.data == 1.0, d, c))
+    # off the diagonal U = s^2 B^T B for the p-node incidence B the pattern
+    # records (`_even_plaquettes`), so U records s^2 as its incidence scale
+    u = pattern.with_data(np.where(pattern.data == 1.0, d, c), incidence_scale=c)
     # U = s^-2 I + s^2 B^T B (B the p-to-kept incidence) with spec(B^T B) =
     # [0, 8], so spec(A_SC) = [-2, 6]: exact on the torus, and by Cauchy
     # interlacing on a planar grid, a principal submatrix of a larger torus
@@ -312,11 +332,17 @@ class _Lattice:
     def pattern(self):
         """The stored entries of the closed-form U, holding the values of the
         identity (the entries off the diagonal stored as 0): on an even torus
-        its `engine.CellStencil`, on a planar grid `engine.Csc` arrays.  Read
+        its `engine.CellStencil`, on a planar grid `engine.Csc` arrays.  It
+        records as its `incidence` the p-nodes of each mode
+        (`_even_plaquettes`), so no array of it grows with the torus.  Read
         through `_surface_code_pattern`, which checks the lattice."""
-        if self.spec.boundary == "torus":
-            return _cell_stencil(self.spec)
-        return _surface_code_links(self.spec, 0.0, 1.0)
+        rows, cols, boundary = self.spec.rows, self.spec.cols, self.spec.boundary
+        if boundary == "torus":
+            pattern = _cell_stencil(self.spec)
+        else:
+            pattern = _surface_code_links(self.spec, 0.0, 1.0)
+        pattern.incidence = partial(_even_plaquettes, rows, cols, boundary == "torus")
+        return pattern
 
 
 # the structure of the 8 lattices asked for last, kept per process: one

@@ -82,6 +82,35 @@ def dense_cut(u, region):
     return edge, rim, u[np.ix_(edge, rim)]
 
 
+def loop_plaquettes(spec):
+    """The mode sets of the p-nodes of the closed-form surface code of `spec`,
+    by a loop over the even plaquettes (lower-left corner (x, y), x + y
+    even): on a torus each wraps; on a planar grid the corners range over
+    [-1, rows) x [-1, cols) and each plaquette keeps the corners on the grid."""
+    torus = spec.boundary == "torus"
+    low = 0 if torus else -1
+    plaquettes = []
+    for x in range(low, spec.rows):
+        for y in range(low, spec.cols):
+            if (x + y) % 2:
+                continue
+            modes = set()
+            for a, b in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)):
+                if torus:
+                    modes.add(a % spec.rows * spec.cols + b % spec.cols)
+                elif 0 <= a < spec.rows and 0 <= b < spec.cols:
+                    modes.add(a * spec.cols + b)
+            plaquettes.append(modes)
+    return plaquettes
+
+
+def loop_straddling(spec, region):
+    """The count of p-nodes (`loop_plaquettes`) with a mode in `region` and
+    one outside it."""
+    inside = set(map(int, region))
+    return sum(1 for modes in loop_plaquettes(spec) if modes & inside and modes - inside)
+
+
 def star_pipeline_graph(s):
     """3-mode network from measuring p on the hub of a 4-mode star."""
     adj = np.zeros((4, 4))

@@ -17,6 +17,8 @@ import gausstopo as gt
 from gausstopo import cli, engine, lattice, topo
 from gausstopo.engine import GaussGraph
 
+from conftest import loop_straddling
+
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(gt.__file__)))
 
 
@@ -321,6 +323,9 @@ class TestSweep:
                 assert union["rim"] == rim.size
                 assert union["n_above"] + union["n_half"] == len(region)
                 assert 0 < union["n_above"] <= min(union["rim"], union["boundary"])
+                # |P|: the p-nodes with a mode in S and one outside it
+                assert union["p_nodes"] == loop_straddling(spec, region)
+                assert union["n_above"] <= union["p_nodes"]
 
     def test_json_report_region_entropies(self, tmp_path, capsys):
         out, jout = tmp_path / "e.csv", tmp_path / "e.jsonl"

@@ -310,8 +310,24 @@ class TestAreaLaw:
 
     def test_region_must_fit(self, surface_state):
         spec, cov = surface_state(12, 12, 1.0)
-        with pytest.raises(ValidationError):
-            corr.area_law_fit(cov, spec, sizes=[14], offset=(0, 0))
+        with pytest.raises(ValidationError, match="square of side 14 does not fit"):
+            corr.area_law_fit(cov, spec, sizes=[2, 14], offset=(0, 0))
+
+    @pytest.mark.parametrize("offset", [(2, -1), (-1, 2)])
+    def test_negative_offset_refused(self, surface_state, offset):
+        # (2, -1) would wrap each square's first column onto the previous
+        # row's last mode, and (-1, 2) would start before mode 0
+        spec, cov = surface_state(12, 12, 1.0, "planar")
+        with pytest.raises(ValidationError, match="square of side 2 does not fit"):
+            corr.area_law_fit(cov, spec, offset=offset)
+
+    @pytest.mark.parametrize("sizes", [[], [3], [2, 2], (4, 4, 4)])
+    def test_fewer_than_two_sizes_refused(self, surface_state, sizes):
+        # one perimeter fits no line: before, [2, 2] returned a line through
+        # one point and [] escaped from max() as a bare ValueError
+        spec, cov = surface_state(12, 12, 1.0, "planar")
+        with pytest.raises(ValidationError, match="two distinct square sizes"):
+            corr.area_law_fit(cov, spec, sizes=sizes)
 
 
 class TestFactoredReads:

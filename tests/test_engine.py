@@ -653,8 +653,10 @@ def torus_graph(rows, cols, log_s):
 
 
 def batch_cuts(u, regions):
-    """The cuts of `regions`, planned as one batch on the stored entries `u`."""
-    return engine._cuts(u, engine._batch_plan(u, tuple(map(tuple, regions))))
+    """The cuts (dS, d'S, U[dS, d'S]) of `regions`, planned as one batch on the
+    stored entries `u`."""
+    return [cut[:2] + (engine._coupling(u, cut),)
+            for cut in engine._batch_plan(u, tuple(map(tuple, regions)))[-1]]
 
 
 class TestCellStencil:
@@ -1071,7 +1073,7 @@ class TestPatternPlans:
                 lattice.LatticeSpec(rows, cols, boundary, log_s[1]))
         with pytest.MonkeyPatch.context() as patch:
             checks = counted(patch, engine, "_region_ids")
-            served = engine._cuts(second._u_sparse, engine._batch_plan(second._u_sparse, batch))
+            served = batch_cuts(second._u_sparse, batch)
         assert checks == []
         u = second.u_part
         for region, cut, new in zip(batch, served, batch_cuts(fresh._u_sparse, batch)):

@@ -12,7 +12,7 @@ import gausstopo as gt
 from gausstopo import engine, lattice
 from gausstopo.errors import IllConditionedGraphError, SingularPivotError, ValidationError
 
-from conftest import clear_lattice_memos, star_pipeline_graph
+from conftest import clear_lattice_memos, loop_plaquettes, star_pipeline_graph
 
 
 def sequential_pipeline(spec):
@@ -607,6 +607,63 @@ class TestSharedPattern:
                 lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "torus", 1.0))
             with pytest.warns(UserWarning, match="planar closed form"):
                 lattice._surface_code_pattern(gt.LatticeSpec(6, 7, "planar", 1.0))
+
+
+# every closed-form torus with sides 4..24, rectangular ones too, and every
+# planar grid with sides 1..12 (1 x n and 2 x 3 among them)
+RECORDED_SHAPES = ([(rows, cols, "torus") for rows in range(4, 25, 2) for cols in range(4, 25, 2)]
+                   + [(rows, cols, "planar") for rows in range(1, 13) for cols in range(1, 13)])
+
+
+class TestRecordedIncidence:
+    """The closed-form pattern records the p-node incidence B of its lattice,
+    and its U records the scale s^2 with U = s^2 B^T B off the diagonal, the
+    fact its cuts are solved with."""
+
+    @staticmethod
+    def recorded_incidence(u):
+        """The dense p-node x mode incidence B recorded with `u`."""
+        ids = u.incidence(np.arange(u.shape[0]))
+        assert ids.shape == (u.shape[0], 2) and ids.min() >= 0
+        p_nodes, place = np.unique(ids, return_inverse=True)
+        b = np.zeros((p_nodes.size, u.shape[0]))
+        b[place.reshape(ids.shape), np.arange(u.shape[0])[:, None]] = 1.0
+        return b
+
+    @pytest.mark.parametrize("boundary", ["torus", "planar"])
+    def test_off_diagonal_is_scaled_gram(self, boundary):
+        log_s = 1.3
+        for rows, cols, kind in RECORDED_SHAPES:
+            if kind != boundary:
+                continue
+            spec = gt.LatticeSpec(rows, cols, boundary, log_s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the planar closed form warns
+                u = gt.surface_code_graph_analytic(spec)._u_sparse
+            assert u.incidence_scale == spec.s ** 2
+            b = self.recorded_incidence(u)
+            gram = b.T @ b
+            off = ~np.eye(rows * cols, dtype=bool)
+            # no two modes share two p-nodes, and U = s^2 B^T B off the diagonal
+            assert gram[off].max(initial=0.0) <= 1.0
+            assert np.array_equal(u.toarray()[off], u.incidence_scale * gram[off])
+            # the recorded p-nodes are the even plaquettes, clipped to a planar grid
+            assert (sorted(map(sorted, (np.flatnonzero(row) for row in b)))
+                    == sorted(map(sorted, loop_plaquettes(spec))))
+
+    def test_only_the_closed_form_records_it(self):
+        # the pattern records B and no scale (its values are the identity);
+        # the pipeline, a dense U and a refill without a scale record none
+        spec = gt.LatticeSpec(8, 8, "torus", 1.0)
+        pattern = lattice._surface_code_pattern(spec)
+        assert pattern.incidence is not None and pattern.incidence_scale is None
+        refill = gt.surface_code_graph_analytic(spec)._u_sparse.with_data(pattern.data)
+        assert refill.incidence is pattern.incidence and refill.incidence_scale is None
+        pipeline, _ = gt.map_cluster_to_surface(spec)
+        dense = engine.GaussGraph(None, pipeline.u_part)
+        for graph in (pipeline, dense):
+            u = engine.covariance_from_graph(graph)._u
+            assert u.incidence is None and u.incidence_scale is None
 
 
 class TestPipeline:

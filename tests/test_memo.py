@@ -261,9 +261,10 @@ class TestMemoSafe:
             u = graph._u_sparse
             engine.symplectic_spectra(engine.covariance_from_graph(graph), [[1, 2, 14], [30]])
             plan = next(iter(u.plans["batches"].values()))
-            rows, cols, gather, pairs, _, cuts = plan
+            rows, cols, gather, pairs, _, p_cuts, cuts = plan
             arrays += [u.data, rows, cols] + [a for pair in pairs for a in pair]
             arrays += [a for cut in cuts for a in cut] + ([] if gather is None else [gather])
+            arrays += [a for _, *maps in p_cuts for a in maps]
             arrays += ([u.indptr, u.indices] if boundary == "planar"
                        else [u._key, u._dr, u._dc, u._count, u._start, *u._phases])
         built = lattice._lattice(8, 12, "torus")
@@ -371,3 +372,23 @@ class TestNothingAtImport:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
         assert done.stdout.strip() == repr([0] * len(memos))
+
+    def test_first_kp_pass_loads_no_masked_arrays(self):
+        # np.unique without a return option, and so np.intersect1d, imports
+        # numpy.ma (about 20 ms and 1 MB) at its first call: a first pass that
+        # plans a batch of cuts on a torus and on a planar grid loads none
+        script = "\n".join([
+            "import sys, warnings",
+            "import gausstopo as gt",
+            "from gausstopo import engine, topo",
+            "warnings.simplefilter('ignore')",
+            "for boundary in ('torus', 'planar'):",
+            "    spec = gt.LatticeSpec(12, 12, boundary, 2.0)",
+            "    cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))",
+            "    topo.tee_kp(cov, topo.kp_regions(spec))",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC] + sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert done.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Region construction and topological diagnostics tests."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import gausstopo as gt
 from gausstopo import engine, topo
 from gausstopo.errors import ValidationError
 
-from conftest import dense_cut
+from conftest import dense_cut, loop_straddling
 
 
 def product_cov(n_modes, kappa=1.0):
@@ -592,11 +593,15 @@ class TestFactoredKPPass:
             shapes.append(a.shape)
             return eigvals(a)
 
+        straddling = [loop_straddling(spec, kp.union(*names)) for names in topo.KP_SUBSETS]
+
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
         kp_pass(spec)
-        # one eigensolve per KP union, of size min(|dS|, |d'S|)
-        assert shapes == [(min(edge.size, rim.size),) * 2 for edge, rim, _ in cuts]
-        assert any(rim.size < edge.size for edge, rim, _ in cuts)
+        # one eigensolve per KP union, of size min(|P|, |dS|, |d'S|), |P| the
+        # p-nodes with a mode on each side of the cut
+        assert shapes == [(min(p, edge.size, rim.size),) * 2
+                          for p, (edge, rim, _) in zip(straddling, cuts)]
+        assert any(p < min(edge.size, rim.size) for p, (edge, rim, _) in zip(straddling, cuts))
 
     def test_each_union_checked_once(self, monkeypatch):
         # the seven unions are checked once, as one batch, when it is planned
@@ -701,6 +706,106 @@ class TestFactoredKPPass:
         bound = topo.sandwich_regions(lw)
         topo.bipartite_mutual_information(fresh, bound["E"], bound["F"])
         assert factor_counts == {"factor": 0, "solve": 0, "cell": 6}
+
+
+def cut_path_graph(graph):
+    """`graph` with its U's values but no incidence scale recorded, so its
+    cuts take the product of U^-1[d'S, dS] and U[dS, d'S]."""
+    plain = copy.copy(graph)
+    u = graph._u_sparse
+    plain._u_sparse = u.with_data(u.data)
+    return plain
+
+
+def mixed_regions(rng, spec):
+    """Random regions, compact ones (a rectangle, wrapping on a torus and
+    clipped on a planar grid), a single mode (|P| > |d'S| = 1), the
+    complement of a single mode and the whole lattice."""
+    rows, cols = spec.rows, spec.cols
+    n = rows * cols
+    regions = [sorted(rng.choice(n, size=int(k), replace=False).tolist())
+               for k in rng.integers(1, n + 1, size=2)]
+    for _ in range(2):
+        xs = np.arange(rng.integers(rows), rows + rng.integers(rows))[:rng.integers(1, rows + 1)]
+        ys = np.arange(rng.integers(cols), cols + rng.integers(cols))[:rng.integers(1, cols + 1)]
+        if spec.boundary == "torus":
+            xs, ys = xs % rows, ys % cols
+        xs, ys = xs[xs < rows], ys[ys < cols]
+        if xs.size and ys.size:
+            regions.append(sorted((xs[:, None] * cols + ys).ravel().tolist()))
+    mode = int(rng.integers(n))
+    regions += [[mode], [i for i in range(n) if i != mode], list(range(n))]
+    return list(filter(len, regions))
+
+
+class TestPNodeCuts:
+    """Where U records its p-node incidence, each cut is solved in the space
+    of the p-nodes it cuts, against the product of U^-1[d'S, dS] and
+    U[dS, d'S] and against the general path."""
+
+    @settings(max_examples=40)
+    @given(shape=st.one_of(
+               st.tuples(st.sampled_from(range(4, 13, 2)), st.sampled_from(range(4, 13, 2)),
+                         st.just("torus")),
+               st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar"))),
+           log_s=st.floats(0.3, 3.25), kappa=st.sampled_from([1.0, 10.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_p_node_path_matches_cut_path_and_general(self, shape, log_s, kappa, seed):
+        # the general path works on the dense gamma, whose error outgrows
+        # oracle_slack above log s 2 on compact regions (1.6e-7 bits on a
+        # 41-mode rectangle of the 6 x 8 torus at log s 3, against a slack of
+        # 2e-8, where the two cut paths agree within 1e-10); there only the
+        # cut path is the oracle
+        rows, cols, boundary = shape
+        spec = gt.LatticeSpec(rows, cols, boundary, log_s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the planar closed form warns
+            graph = gt.surface_code_graph_analytic(spec)
+        regions = mixed_regions(np.random.default_rng(seed), spec)
+        pure = engine.covariance_from_graph(graph)
+        cov = engine.thermal_scale(pure, kappa)
+        cut = engine.thermal_scale(engine.covariance_from_graph(cut_path_graph(graph)), kappa)
+        tol = 1e-9 + oracle_slack(graph, kappa)
+        for region, fast, slow, known in zip(regions, engine.symplectic_spectra(cov, regions),
+                                             engine.symplectic_spectra(cut, regions),
+                                             engine._pure_spectra(pure, regions)):
+            assert known.p_nodes == loop_straddling(spec, region)
+            assert known.n_above <= known.p_nodes
+            oracles = [slow]
+            if log_s <= 2.0:
+                oracles.append(engine.symplectic_spectrum(cov, region, force_general=True))
+            for oracle in oracles:
+                assert len(oracle) == len(fast) == len(region)
+                assert abs(engine.von_neumann_entropy(fast)
+                           - engine.von_neumann_entropy(oracle)) <= tol
+                assert abs(np.sum(np.log2(2 * fast.values / kappa))
+                           - np.sum(np.log2(2 * oracle.values / kappa))) <= tol
+
+    def test_single_mode_keeps_the_cut_product(self, monkeypatch):
+        # a mode has |P| = 2 > |d'S| = 1: its eigensolve is 1 x 1
+        spec = gt.LatticeSpec(8, 8, "torus", 2.0)
+        cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
+        eigvals, shapes = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        (spectrum,) = engine._pure_spectra(cov, [[9]])
+        assert shapes == [(1, 1)] and (spectrum.rim, spectrum.p_nodes) == (1, 2)
+
+    @pytest.mark.parametrize("size", [12, 36])
+    def test_kp_unions_have_one_pair_per_p_node(self, size):
+        # n_above is the rank of U[dS, d'S], at most |P|, and equals |P| on
+        # every KP union but the 12 x 12 sector B: its modes {52..55, 65, 66}
+        # cut 6 p-nodes through a coupling of rank 5
+        for log_s in (1.0, 1.6, 2.2, 2.8, 3.2):
+            spec = gt.LatticeSpec(size, size, "torus", log_s)
+            graph = gt.surface_code_graph_analytic(spec)
+            kp = topo.kp_regions(spec)
+            spectra = engine._pure_spectra(engine.covariance_from_graph(graph), kp.kp_unions)
+            for names, union, spectrum in zip(topo.KP_SUBSETS, kp.kp_unions, spectra):
+                _, _, coupling = dense_cut(graph.u_part, list(union))
+                assert spectrum.p_nodes == loop_straddling(spec, union)
+                assert spectrum.n_above == np.linalg.matrix_rank(coupling) <= spectrum.p_nodes
+                if (size, names) != (12, ("B",)):
+                    assert spectrum.n_above == spectrum.p_nodes
 
 
 class TestSandwichBounds:
