@@ -52,6 +52,12 @@ def _require_block_diagonal(cov):
         raise UnsupportedStateError("correlations require a q/p block-diagonal state")
 
 
+def _require_grid(cov, spec):
+    """ValidationError unless `spec`'s mode grid has the state's mode count."""
+    if cov.n_modes != spec.n_nodes:
+        raise ValidationError("state size does not match the mode grid")
+
+
 def qq_correlation(cov, i, j):
     """<q_i q_j> (kappa-scaled for thermal states)."""
     _require_block_diagonal(cov)
@@ -110,9 +116,8 @@ def verify_bound(cov, spec):
     noise_floor.
     """
     _require_block_diagonal(cov)
+    _require_grid(cov, spec)
     n = cov.n_modes
-    if n != spec.n_nodes:
-        raise ValidationError("state size does not match the mode grid")
     if (cov._cell is not None and spec.boundary == "torus"
             and cov._u.torus == (spec.rows, spec.cols)):
         sources, weight = np.arange(2), n // 2
@@ -148,9 +153,11 @@ def axis_samples(cov, spec, max_separation=None, axis="diagonal"):
     Returns (separations, correlations) for separations 1..max_separation
     from the center mode (n//2 - 1, m//2 - 1) along the requested axis
     ('row', 'col', 'diagonal' or 'antidiagonal').  A lattice with a side of
-    1 has no such center and raises ValidationError.
+    1 has no such center, and a `spec` whose grid does not hold the state's
+    modes does not fit it: both raise ValidationError.
     """
     _require_block_diagonal(cov)
+    _require_grid(cov, spec)
     steps = {"row": (0, 1), "col": (1, 0), "diagonal": (1, 1), "antidiagonal": (1, -1)}
     if axis not in steps:
         raise ValidationError("axis must be one of %s" % sorted(steps))
@@ -228,6 +235,9 @@ def fit_correlation_length(separations, correlations):
     (0.5, 3.0), so the fit is deterministic, and raises FitFailedError
     after 500 residual evaluations.
 
+    Both inputs must be 1-d and finite, with at least 8 samples and
+    positive correlations; anything else raises ValidationError.
+
     Returns
     -------
     (a, xi_a, b, xi_b, residual) with xi_a <= xi_b and residual the RMS
@@ -235,8 +245,12 @@ def fit_correlation_length(separations, correlations):
     """
     d = np.asarray(separations, dtype=float)
     y = np.asarray(correlations, dtype=float)
+    if d.ndim != 1 or y.ndim != 1:
+        raise ValidationError("separations and correlations must be 1-d")
     if d.size < 8:
         raise ValidationError("need at least 8 sample separations")
+    if not (np.isfinite(d).all() and np.isfinite(y).all()):
+        raise ValidationError("separations and correlations must be finite")
     if d.shape != y.shape or np.any(y <= 0):
         raise ValidationError("correlations must be positive and match separations")
 
@@ -266,8 +280,9 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
     """Linear regression S = alpha * perimeter - gamma over nested squares.
 
     Square regions of side k have perimeter 4k; the default sides 2..10
-    cover perimeters 8..40.  Fewer than two distinct sides fit no line, and
-    a square that leaves the grid on any side does not fit: both raise
+    cover perimeters 8..40.  Fewer than two distinct sides fit no line, a
+    square that leaves the grid on any side does not fit, and neither does
+    a `spec` whose grid does not hold the state's modes: each raises
     ValidationError.
 
     Returns
@@ -278,6 +293,7 @@ def area_law_fit(cov, spec, sizes=None, offset=None):
         sizes = range(2, 11)
     if len(set(sizes)) < 2:
         raise ValidationError("area_law_fit needs at least two distinct square sizes")
+    _require_grid(cov, spec)
     n, m = spec.rows, spec.cols
     if offset is None:
         kmax = max(sizes)

@@ -63,7 +63,8 @@ class _Stored:
     `p_entry`).  `plans` memoises what is read from the pattern alone: under
     "batches" the plans of the last `_BATCH_PLANS` batches of regions whose
     spectra were asked for together (`_batch_plan`: checked when it was
-    planned), and under "blocks" the block order of `BlockCholesky`.
+    planned), under "blocks" the block order of `BlockCholesky` and under
+    "p_nodes" the p-node system of `PNodeFactor` (`_p_node_plan`).
     `with_data` gives the matrix of another set of values on the same
     pattern, which shares `plans`.
 
@@ -72,7 +73,8 @@ class _Stored:
     id array.  A matrix of its values that its builder knows to be
     s * B^T B off the diagonal records that s as its `incidence_scale`;
     its cuts are then solved in the space of the p-nodes they cut
-    (`_cut_product`).
+    (`_cut_product`), and off an even torus U^-1 through its p-nodes
+    (`PNodeFactor`).
     """
 
     torus = None  # (rows, cols) of the even torus of a `CellStencil`
@@ -365,10 +367,10 @@ class CovMatrix:
     A marked V = 0 state is U-native: it holds U's stored entries (`Csc`
     or `CellStencil`), kappa and, instead of gamma, what serves U^-1
     (`_u_inv`): on an even torus the U^-1 columns of the two sites of the
-    cell of U's `CellStencil`, which also gives the torus, and one
-    `BlockCholesky` factor of U elsewhere.  It builds `gamma`, `q_block`
-    and `p_block` on first read and keeps them, and memoises the pure-state
-    spectra of its regions.
+    cell of U's `CellStencil`, which also gives the torus, and one factor
+    elsewhere (`PNodeFactor` or `BlockCholesky`, `covariance_from_graph`).
+    It builds `gamma`, `q_block` and `p_block` on first read and keeps
+    them, and memoises the pure-state spectra of its regions.
     """
 
     _scaled_pure = False
@@ -398,8 +400,8 @@ class CovMatrix:
     @classmethod
     def _u_native(cls, u, factor=None, cell=None):
         """Marked U-native pure state of the graph V = 0, U (stored entries
-        `u`), served by its `BlockCholesky` `factor` or, on an even torus, by
-        its `cell` columns."""
+        `u`), served by its `factor` (`PNodeFactor` or `BlockCholesky`) or,
+        on an even torus, by its `cell` columns."""
         cov = cls.__new__(cls)
         cov.kappa = 1.0
         cov.n_modes = u.shape[0]
@@ -722,6 +724,87 @@ class BlockCholesky:
         return x[at]
 
 
+def _p_node_plan(u):
+    """What `PNodeFactor` reads from the pattern of the `Csc` arrays `u`
+    alone, memoised in `u.plans["p_nodes"]`, for a pattern that records its
+    p-node `incidence` B (two p-nodes per mode) and stores every diagonal
+    entry: the positions of U's diagonal in `u.data`, the two p-nodes of
+    each mode (the p-nodes numbered in the order of their incidence ids),
+    the `Csc` pattern of K^-1, whose `plans` keep the block order of its
+    `BlockCholesky`, the positions in its data of the entries (a, a), (b,
+    b), (b, a) and (a, b) of the p-nodes a, b of each mode, in turn, and of
+    its diagonal.  None when the p-nodes are at least as many as the modes
+    (a planar grid 1 wide, or 2 x 2, 2 x 3 or 2 x 4): the system is then no
+    smaller, and with more p-nodes than modes B B^T is singular, so K^-1
+    has the least eigenvalue 1/c while U may be far better conditioned,
+    and the identity would lose digits that the factor of U keeps."""
+    if "p_nodes" not in u.plans:
+        n = u.shape[0]
+        ids = u.incidence(np.arange(n))
+        p_ids = _sorted_distinct(ids.ravel())
+        m = p_ids.size
+        plan = None
+        if m < n:
+            ends = np.searchsorted(p_ids, ids)
+            a, b = ends.T
+            keys = np.concatenate([a * (m + 1), b * (m + 1), a * m + b, b * m + a])
+            diagonal = np.arange(m) * (m + 1)
+            key = _sorted_distinct(np.concatenate([keys, diagonal]))
+            plan = tuple(map(_read_only, (
+                np.flatnonzero(u.indices == u.columns()), ends,
+                np.searchsorted(key, keys), np.searchsorted(key, diagonal)))) + (
+                Csc.from_keys(key, m, np.zeros(key.size)),)
+        u.plans["p_nodes"] = plan
+    return u.plans["p_nodes"]
+
+
+class PNodeFactor:
+    """U^-1 of U = D + c B^T B, D diagonal, for the `Csc` arrays of a U
+    that record the p-node incidence B of their modes and the scale c
+    (`incidence_scale`), served through the p-node system of its
+    `_p_node_plan`.
+
+    Every mode lies in two p-nodes, so D = diag(U) - 2c.  By the
+    Sherman-Morrison-Woodbury identity U^-1 = D^-1 - D^-1 B^T K B D^-1 with
+    K^-1 = c^-1 I + B D^-1 B^T, a matrix of the p-nodes: entry (p, q) off
+    its diagonal is 1 / D_i of the one mode i in both.  K^-1 is held as one
+    `BlockCholesky` factor, which raises IllConditionedGraphError if it
+    fails, as that of U does.  D is positive: the closed form's builder
+    refuses U unless its least eigenvalue bound diag(U) - 2c, the same
+    difference, is.
+    """
+
+    def __init__(self, u, plan):
+        on_diagonal, self._ends, at, diagonal, pattern = plan
+        scale = u.incidence_scale
+        self._d_inv = 1.0 / (u.data[on_diagonal] - 2.0 * scale)
+        values = np.bincount(at, np.tile(self._d_inv, 4), pattern.data.size)
+        values[diagonal] += 1.0 / scale
+        self._size = pattern.shape[0]
+        self._k = BlockCholesky(pattern.with_data(values))
+
+    def solve(self, rhs, rows=None):
+        """U^-1 rhs for an (N, k) array `rhs`, or its rows `rows` only.  B
+        D^-1 rhs adds each nonzero entry of rhs, over D of its row's mode,
+        into the rows of that mode's two p-nodes, and K is read only at the
+        p-nodes of the rows wanted, so `BlockCholesky.solve` trims its
+        sweeps as with U."""
+        width = rhs.shape[1]
+        at = np.flatnonzero(rhs != 0)  # as a mask: faster than nonzero on floats
+        mode, col = np.divmod(at, width)
+        weights = np.repeat(rhs.ravel()[at] * self._d_inv[mode], 2)
+        summed = np.bincount((self._ends[mode] * width + col[:, None]).ravel(), weights,
+                             self._size * width).astype(float, copy=False)  # int when empty
+        summed = summed.reshape(self._size, width)
+        rows = slice(None) if rows is None else rows
+        ends = self._ends[rows]
+        out, other = self._k.solve(summed, ends.T.ravel()).reshape(2, ends.shape[0], width)
+        out += other
+        np.subtract(rhs[rows], out, out=out)
+        out *= self._d_inv[rows, None]
+        return out
+
+
 def covariance_from_graph(graph, cond_threshold=1e12):
     """Covariance matrix Gamma = 1/2 [[U^-1, U^-1 V], [V U^-1, U + V U^-1 V]].
 
@@ -739,7 +822,10 @@ def covariance_from_graph(graph, cond_threshold=1e12):
         Pure-state covariance (kappa = 1), marked as such.  For V = 0 it is
         U-native and holds no dense gamma: on an even torus recorded by the
         graph's builder it keeps the two cell columns of U^-1
-        (`_cell_columns`), otherwise one `BlockCholesky` factor of U.
+        (`_cell_columns`).  Otherwise it keeps one factor: a `PNodeFactor`
+        where U records its p-node incidence and scale and has more modes
+        than p-nodes (`_p_node_plan`), as the planar closed form does, and a
+        `BlockCholesky` factor of U elsewhere.
     """
     if graph._cond > cond_threshold:
         raise IllConditionedGraphError("condition number of U exceeds %g" % cond_threshold)
@@ -750,7 +836,10 @@ def covariance_from_graph(graph, cond_threshold=1e12):
         u = graph._u_sparse
         if u is None:
             u = Csc.from_dense(graph.u_part)
-        return CovMatrix._u_native(u, factor=BlockCholesky(u))
+        plan = (None if u.incidence is None or u.incidence_scale is None
+                else _p_node_plan(u))
+        factor = BlockCholesky(u) if plan is None else PNodeFactor(u, plan)
+        return CovMatrix._u_native(u, factor=factor)
     u = graph.u_part
     u_inv = np.linalg.inv(u)
     u_inv = 0.5 * (u_inv + u_inv.T)

@@ -123,12 +123,14 @@ def star_pipeline_graph(s):
 @pytest.fixture
 def factor_counts(monkeypatch):
     """Live {"factor": n, "solve": n} counts of the block Cholesky
-    factorizations of U and of the solves with those factors, made after
-    the fixture runs.  The first build of the U^-1 cell columns of an even
-    torus adds a "cell" count, so a state that builds none compares as
-    before."""
+    factorizations and of the solves with those factors, made after the
+    fixture runs: of U, or of the p-node system K^-1 of a `PNodeFactor`,
+    whose solves are one each.  The first build of a p-node factor adds a
+    "p_nodes" count, and that of the U^-1 cell columns of an even torus a
+    "cell" count, so a state that builds neither compares as before."""
     counts = {"factor": 0, "solve": 0}
     cell_columns = engine._cell_columns
+    p_node_factor = engine.PNodeFactor
 
     class CountedFactor(engine.BlockCholesky):
         def __init__(self, u):
@@ -143,6 +145,11 @@ def factor_counts(monkeypatch):
         counts["cell"] = counts.get("cell", 0) + 1
         return cell_columns(*args, **kwargs)
 
+    def counted_p_nodes(*args):
+        counts["p_nodes"] = counts.get("p_nodes", 0) + 1
+        return p_node_factor(*args)
+
     monkeypatch.setattr(engine, "BlockCholesky", CountedFactor)
+    monkeypatch.setattr(engine, "PNodeFactor", counted_p_nodes)
     monkeypatch.setattr(engine, "_cell_columns", counted_cell)
     return counts

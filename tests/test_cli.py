@@ -233,6 +233,17 @@ class TestCorrelationsCmd:
         assert code == cli.EXIT_OK
         assert len(stdout.splitlines()) > 2
 
+    def test_non_finite_samples_exit_validation(self, monkeypatch, capfd):
+        # a NaN sample reaches the fit as a ValidationError, not as an SVD
+        # that did not converge
+        seps = np.arange(1.0, 14.0)
+        monkeypatch.setattr(cli.corr, "axis_samples",
+                            lambda *a, **k: (seps, np.where(seps == 4.0, np.nan, np.exp(-seps))))
+        code = cli.main(["correlations", "--rows", "12", "--cols", "12", "--fit"])
+        err = capfd.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert "must be finite" in err and "DLASCL" not in err
+
     def test_one_wide_lattice_exits_validation(self, tmp_path, capsys):
         out = tmp_path / "corr.csv"
         code, _, err = run(capsys, "correlations", "--rows", "1", "--cols", "20",

@@ -217,6 +217,14 @@ class TestAxisSamples:
         with pytest.raises(ValidationError, match="at least 2 wide"):
             corr.axis_samples(cov, spec, axis=axis)
 
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 30), (20, 21)])
+    def test_grid_must_match_the_state(self, surface_state, shape):
+        # a 20 x 20 state read through another grid: its center and steps
+        # land on other modes, or outside the state
+        _, cov = surface_state(20, 20, 1.0, "planar")
+        with pytest.raises(ValidationError, match="does not match the mode grid"):
+            corr.axis_samples(cov, gt.LatticeSpec(*shape, "planar", 1.0))
+
 
 def fit_oracle(d, y):
     """(xi_a, xi_b, residual) of scipy's least_squares on the variable
@@ -293,6 +301,26 @@ class TestFit:
         assert (fit[1], fit[3]) == pytest.approx((xi_a, xi_b), rel=1e-4)
         assert fit[4] == pytest.approx(residual, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_samples_refused(self, capfd, bad, which):
+        # they escaped as LinAlgError("SVD did not converge"), with LAPACK
+        # noise on stderr
+        samples = [np.arange(1.0, 13.0), np.exp(-np.arange(1.0, 13.0))]
+        samples[which][5] = bad
+        with pytest.raises(ValidationError, match="must be finite"):
+            corr.fit_correlation_length(*samples)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("shape", [(12, 1), (1, 12), (3, 4)])
+    def test_samples_must_be_1d(self, shape):
+        # they escaped as a matmul ValueError
+        d = np.arange(1.0, 13.0).reshape(shape)
+        with pytest.raises(ValidationError, match="must be 1-d"):
+            corr.fit_correlation_length(d, np.exp(-d))
+        with pytest.raises(ValidationError, match="must be 1-d"):
+            corr.fit_correlation_length(np.arange(1.0, 13.0), np.exp(-d))
+
     def test_budget_exhausted_raises(self, monkeypatch):
         samples = fit_samples(36, 36, "planar", 3.2, max_separation=13)
         assert corr._FIT_EVALUATIONS == 500
@@ -329,6 +357,14 @@ class TestAreaLaw:
         with pytest.raises(ValidationError, match="two distinct square sizes"):
             corr.area_law_fit(cov, spec, sizes=sizes)
 
+    @pytest.mark.parametrize("shape", [(12, 12), (12, 30), (21, 20)])
+    def test_grid_must_match_the_state(self, surface_state, shape):
+        # a 20 x 20 state read through another grid, whose squares would be
+        # other sets of modes, or leave the state
+        _, cov = surface_state(20, 20, 1.0, "planar")
+        with pytest.raises(ValidationError, match="does not match the mode grid"):
+            corr.area_law_fit(cov, gt.LatticeSpec(*shape, "planar", 1.0), sizes=range(2, 6))
+
 
 class TestFactoredReads:
     def test_columns_from_one_solve_per_call(self, monkeypatch, request):
@@ -351,9 +387,9 @@ class TestFactoredReads:
         for name in ("gamma", "q_block"):
             monkeypatch.setattr(engine.CovMatrix, name, property(no_block))
         seps, vals = corr.axis_samples(cov, spec)
-        assert counts == {"factor": 1, "solve": 1}
+        assert counts == {"factor": 1, "solve": 1, "p_nodes": 1}
         fit = corr.area_law_fit(cov, spec)
-        assert counts == {"factor": 1, "solve": 2}
+        assert counts == {"factor": 1, "solve": 2, "p_nodes": 1}
         assert np.array_equal(seps, seps_ref)
         assert vals == pytest.approx(vals_ref, rel=1e-10)
         assert fit == pytest.approx(fit_ref, abs=1e-8)

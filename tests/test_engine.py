@@ -714,8 +714,25 @@ class TestCellStencil:
             assert u.data.size == 14 and u.steps().shape == (2, 3, 3)
 
 
+def planar_p_nodes(rows, cols):
+    """The p-nodes of the planar closed form on a rows x cols grid: the even
+    plaquettes clipped to it, whose lower-left corners (x, y) range over
+    [-1, rows) x [-1, cols) with x + y even, each holding a mode."""
+    return sum(1 for x in range(-1, rows) for y in range(-1, cols) if (x + y) % 2 == 0)
+
+
+def factor_kind(kind, rows, cols):
+    """The factor class a V = 0 graph of `factored_u` is served by: the
+    planar closed form with fewer p-nodes than modes factors its p-node
+    system, any other graph U."""
+    if kind == "planar" and planar_p_nodes(rows, cols) < rows * cols:
+        return engine.PNodeFactor
+    return engine.BlockCholesky
+
+
 def factored_u(kind, rows, cols, log_s):
-    """A V = 0 graph of the given kind that takes the block Cholesky route."""
+    """A V = 0 graph of the given kind that takes a factor route
+    (`factor_kind`)."""
     if kind == "planar":
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the planar closed form warns
@@ -761,7 +778,8 @@ def loop_block_order(u):
 
 class TestBlockCholesky:
     """Every V = 0 state off an even torus serves U^-1 from one numpy block
-    Cholesky factor of U."""
+    Cholesky factor: of U, or of the p-node system of a planar closed form
+    (`engine.PNodeFactor`)."""
 
     @settings(max_examples=60)
     @given(kind=st.sampled_from(["planar", "pipeline-planar", "pipeline-torus", "json-torus",
@@ -774,7 +792,7 @@ class TestBlockCholesky:
         if n == 0:
             return  # a 1 x 1 planar pipeline keeps no mode
         cov = engine.covariance_from_graph(graph)
-        assert isinstance(cov._factor, engine.BlockCholesky)
+        assert type(cov._factor) is factor_kind(kind, rows, cols)
         u = graph.u_part
         inverse = np.linalg.inv(u)
         tol = 16 * np.finfo(float).eps * np.linalg.cond(u) * np.abs(inverse).max()
@@ -884,12 +902,15 @@ class TestBlockCholesky:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_trimmed_sweeps_are_exact(self, kind, rows, cols, log_s, seed):
         # zero leading rows of rhs (in the factor's order) and a subset of
-        # the output rows: the skipped blocks change no row that is read
+        # the output rows: the skipped blocks change no row that is read; a
+        # p-node factor trims the sweeps of its factor of K^-1
         graph = factored_u(kind, rows, cols, log_s)
-        n = graph.n_modes
-        if n == 0:
+        if graph.n_modes == 0:
             return
         factor = engine.covariance_from_graph(graph)._factor
+        if isinstance(factor, engine.PNodeFactor):
+            factor = factor._k
+        n = factor._perm.size
         rng = np.random.default_rng(seed)
         rhs = rng.normal(size=(n, 3))
         rhs[factor._perm[:int(rng.integers(0, n + 1))]] = 0.0
@@ -905,6 +926,106 @@ class TestBlockCholesky:
         graph = engine.GaussGraph._with_extremes(u, 1.0, 3.0)
         with pytest.raises(IllConditionedGraphError, match="block Cholesky"):
             engine.covariance_from_graph(graph)
+
+
+class DenseInverse:
+    """A factor that serves U^-1 from np.linalg.inv: an oracle with the
+    contract of `BlockCholesky.solve`."""
+
+    def __init__(self, inverse):
+        self.inverse = inverse
+
+    def solve(self, rhs, rows=None):
+        solved = self.inverse @ rhs
+        return solved if rows is None else solved[rows]
+
+
+class TestPNodeFactor:
+    """The planar closed form U = D + s^2 B^T B serves U^-1 through the
+    block Cholesky factor of its p-node system K^-1 = s^-2 I + B D^-1 B^T
+    and the Woodbury identity; the factor of U is the oracle."""
+
+    @settings(max_examples=60)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), log_s=st.floats(-2.0, 3.25),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_mode_factor_and_inverse(self, rows, cols, log_s, seed):
+        graph = factored_u("planar", rows, cols, log_s)
+        cov = engine.covariance_from_graph(graph)
+        assert type(cov._factor) is factor_kind("planar", rows, cols)
+        u, n = graph._u_sparse, graph.n_modes
+        inverse = np.linalg.inv(graph.u_part)
+        eps_cond = 16 * np.finfo(float).eps * np.linalg.cond(graph.u_part)
+        tol = eps_cond * np.abs(inverse).max()
+        oracles = [engine.CovMatrix._u_native(u, factor=engine.BlockCholesky(u)),
+                   engine.CovMatrix._u_native(u, factor=DenseInverse(inverse))]
+        rng = np.random.default_rng(seed)
+        sets = [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(2)]
+        for oracle in oracles:
+            assert np.abs(cov._u_inv(*sets) - oracle._u_inv(*sets)).max() <= tol
+            assert np.abs(cov.q_block - oracle.q_block).max() <= 0.5 * tol
+        if min(rows, cols) >= 2:
+            sizes = range(1, min(rows, cols) + 1)
+            fit = correlations.area_law_fit(cov, lattice.LatticeSpec(rows, cols, "planar"),
+                                            sizes=sizes)
+            for oracle in oracles:
+                want = correlations.area_law_fit(oracle, lattice.LatticeSpec(rows, cols, "planar"),
+                                                 sizes=sizes)
+                assert np.abs(np.subtract(fit, want)).max() <= eps_cond * max(1.0, *map(abs, want))
+
+    @pytest.mark.parametrize("rows,cols", [(36, 36), (9, 7), (3, 3), (2, 5), (2, 4), (2, 3),
+                                           (2, 2), (1, 9), (12, 1), (1, 1)])
+    def test_system_of_fewer_p_nodes_than_modes(self, rows, cols):
+        # K^-1 has one row per clipped even plaquette; a grid with no fewer
+        # p-nodes than modes keeps the factor of U
+        graph = factored_u("planar", rows, cols, 3.2)
+        factor = engine.covariance_from_graph(graph)._factor
+        plan = graph._u_sparse.plans["p_nodes"]
+        if planar_p_nodes(rows, cols) >= rows * cols:
+            assert plan is None and isinstance(factor, engine.BlockCholesky)
+            return
+        k_inv = plan[-1]
+        assert k_inv.shape[0] == planar_p_nodes(rows, cols)
+        assert factor._k._bounds[-1] == k_inv.shape[0]
+        if (rows, cols) == (36, 36):
+            sizes = np.diff(factor._k._bounds)
+            assert k_inv.shape[0] == 685 and sizes.size == 37 and sizes.max() == 19
+        # U - D = s^2 B^T B with D = diag(U) - 2 s^2, for a dense B read off
+        # the incidence
+        s2 = np.exp(2 * 3.2)
+        d = np.diag(graph.u_part) - 2 * s2
+        b = np.zeros((k_inv.shape[0], rows * cols))
+        b[factor._ends.T, np.arange(rows * cols)] = 1.0
+        assert (b.sum(axis=0) == 2).all()
+        assert np.array_equal(graph.u_part - np.diag(d), s2 * (b.T @ b))
+        # K^-1 = s^-2 I + B D^-1 B^T stores its nonzero entries
+        stored = k_inv.with_data(np.ones(k_inv.data.size)).toarray() != 0
+        assert np.array_equal(stored, (np.eye(k_inv.shape[0]) / s2 + b @ np.diag(1 / d) @ b.T) != 0)
+
+    def test_json_round_trip_keeps_mode_factor(self, factor_counts):
+        # a JSON record carries no incidence: the loaded state factors U, as
+        # a state of the same dense U factored in mode space does, bit for bit
+        graph = factored_u("planar", 9, 7, 2.5)
+        loaded = engine.GaussGraph.from_json(graph.to_json())
+        assert np.array_equal(loaded.u_part, graph.u_part)
+        cov, factored = engine.covariance_from_graph(loaded), engine.covariance_from_graph(graph)
+        assert isinstance(cov._factor, engine.BlockCholesky)
+        assert factor_counts == {"factor": 2, "solve": 0, "p_nodes": 1}
+        u = engine.Csc.from_dense(graph.u_part)
+        mode = engine.CovMatrix._u_native(u, factor=engine.BlockCholesky(u))
+        regions = [[0, 1, 7, 8], list(range(14, 35)), [30], list(range(63))]
+        for got, want, fast in zip(*(engine.symplectic_spectra(state, regions)
+                                     for state in (cov, mode, factored))):
+            assert np.array_equal(got.values, want.values)
+            assert np.allclose(fast.values, want.values, rtol=1e-9, atol=0)
+
+    def test_indefinite_p_node_system_is_numerical(self):
+        # a positive D with a scale the values do not have: K^-1 = c^-1 I +
+        # B D^-1 B^T with c < 0 is indefinite, and its factor fails
+        graph = factored_u("planar", 6, 6, 1.0)
+        u = graph._u_sparse
+        bad = u.with_data(u.data.copy(), -u.incidence_scale)
+        with pytest.raises(IllConditionedGraphError, match="block Cholesky"):
+            engine.covariance_from_graph(engine.GaussGraph._with_extremes(bad, 1.0, 3.0))
 
 
 class TestCut:
@@ -1154,7 +1275,9 @@ class TestPatternPlans:
                 engine.symplectic_spectra(cov, batch + known)
             assert pattern.plans.get("batches", {}) == plans and cov._memo == memo
             assert set(pattern.plans) == ({"batches"} if known else set()) | (
-                {"blocks"} if boundary == "planar" else set())
+                {"p_nodes"} if boundary == "planar" else set())
+            if boundary == "planar":  # the block order of K^-1, on its own pattern
+                assert set(pattern.plans["p_nodes"][-1].plans) == {"blocks"}
         good = engine.symplectic_spectra(cov, batch[:2] + batch[3:])
         assert [len(spec) for spec in good] == [10, 3, 10]
 
@@ -1190,15 +1313,23 @@ class TestPatternPlans:
             assert np.array_equal(got.values, want.values)
 
     def test_planar_factors_order_blocks_once(self, monkeypatch):
-        # the block order and the scatter of U into the blocks come from the
-        # pattern, and a factor served from them equals a fresh one
+        # the p-node system, its block order and the scatter of K^-1 into the
+        # blocks come from U's pattern, and a factor served from them equals
+        # a fresh one; U itself is never ordered
         orders = counted(monkeypatch, engine, "_block_order")
+        plans = counted(monkeypatch, engine, "_p_node_plan")
         graphs, pattern = surface_graphs(9, 7, "planar", (0.5, 2.0, 3.0))
         factors = [engine.covariance_from_graph(graph)._factor for graph in graphs]
-        assert len(orders) == 1 and "blocks" in pattern.plans
-        fresh = engine.BlockCholesky(engine.Csc.from_dense(graphs[-1].u_part))
+        assert len(orders) == 1 and len(plans) == 3
+        assert set(pattern.plans) == {"p_nodes"}
+        assert all(isinstance(factor, engine.PNodeFactor) for factor in factors)
+        clear_lattice_memos()
+        fresh = engine.covariance_from_graph(surface_graphs(9, 7, "planar", (3.0,))[0][0])._factor
         assert len(orders) == 2
-        for got, want in zip(factors[-1]._inv + factors[-1]._sub, fresh._inv + fresh._sub):
+        assert np.array_equal(factors[-1]._d_inv, fresh._d_inv)
+        assert np.array_equal(factors[-1]._ends, fresh._ends)
+        for got, want in zip(factors[-1]._k._inv + factors[-1]._k._sub,
+                             fresh._k._inv + fresh._k._sub):
             assert np.array_equal(got, want)
 
 

@@ -523,9 +523,10 @@ def assert_spectra_match_dense_oracles(graph, cols, kappa, seed):
 
 
 # an even torus builds its two cell columns once and solves nothing; any
-# other U-native state (here a planar grid) factors U once and solves once
+# other U-native state factors once and solves once: a planar closed form
+# factors its p-node system
 TORUS_COUNTS = {"factor": 0, "solve": 0, "cell": 1}
-FACTOR_COUNTS = {"factor": 1, "solve": 1}
+FACTOR_COUNTS = {"factor": 1, "solve": 1, "p_nodes": 1}
 
 
 def refuse_dense(monkeypatch):
