@@ -10,7 +10,10 @@ even x even cluster: p-measured sites are the vertices, q-measured sites
 the faces, kept sites the edges.
 """
 
+import math
+import numbers
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -344,6 +347,12 @@ class _Lattice:
         pattern.incidence = partial(_even_plaquettes, rows, cols, boundary == "torus")
         return pattern
 
+    @cached_property
+    def surface(self):
+        """The surface-code lattice's incidences and their products
+        (`_surface_lattice`); `SurfaceGraph` checks the lattice."""
+        return _surface_lattice(self.spec, self.links, self.sites)
+
 
 # the structure of the 8 lattices asked for last, kept per process: one
 # process reads a few lattices over and over (a log s scan, a benchmark)
@@ -353,13 +362,6 @@ _lattice = lru_cache(maxsize=8)(_Lattice)
 def _lattice_of(spec):
     """The `_Lattice` of the lattice of `spec`."""
     return _lattice(spec.rows, spec.cols, spec.boundary)
-
-
-def _off_diagonal_support(mat):
-    """0/1 float matrix of the nonzero off-diagonal entries of `mat`."""
-    support = (mat != 0).astype(float)
-    np.fill_diagonal(support, 0.0)
-    return support
 
 
 def kept_mode_adjacency(spec):
@@ -459,49 +461,133 @@ def rescale_gauge(graph, weight, eps):
     return out, float(np.sqrt(weight / eps))
 
 
+def _gram(x, y, n_cols):
+    """(row, col, value) arrays of the nonzero entries of X Y^T, by row and
+    then col, for the integer matrices X and Y held as (row, mid, value)
+    arrays of their entries, mid the index they share; Y has `n_cols` rows.
+
+    Each entry of X meets the run of the entries of Y in its mid, and the
+    products of a (row, col) pair are summed by their sorted keys."""
+    (x_row, x_mid, x_val), (y_row, y_mid, y_val) = x, y
+    order = np.argsort(y_mid, kind="stable")
+    count = np.bincount(y_mid, minlength=x_mid.max(initial=-1) + 1)
+    at, k = engine._runs((np.cumsum(count) - count)[x_mid], count[x_mid])
+    at = order[at]
+    key = x_row[k] * n_cols + y_row[at]
+    distinct = engine._sorted_distinct(key)
+    total = np.bincount(np.searchsorted(distinct, key), x_val[k] * y_val[at],
+                        distinct.size).astype(np.intp)
+    row, col = np.divmod(distinct[total != 0], n_cols)
+    return row, col, total[total != 0]
+
+
+# the surface-code lattice of a cluster lattice (`_surface_lattice`)
+_Surface = namedtuple("_Surface",
+                      "b valence endpoints neighbors f face_norm q bbt nbt fft bft nft")
+
+
+def _surface_lattice(spec, links, sites):
+    """The surface-code lattice of `spec` as a `_Surface` of read-only O(E)
+    arrays, sliced from the entries of the kept columns of the cluster
+    stencil `links` (`engine.Csc` arrays of A_d) for the measurement
+    pattern `sites`: vertices are the p-nodes, faces the q-nodes and edges
+    the kept nodes.  It holds B (vertices x edges, 0/1), F (faces x edges,
+    +1 on the N/S edges, the kept nodes on rows of vertices, and -1 on the
+    E/W edges) and N, the vertex adjacency (the off-diagonal support of
+    B B^T) times B, as:
+
+    b: (vertex, edge) of B's entries, by vertex and then edge; valence: their
+    count per vertex; endpoints: (vertex, degree), the vertices of each edge,
+    by edge, and their count; neighbors: (vertex, count), the vertex
+    neighbours of each vertex; f: (face, edge, sign) of F's entries, each
+    face's edges in the order N, S, W, E; face_norm: |F_f|_1; q: (vertex,
+    edge, b, n) of the entries of B + N and the values of B and N there;
+    bbt, nbt, fft, bft, nft: (row, col, value) of the nonzero entries of
+    B B^T, N B^T, F F^T, B F^T and N F^T (`_gram`).
+    """
+    q_nodes, p_nodes, kept = sites
+    n_v, n_f, n_e = len(p_nodes), len(q_nodes), len(kept)
+    # the rows of each kept column in order, so B^T comes by edge
+    node, edge, _ = links.entries(kept)
+    vertex_of, face_of = np.full((2, spec.n_nodes), -1)
+    vertex_of[p_nodes], face_of[q_nodes] = np.arange(n_v), np.arange(n_f)
+    on_v, on_f = vertex_of[node] >= 0, face_of[node] >= 0
+    b_t = (edge[on_v], vertex_of[node[on_v]], np.ones(on_v.sum(), dtype=np.intp))
+    by_vertex = np.argsort(b_t[1], kind="stable")
+    b = (b_t[1][by_vertex], b_t[0][by_vertex], b_t[2])
+    bbt = _gram(b, b, n_v)
+    off = bbt[0] != bbt[1]
+    adjacency = (bbt[0][off], bbt[1][off], np.ones(off.sum(), dtype=np.intp))
+    n = _gram(adjacency, b_t, n_e)
+    # each face lists its edges N, S, W, E: their steps face - edge mod
+    # (rows, cols) are (1, 0), (rows - 1, 0), (0, 1), (0, cols - 1), which
+    # sort by column step, then row step, in that order
+    face, edge = face_of[node[on_f]], edge[on_f]
+    face_r, face_c = np.divmod(q_nodes[face], spec.cols)
+    edge_r, edge_c = np.divmod(kept[edge], spec.cols)
+    order = np.lexsort(((face_r - edge_r) % spec.rows, (face_c - edge_c) % spec.cols, face))
+    f = (face[order], edge[order], np.where(edge_r[order] % 2 == 0, 1.0, -1.0))
+    # the entries of B + N and the values of B and of N at each
+    b_key, n_key = b[0] * n_e + b[1], n[0] * n_e + n[1]
+    key = engine._sorted_distinct(np.concatenate([b_key, n_key]))
+    q_b, q_n = np.zeros((2, key.size), dtype=np.intp)
+    q_b[np.searchsorted(key, b_key)] = 1
+    q_n[np.searchsorted(key, n_key)] = n[2]
+    arrays = dict(b=b[:2], valence=np.bincount(b[0], minlength=n_v),
+                  endpoints=(b_t[1], np.bincount(b_t[0], minlength=n_e)),
+                  neighbors=(adjacency[1], np.bincount(adjacency[0], minlength=n_v)),
+                  f=f, face_norm=np.bincount(f[0], minlength=n_f),
+                  q=np.divmod(key, n_e) + (q_b, q_n), bbt=bbt, nbt=_gram(n, b, n_v),
+                  fft=_gram(f, f, n_f), bft=_gram(b, f, n_f), nft=_gram(n, f, n_f))
+    return _Surface(**{name: (engine._read_only(value) if isinstance(value, np.ndarray)
+                              else tuple(map(engine._read_only, value)))
+                       for name, value in arrays.items()})
+
+
+def _split(flat, counts):
+    """The list `flat` cut into consecutive lists of `counts` entries."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
+
+
 class SurfaceGraph:
     """Oriented surface-code lattice Lambda = (V, E, F) from a cluster spec.
 
     Vertices are the p-measured cluster sites, faces the q-measured sites
     and edges the kept sites (the surface-code modes, indexed in kept-mode
     order so nullifier vectors act directly on pipeline states).  The
-    lattice is held as two incidences sliced from the cluster stencil:
-    `vertex_incidence` B (vertices x edges, 0/1) and `face_incidence` F
-    (faces x edges, +1 on N/S edges and -1 on E/W edges, the sign pattern
-    required by the positive commutator closed form on neighboring faces).
-    A torus needs even sides >= 4, since on 2-wide tori wrapped links
-    coincide.
+    lattice is held as two incidences: `vertex_incidence` B (vertices x
+    edges, 0/1) and `face_incidence` F (faces x edges, +1 on N/S edges and
+    -1 on E/W edges, the sign pattern required by the positive commutator
+    closed form on neighboring faces).  A torus needs even sides >= 4, since
+    on 2-wide tori wrapped links coincide.  Each instance scatters its own
+    arrays and lists from the lattice's `_Surface`, built once per lattice.
     """
 
     def __init__(self, spec):
         if _no_surface_code(spec):
             raise ValidationError("torus surface graph requires even sides >= 4")
         self.spec = spec
-        q_nodes, p_nodes, kept = measurement_pattern(spec)
+        built = _lattice_of(spec)
+        q_nodes, p_nodes, kept = built.sites
+        self._surface = surface = built.surface
         self.vertices = list(range(len(p_nodes)))
         self.faces = list(range(len(q_nodes)))
         self.edges = list(range(len(kept)))
-        self._vertex_site = p_nodes
-        self._face_site = q_nodes
-        adj = _lattice_of(spec).links
-        b, a_qk = adj.block(p_nodes, kept), adj.block(q_nodes, kept)
-        # the N/S edges of a face are the kept sites on rows of vertices
-        self.vertex_incidence = b
-        self.face_incidence = np.where(np.array(kept) // spec.cols % 2 == 0, a_qk, -a_qk)
-        self.edge_endpoints = [tuple(np.flatnonzero(col).tolist()) for col in b.T]
-        self.vertex_edges = [np.flatnonzero(row).tolist() for row in b]
-        self.vertex_neighbors = [set(np.flatnonzero(row).tolist())
-                                 for row in _off_diagonal_support(b @ b.T)]
-        # each face lists its edges N, S, W, E: their steps face - edge mod
-        # (rows, cols) are (1, 0), (rows - 1, 0), (0, 1), (0, cols - 1), which
-        # sort by column step, then row step, in that order
-        face, edge = np.nonzero(self.face_incidence)
-        face_r, face_c = np.divmod(np.take(q_nodes, face), spec.cols)
-        edge_r, edge_c = np.divmod(np.take(kept, edge), spec.cols)
-        order = np.lexsort(((face_r - edge_r) % spec.rows, (face_c - edge_c) % spec.cols, face))
-        pairs = zip(edge[order].tolist(), self.face_incidence[face, edge][order].tolist())
-        self.face_boundaries = [[next(pairs) for _ in range(size)]
-                                for size in np.bincount(face, minlength=len(q_nodes))]
+        self._vertex_site = p_nodes.tolist()
+        self._face_site = q_nodes.tolist()
+        (vertex, edge), (face, face_edge, sign) = surface.b, surface.f
+        self.vertex_incidence = np.zeros((len(p_nodes), len(kept)))
+        self.vertex_incidence[vertex, edge] = 1.0
+        self.face_incidence = np.zeros((len(q_nodes), len(kept)))
+        self.face_incidence[face, face_edge] = sign
+        self.edge_endpoints = list(map(tuple, _split(surface.endpoints[0].tolist(),
+                                                     surface.endpoints[1])))
+        self.vertex_edges = _split(edge.tolist(), surface.valence)
+        self.vertex_neighbors = list(map(set, _split(surface.neighbors[0].tolist(),
+                                                     surface.neighbors[1])))
+        self.face_boundaries = _split(list(zip(face_edge.tolist(), sign.tolist())),
+                                      surface.face_norm)
 
     @property
     def n_modes(self):
@@ -536,6 +622,10 @@ class NullifierSet:
     [eta, eta^dagger] = 1.
     """
 
+    # (vertex vectors, face vectors, the factors of their tables), recorded
+    # by `nullifier_vectors` for `nullifier_commutators`
+    _built = None
+
     def __init__(self, vertex_nullifiers, face_nullifiers, norm_sprime, norm_sv):
         self.vertex_nullifiers = vertex_nullifiers
         self.face_nullifiers = face_nullifiers
@@ -550,20 +640,38 @@ def nullifier_vectors(sg, s):
     weight s^2/s_v^2 (the inner sum over neighbor-incident edges includes
     the edges shared with v); face nullifiers carry the signed p - iq/s^2
     pattern.  Incomplete boundary vertices/faces simply omit missing modes.
+    The vectors are scattered from the lattice's `_Surface` that `sg`
+    recorded, so edits to the fields of `sg` do not reach them, and they
+    are read-only.  ValidationError unless `s` is a real number > 0 whose
+    log passes `check_log_s` (a bool is refused).
     """
-    b, f = sg.vertex_incidence, sg.face_incidence
-    valence = b.sum(axis=1)
+    if isinstance(s, (bool, np.bool_)) or not isinstance(s, numbers.Real) or not s > 0:
+        raise ValidationError("s must be a real number > 0, not %r" % (s,))
+    check_log_s(math.log(s))
+    s, surface = float(s), sg._surface
+    valence = surface.valence
+    n_v, n_f, n_e = valence.size, surface.face_norm.size, surface.endpoints[1].size
     s_v = np.sqrt(valence * s ** 2 + s ** -2)
-    # a vertex with no edge has a zero row in b and in the next-nearest
-    # terms; max(valence, 1) only keeps its unused prefactor finite
-    pref = (s_v / np.sqrt(2 * np.maximum(valence, 1) * (1 + (s / s_v) ** 2)))[:, None]
-    ratio = (s ** 2 / s_v ** 2)[:, None]
-    next_nearest = _off_diagonal_support(b @ b.T) @ b
-    vertex = np.hstack([pref * (b + ratio * next_nearest), 1j * pref / s_v[:, None] ** 2 * b])
-    pref = s / np.sqrt(2 * np.abs(f).sum(axis=1))[:, None]
-    face = np.hstack([-1j * pref * f / s ** 2, pref * f])
-    return NullifierSet(list(vertex), list(face),
-                        float(np.sqrt(5 * s ** 2 + s ** -2)), s_v.tolist())
+    # a vertex with no edge has no entry in B or N; max(valence, 1) only
+    # keeps its unused prefactor finite
+    pref = s_v / np.sqrt(2 * np.maximum(valence, 1) * (1 + (s / s_v) ** 2))
+    ratio = s ** 2 / s_v ** 2
+    # the vertex vectors, then the face vectors, as rows of one array
+    vectors = np.zeros((n_v + n_f, 2 * n_e), dtype=complex)
+    row, col, b, n = surface.q
+    vectors[row, col] = pref[row] * (b + ratio[row] * n)
+    row, col = surface.b
+    vectors[row, n_e + col] = (1j * pref / s_v ** 2)[row]
+    pf = s / np.sqrt(2 * surface.face_norm)
+    row, col, sign = surface.f
+    vectors[n_v + row, col] = -1j * pf[row] * sign / s ** 2
+    vectors[n_v + row, n_e + col] = pf[row] * sign
+    vectors = list(engine._read_only(vectors))
+    vertex, face = vectors[:n_v], vectors[n_v:]
+    ns = NullifierSet(list(vertex), list(face), float(np.sqrt(5 * s ** 2 + s ** -2)),
+                      s_v.tolist())
+    ns._built = (vertex, face, (surface, s, pref, pref / s_v ** 2, ratio, pf))
+    return ns
 
 
 def _bracket(a, b):
@@ -578,14 +686,59 @@ def commutator(vec_a, vec_b):
     return complex(_bracket(vec_a, np.conj(vec_b)))
 
 
+def _table(shape, *parts):
+    """The real `shape` table summing each part's (row, col, value) arrays,
+    zero elsewhere."""
+    row, col, value = (np.concatenate(arrays) for arrays in zip(*parts))
+    return np.bincount(row * shape[1] + col, value, shape[0] * shape[1]).reshape(shape)
+
+
+def _scattered_tables(surface, s, pref, c, ratio, pf):
+    """`nullifier_commutators` of the vectors `nullifier_vectors` built with
+    the per-row factors pref_v, c_v = pref_v / s_v^2, r_v = s^2 / s_v^2 and
+    pf_f = s / sqrt(2 |F_f|_1), from the integer products of `surface`:
+
+    vertex[v, w] = (pref_v c_w + c_v pref_w) BB^T[v, w]
+                   + pref_v r_v c_w NB^T[v, w] + c_v pref_w r_w NB^T[w, v]
+    face[f, g] = (2 / s^2) pf_f pf_g FF^T[f, g]
+    cross[v, f] = i pf_f (pref_v (BF^T + r_v NF^T) - c_v BF^T / s^2)[v, f],
+    and cross_dagger the same with + c_v BF^T / s^2.
+    """
+    n_v, n_f = pref.size, pf.size
+    v, w, x = surface.bbt
+    bb = (v, w, (pref[v] * c[w] + c[v] * pref[w]) * x)
+    v, w, x = surface.nbt
+    nb = pref[v] * ratio[v] * c[w] * x
+    vertex = _table((n_v, n_v), bb, (v, w, nb), (w, v, nb))
+    f, g, x = surface.fft
+    face = _table((n_f, n_f), (f, g, 2 / s ** 2 * pf[f] * pf[g] * x))
+    v, f, x = surface.nft
+    nf = (v, f, pf[f] * pref[v] * ratio[v] * x)
+    v, f, x = surface.bft
+    bf_pref, bf_c = pf[f] * pref[v] * x, pf[f] * c[v] * x / s ** 2
+    return {"vertex": vertex.astype(complex), "face": face.astype(complex),
+            "cross": 1j * _table((n_v, n_f), (v, f, bf_pref - bf_c), nf),
+            "cross_dagger": 1j * _table((n_v, n_f), (v, f, bf_pref + bf_c), nf)}
+
+
 def nullifier_commutators(ns):
     """All pairwise commutators of a nullifier set.
+
+    A set that holds exactly the vectors `nullifier_vectors` built gets its
+    tables scattered from the integer products of its lattice
+    (`_scattered_tables`); any other set, hand-built or with edited lists,
+    gets `_bracket` of its stacked vectors.
 
     Returns
     -------
     dict with keys 'vertex' ([a_v, a_v'^dag]), 'face' ([b_f, b_f'^dag]),
     'cross' ([a_v, b_f]) and 'cross_dagger' ([a_v, b_f^dag]).
     """
+    if ns._built is not None:
+        vertex, face, factors = ns._built
+        if all(len(got) == len(want) and all(a is b for a, b in zip(got, want))
+               for got, want in ((ns.vertex_nullifiers, vertex), (ns.face_nullifiers, face))):
+            return _scattered_tables(*factors)
     stack = np.array(ns.vertex_nullifiers + ns.face_nullifiers)
     va, vf = np.split(stack, [len(ns.vertex_nullifiers)])
     return {"vertex": _bracket(va, va.conj()),

@@ -263,7 +263,7 @@ class TestGeometryMatchesLoops:
 
     def test_nullifiers_match_loops(self, boundary):
         # every accepted spec, planar 1 x 1 (one vertex, no edge) included;
-        # the matrix build warns nowhere and stays finite
+        # the build warns nowhere and stays finite
         for spec in surface_graph_specs(boundary):
             sg = lattice.SurfaceGraph(spec)
             omega = engine.symplectic_form(sg.n_modes)
@@ -981,3 +981,72 @@ class TestNullifiers:
         assert lattice.w_closed_form(3, 1.0) == 0.0
         assert lattice.x_closed_form(1) == 0.25
         assert lattice.x_closed_form(np.sqrt(2)) == 0.0
+
+
+def bracket_tables(ns):
+    """The four tables by `lattice._bracket` of the stacked vectors of `ns`."""
+    width = ns.vertex_nullifiers[0].size  # every lattice has a vertex
+    va, vf = (np.reshape(vecs, (len(vecs), width)) for vecs in (ns.vertex_nullifiers,
+                                                                 ns.face_nullifiers))
+    return {"vertex": lattice._bracket(va, va.conj()), "face": lattice._bracket(vf, vf.conj()),
+            "cross": lattice._bracket(va, vf), "cross_dagger": lattice._bracket(va, vf.conj())}
+
+
+class TestScatteredTables:
+    """`nullifier_commutators` scatters the tables of the sets that
+    `nullifier_vectors` built from the lattice's integer products; `_bracket`
+    of the stacked vectors is the reference."""
+
+    @settings(max_examples=80)
+    @given(shape=st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar")),
+        st.tuples(st.sampled_from(range(4, 17, 2)), st.sampled_from(range(4, 17, 2)),
+                  st.just("torus"))),
+        log_s=st.floats(-3.0, 3.25))
+    def test_match_bracket(self, shape, log_s):
+        sg = lattice.SurfaceGraph(gt.LatticeSpec(*shape, log_s))
+        ns = gt.nullifier_vectors(sg, float(np.exp(log_s)))
+        table, ref = gt.nullifier_commutators(ns), bracket_tables(ns)
+        assert list(table) == list(ref)
+        for key in ref:
+            assert table[key].shape == ref[key].shape and table[key].dtype == np.complex128
+            assert np.abs(table[key] - ref[key]).max(initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("rows,cols,boundary", [(1, 1, "planar"), (1, 5, "planar"),
+                                                    (2, 2, "planar"), (3, 3, "planar"),
+                                                    (4, 4, "torus")])
+    def test_small_lattices(self, rows, cols, boundary):
+        sg = lattice.SurfaceGraph(gt.LatticeSpec(rows, cols, boundary, 0.0))
+        for s in (0.05, 1.0, 25.0):
+            ns = gt.nullifier_vectors(sg, s)
+            table, ref = gt.nullifier_commutators(ns), bracket_tables(ns)
+            for key in ref:
+                assert table[key].shape == ref[key].shape
+                assert np.abs(table[key] - ref[key]).max(initial=0.0) <= 1e-13
+
+    def test_vectors_are_read_only(self):
+        ns = gt.nullifier_vectors(lattice.SurfaceGraph(gt.LatticeSpec(8, 8, "torus", 0.0)), 2.0)
+        for vec in ns.vertex_nullifiers + ns.face_nullifiers:
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+
+
+class TestSqueezingChecked:
+    """`nullifier_vectors` takes a real s > 0 whose log passes `check_log_s`."""
+
+    @pytest.mark.parametrize("s", [0, 0.0, -1.0, -np.e, 1e-200, 1e200, float("nan"),
+                                   float("inf"), float("-inf"), True, False, np.True_,
+                                   1.0 + 0j, "1.0"])
+    def test_refused(self, s):
+        sg = lattice.SurfaceGraph(gt.LatticeSpec(4, 4, "torus", 0.0))
+        with pytest.raises(ValidationError):
+            gt.nullifier_vectors(sg, s)
+
+    @pytest.mark.parametrize("s", [2, np.float64(2.0), np.float32(2.0), np.int64(2)])
+    def test_real_numbers_taken(self, s):
+        sg = lattice.SurfaceGraph(gt.LatticeSpec(4, 4, "torus", 0.0))
+        want = gt.nullifier_vectors(sg, 2.0)
+        got = gt.nullifier_vectors(sg, s)
+        assert np.array_equal(got.vertex_nullifiers, want.vertex_nullifiers)
+        assert np.array_equal(got.face_nullifiers, want.face_nullifiers)

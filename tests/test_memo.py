@@ -64,19 +64,37 @@ def surface_outputs(spec):
             "kept": gt.kept_mode_adjacency(spec)}
 
 
+SURFACE_GRAPH_FIELDS = ("vertices", "faces", "edges", "vertex_incidence", "face_incidence",
+                        "edge_endpoints", "vertex_edges", "vertex_neighbors", "face_boundaries")
+
+
+def surface_graph_outputs(spec):
+    """Every public field of the surface graph of `spec`, its valences and
+    coordinates, and the nullifier vectors and tables at s = e^log_s."""
+    sg = gt.SurfaceGraph(spec)
+    ns = gt.nullifier_vectors(sg, spec.s)
+    return {"fields": [getattr(sg, name) for name in SURFACE_GRAPH_FIELDS],
+            "n_modes": sg.n_modes, "valence": [sg.valence(v) for v in sg.vertices],
+            "coords": ([sg.vertex_coords(v) for v in sg.vertices],
+                       [sg.face_coords(f) for f in sg.faces]),
+            "vectors": (list(ns.vertex_nullifiers), list(ns.face_nullifiers), ns.norm_sprime,
+                        ns.norm_sv),
+            "tables": gt.nullifier_commutators(ns)}
+
+
 def pipeline_outputs(spec):
     """The measurement pipeline's graph, index map and region spectra, the
-    kept-mode adjacency and the surface graph's incidences of `spec`."""
+    kept-mode adjacency and the surface graph of `spec`
+    (`surface_graph_outputs`)."""
     graph, index_map = gt.map_cluster_to_surface(spec)
     u = graph._u_sparse
     cov = engine.covariance_from_graph(graph)
     regions = [list(range(10)), list(range(5, graph.n_modes, 7))]
-    sg = gt.SurfaceGraph(spec)
     return {"indptr": u.indptr, "indices": u.indices, "data": u.data, "cond": graph._cond,
             "index_map": index_map, "kept": gt.kept_mode_adjacency(spec),
             "pattern": gt.measurement_pattern(spec),
             "spectra": [spectrum.values for spectrum in engine.symplectic_spectra(cov, regions)],
-            "incidence": (sg.vertex_incidence, sg.face_incidence, sg.face_boundaries)}
+            "surface": surface_graph_outputs(spec)}
 
 
 def assert_equal(got, want):
@@ -92,6 +110,8 @@ def assert_equal(got, want):
         assert type(got) is type(want) and len(got) == len(want)
         for a, b in zip(got, want):
             assert_equal(a, b)
+    elif isinstance(want, set):
+        assert type(got) is set and got == want and all(type(x) is int for x in got)
     else:
         assert type(got) is type(want) and got == want
 
@@ -111,6 +131,17 @@ class TestMemoEqualsFreshBuild:
         clear_lattice_memos()
         assert_equal(served, surface_outputs(spec))
 
+    @settings(max_examples=40)
+    @given(shape=SURFACE_SHAPES, log_s=LOG_S)
+    def test_surface_graph(self, shape, log_s):
+        rows, cols, boundary = shape
+        clear_lattice_memos()
+        surface_graph_outputs(gt.LatticeSpec(rows, cols, boundary, log_s[0]))
+        spec = gt.LatticeSpec(rows, cols, boundary, log_s[1])
+        served = surface_graph_outputs(spec)
+        clear_lattice_memos()
+        assert_equal(served, surface_graph_outputs(spec))
+
     @pytest.mark.parametrize("rows,cols", [(8, 12), (16, 32)])
     @pytest.mark.parametrize("log_s", [(0.0, 1.0), (1.5, -0.5)])
     def test_pipeline(self, rows, cols, log_s):
@@ -121,11 +152,11 @@ class TestMemoEqualsFreshBuild:
         assert_equal(served, pipeline_outputs(spec))
 
     def test_one_structure_per_lattice(self, monkeypatch):
-        # every build of a lattice reads one pattern, one A_d and one Gram
-        # matrix, and its torus pattern reads the cell off one 4 x 4 torus;
-        # the KP regions are built once per geometry
+        # every build of a lattice reads one pattern, one A_d, one Gram
+        # matrix and one surface structure, and its torus pattern reads the
+        # cell off one 4 x 4 torus; the KP regions are built once per geometry
         builds = []
-        for name in ("_cell_stencil", "_stencil_adjacency", "_kept_gram"):
+        for name in ("_cell_stencil", "_stencil_adjacency", "_kept_gram", "_surface_lattice"):
             build = getattr(lattice, name)
             monkeypatch.setattr(lattice, name, lambda *a, _f=build, _n=name, **k:
                                 builds.append(_n) or _f(*a, **k))
@@ -133,9 +164,10 @@ class TestMemoEqualsFreshBuild:
             spec = gt.LatticeSpec(12, 12, "torus", log_s)
             cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
             topo.tee_kp(cov, topo.kp_regions(spec))
-            gt.map_cluster_to_surface(spec), gt.kept_mode_adjacency(spec), gt.SurfaceGraph(spec)
+            gt.map_cluster_to_surface(spec), gt.kept_mode_adjacency(spec)
+            gt.nullifier_commutators(gt.nullifier_vectors(gt.SurfaceGraph(spec), spec.s))
         assert sorted(builds) == ["_cell_stencil", "_kept_gram", "_stencil_adjacency",
-                                  "_stencil_adjacency"]
+                                  "_stencil_adjacency", "_surface_lattice"]
         assert topo._kp_sectors.cache_info()[:2] == (2, 1)  # hits, misses
 
 
@@ -271,6 +303,9 @@ class TestMemoSafe:
         gt.map_cluster_to_surface(gt.LatticeSpec(8, 12, "torus", 1.0))
         gram = built.kept_gram[0]
         arrays += list(built.sites) + [gram.indptr, gram.indices, gram.data, built.links.data]
+        gt.SurfaceGraph(gt.LatticeSpec(8, 12, "torus", 1.0))
+        arrays += [a for part in built.surface
+                   for a in (part if isinstance(part, tuple) else [part])]
         for array in arrays:
             assert not array.flags.writeable
 
@@ -280,6 +315,46 @@ class TestMemoSafe:
         want = adjacency.copy()
         adjacency[:] = 7.0
         assert np.array_equal(gt.kept_mode_adjacency(spec), want)
+
+    def test_surface_graph_is_fresh(self):
+        # editing one instance's lists, sets and arrays reaches neither the
+        # next instance nor its nullifiers
+        spec = gt.LatticeSpec(8, 12, "torus", 1.0)
+        want = surface_graph_outputs(spec)
+        sg = gt.SurfaceGraph(spec)
+        for name in ("vertices", "faces", "edges", "edge_endpoints"):
+            getattr(sg, name).append(-1)
+        sg.vertex_edges[0].append(99)
+        sg.vertex_neighbors[1].add(99)
+        sg.face_boundaries[2].pop()
+        sg.face_boundaries[3].clear()
+        sg.vertex_incidence[:] = 7.0
+        sg.face_incidence[0, 0] = 7.0
+        assert_equal(surface_graph_outputs(spec), want)
+        ns = gt.nullifier_vectors(sg, spec.s)
+        assert_equal([list(ns.vertex_nullifiers), list(ns.face_nullifiers)],
+                     list(want["vectors"][:2]))
+
+    def test_edited_nullifiers_give_their_own_tables(self):
+        # a set whose lists were edited gets the tables of `_bracket` on the
+        # vectors it holds, as a hand-built set with the same lists does
+        sg = gt.SurfaceGraph(gt.LatticeSpec(8, 12, "torus", 1.0))
+        unedited = gt.nullifier_commutators(gt.nullifier_vectors(sg, np.e))
+        other = gt.nullifier_vectors(sg, 2.0)
+        edits = [lambda ns: ns.vertex_nullifiers.pop(),
+                 lambda ns: ns.face_nullifiers.append(ns.face_nullifiers[0]),
+                 lambda ns: ns.vertex_nullifiers.__setitem__(3, other.vertex_nullifiers[3]),
+                 lambda ns: ns.face_nullifiers.__setitem__(0, 2 * ns.face_nullifiers[0]),
+                 lambda ns: ns.__setattr__("vertex_nullifiers", ns.face_nullifiers)]
+        for edit in edits:
+            edited = gt.nullifier_vectors(sg, np.e)
+            edit(edited)
+            fresh = lattice.NullifierSet(list(edited.vertex_nullifiers),
+                                         list(edited.face_nullifiers), 1.0, [])
+            tables, want = gt.nullifier_commutators(edited), gt.nullifier_commutators(fresh)
+            assert_equal(tables, want)
+            assert any(tables[key].shape != unedited[key].shape
+                       or np.abs(tables[key] - unedited[key]).max() > 1e-3 for key in want)
 
 
 class TestChecksOnEveryCall:
