@@ -11,7 +11,7 @@ import numpy as np
 
 from .engine import symplectic_spectra, von_neumann_entropy
 from .errors import FitFailedError, UnsupportedStateError, ValidationError
-from .lattice import wrapped_offsets
+from .lattice import check_s, wrapped_offsets
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,8 @@ class CorrelationBound:
 
 
 def dms_bound(s):
-    """Decay bound constants for the surface-code U at squeezing s."""
-    if s <= 0:
-        raise ValidationError("s must be positive")
+    """Decay bound constants for the surface-code U at squeezing s (`check_s`)."""
+    check_s(s)
     root = np.sqrt(8 * s ** 4 + 1)
     c_const = (1 + root) ** 2 / (4 * (8 * s ** 2 + s ** -2))
     # (root + 1) / (root - 1) = 1 + 2 (root + 1) / (8 s^4): root - 1 taken

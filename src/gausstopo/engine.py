@@ -59,7 +59,7 @@ class _Stored:
     a set of columns (`positions`); `entries`, `block`, `toarray` and
     `with_data` follow from that.
 
-    numpy index arithmetic reads the entries (`_cuts`, `block`,
+    numpy index arithmetic reads the entries (`_cut`, `block`,
     `p_entry`).  `plans` memoises what is read from the pattern alone: under
     "batches" the plans of the last `_BATCH_PLANS` batches of regions whose
     spectra were asked for together (`_batch_plan`: checked when it was
@@ -856,7 +856,7 @@ def _factor_spectra(cov, regions):
 
     For a region S with complement L, (U^-1)_SS U_SS = I - (U^-1)_SL U_LS,
     and U_LS is zero outside the rows dS and the columns d'S of the cut
-    (`_batch_plan`).  So (U^-1)_SL U_LS is block lower-triangular, and its
+    (`_cut`).  So (U^-1)_SL U_LS is block lower-triangular, and its
     nonzero eigenvalues lambda are those of the smallest product of
     `_cut_product`: sigma = 1/2 sqrt(max(1, 1 - lambda)), with the rest of
     the distinct modes of S padded with exact 1/2 entries.  The regions not
@@ -910,65 +910,35 @@ def _cut_product(u, block, cut, p_cut):
 
 def _batch_plan(u, batch):
     """What the spectra of the regions `batch` (a tuple of mode-id tuples)
-    read from U's pattern alone, from one read of the columns of all their
-    modes.  The batch is checked (`_region_ids`) when it is planned, and the
-    plan is kept in `u.plans["batches"]`, which every `with_data` of the
-    pattern shares, with the `_BATCH_PLANS` - 1 plans used last before it.
-    Its caller (`_factor_spectra`) refuses bool ids before a plan is served
-    from there.  It holds the union of the regions' rims, the union of
-    their edges, on an even torus the positions of that union block in the
-    cell columns (`_gather`), and for each region the index pair of its
-    block in the union block, its count of distinct modes, its straddling
-    p-nodes where the pattern records an incidence (`_straddling`; None
-    otherwise) and its cut: its edge dS and rim d'S and, for the entries of
-    U[dS, d'S], their flat row-major positions in that block and their
-    positions in `u.data`.
-
-    Mode i of the r-th region is the key r * n + i.  The entries are read
-    in key order of their columns, so each region's are contiguous; the
-    edges of all regions are the distinct keys of the rows read outside
-    their region, and the rims those of the columns they were read from:
-    one sort each, in region order, then mode order.
+    read from U's pattern alone.  The batch is checked (`_region_ids`) when
+    it is planned, and the plan is kept in `u.plans["batches"]`, which every
+    `with_data` of the pattern shares, with the `_BATCH_PLANS` - 1 plans
+    used last before it.  Its caller (`_factor_spectra`) refuses bool ids
+    before a plan is served from there.  It holds the union of the regions'
+    rims, the union of their edges, on an even torus the positions of that
+    union block in the cell columns (`_gather`), and for each region, planned
+    by itself, the index pair of its block in the union block, its count of
+    distinct modes, its straddling p-nodes where the pattern records an
+    incidence (`_straddling`; None otherwise) and its cut (`_cut`).
     """
     batches = u.plans.get("batches", {})
     if batch in batches:
         plan = batches.pop(batch)  # and put back last: the most recently used
     else:
-        n, count = u.shape[0], len(batch)
-        ids, sizes = _region_ids(batch, n)
-        inside = np.zeros(count * n, dtype=bool)
-        inside[np.repeat(np.arange(0, count * n, n), sizes) + ids] = True
-        members = np.flatnonzero(inside)
-        rows, k, at = u.positions(members % n)
-        column = members[k]  # the key of the column each entry was read from
-        owner = column - column % n  # r * n
-        out = np.flatnonzero(~inside[owner + rows])
-        column, at, region = column[out], at[out], owner[out] // n
-        edge_keys, at_edge = np.unique(owner[out] + rows[out], return_inverse=True)
-        rim_keys, at_rim = np.unique(column, return_inverse=True)
-        starts = np.arange(count + 1) * n
-        edge_at, rim_at, entry_at, member_at = (np.searchsorted(keys, starts) for keys in
-                                                (edge_keys, rim_keys, column, members))
-        rim_size = np.diff(rim_at)
-        flat = (at_edge - edge_at[region]) * rim_size[region] + at_rim - rim_at[region]
-        edges, rims = edge_keys % n, rim_keys % n
-        union_rows, union_cols = _sorted_distinct(rims), _sorted_distinct(edges)
-        rim_in, edge_in = np.searchsorted(union_rows, rims), np.searchsorted(union_cols, edges)
+        ids, sizes = _region_ids(batch, u.shape[0])
+        regions = [_sorted_distinct(ids) for ids in np.split(ids, np.cumsum(sizes)[:-1])]
+        cuts = [_cut(u, region) for region in regions]
+        edges, rims = [cut[0] for cut in cuts], [cut[1] for cut in cuts]
         p_cuts = (None if u.incidence is None else
-                  _straddling(u.incidence, count, n, (rim_keys, rim_at), (edge_keys, edge_at)))
-        # every graph of the pattern shares the plan: its arrays, and the views
-        # taken of them below, are read-only
-        for array in (edges, rims, flat, at, union_rows, union_cols, rim_in, edge_in):
-            _read_only(array)
-        edge_at, rim_at, entry_at = edge_at.tolist(), rim_at.tolist(), entry_at.tolist()
-        pairs, cuts = [], []
-        for r in range(count):
-            edge, rim = slice(edge_at[r], edge_at[r + 1]), slice(rim_at[r], rim_at[r + 1])
-            entries = slice(entry_at[r], entry_at[r + 1])
-            pairs.append(np.ix_(rim_in[rim], edge_in[edge]))
-            cuts.append((edges[edge], rims[rim], flat[entries], at[entries]))
+                  [_straddling(u.incidence, rim, edge) for rim, edge in zip(rims, edges)])
+        # every graph of the pattern shares the plan: its arrays are read-only
+        union_rows = _read_only(_sorted_distinct(np.concatenate(rims)))
+        union_cols = _read_only(_sorted_distinct(np.concatenate(edges)))
+        pairs = [np.ix_(_read_only(np.searchsorted(union_rows, rim)),
+                        _read_only(np.searchsorted(union_cols, edge)))
+                 for rim, edge in zip(rims, edges)]
         gather = None if u.torus is None else _read_only(_gather(u.torus, union_rows, union_cols))
-        plan = union_rows, union_cols, gather, pairs, np.diff(member_at).tolist(), p_cuts, cuts
+        plan = union_rows, union_cols, gather, pairs, [r.size for r in regions], p_cuts, cuts
     batches = u.plans.setdefault("batches", {})
     if len(batches) >= _BATCH_PLANS:
         del batches[next(iter(batches))]
@@ -976,41 +946,39 @@ def _batch_plan(u, batch):
     return plan
 
 
-def _straddling(incidence, count, n, rims, edges):
-    """For each of the `count` regions of a batch, (|P|, B[P, d'S], B[P, dS]):
+def _cut(u, region):
+    """The cut of the sorted distinct mode ids `region` on U's pattern: its
+    edge dS (the modes outside it coupled to it) and rim d'S (the modes of
+    it coupled outside it), each sorted, and for the entries of U[dS, d'S]
+    their flat row-major positions in that block and their positions in
+    `u.data`, all read-only, from one read of the region's columns."""
+    rows, k, at = u.positions(region)
+    # the entries in rows that are not ids of the (sorted, non-empty) region
+    out = region[np.minimum(np.searchsorted(region, rows), region.size - 1)] != rows
+    rows, columns = rows[out], region[k[out]]
+    edge, rim = _sorted_distinct(rows), _sorted_distinct(columns)
+    flat = np.searchsorted(edge, rows) * rim.size + np.searchsorted(rim, columns)
+    return tuple(map(_read_only, (edge, rim, flat, at[out])))
+
+
+def _straddling(incidence, rim, edge):
+    """(|P|, B[P, d'S], B[P, dS]) of a cut with the rim d'S and the edge dS:
     the count of its straddling p-nodes P, those of the `incidence` B with
-    a mode in its rim d'S and one in its edge dS, in id order, and the 0/1
-    blocks of B on them, read-only.  `rims` and `edges` are each the sorted
-    keys r * n + i of the modes of all regions and the start of each
-    region's in them (`_batch_plan`).  A p-node of region r is the key
-    r * width + its id, width one more than the largest id."""
-    ends = [(keys // n, incidence(keys % n), at) for keys, at in (rims, edges)]
-    width = 1 + max(int(ids.max(initial=-1)) for _, ids, _ in ends)
-    rim_p, edge_p = (region[:, None] * width + ids for region, ids, _ in ends)
-    # the keys in both: repeats of the sorted distinct keys of each side (as
-    # np.intersect1d, whose np.unique call imports numpy.ma at its first use)
-    both = np.sort(np.concatenate([_sorted_distinct(rim_p.ravel()),
-                                   _sorted_distinct(edge_p.ravel())]))
-    p_keys = both[1:][both[1:] == both[:-1]]
-    p_at = np.searchsorted(p_keys, np.arange(count + 1) * width)
-    blocks = []
-    for (region, _, at), ends_p in zip(ends, (rim_p, edge_p)):
-        # the (mode, p-node) pairs whose p-node straddles; mode i is row i
-        place = np.searchsorted(p_keys, ends_p)
-        mode, side = np.nonzero(np.append(p_keys, -1)[place] == ends_p)  # -1 is no key
-        row, col = place[mode, side] - p_at[region[mode]], mode - at[region[mode]]
-        bounds = np.searchsorted(mode, at)
-        blocks.append([])
-        for r in range(count):
-            block = np.zeros((p_at[r + 1] - p_at[r], at[r + 1] - at[r]))
-            pick = slice(bounds[r], bounds[r + 1])
-            block[row[pick], col[pick]] = 1.0
-            blocks[-1].append(_read_only(block))
-    return list(zip(np.diff(p_at).tolist(), *blocks))
+    a mode in d'S and one in dS, in id order, and the 0/1 blocks of B on
+    them, read-only."""
+    ends = np.split(incidence(np.concatenate([rim, edge])), [rim.size])
+    # the p-nodes on both sides: repeats of the sorted distinct p-nodes of
+    # each side (as np.intersect1d, whose np.unique call imports numpy.ma at
+    # its first use)
+    both = np.sort(np.concatenate([_sorted_distinct(ids.ravel()) for ids in ends]))
+    p_nodes = both[1:][both[1:] == both[:-1]]
+    # B[p, i] is 1 where p is either p-node of mode i
+    blocks = ((p_nodes[:, None] == ids[:, 0]) | (p_nodes[:, None] == ids[:, 1]) for ids in ends)
+    return (p_nodes.size, *(_read_only(block.astype(float)) for block in blocks))
 
 
 def _coupling(u, cut):
-    """The dense block U[dS, d'S] of a planned `cut` (`_batch_plan`) of the
+    """The dense block U[dS, d'S] of a planned `cut` (`_cut`) of the
     symmetric U of the stored entries `u` (`Csc` or `CellStencil`), filled
     from `u.data`."""
     edge, rim, flat, at = cut

@@ -39,6 +39,15 @@ def check_log_s(log_s):
     return float(log_s)
 
 
+def check_s(s):
+    """`s` as a float; ValidationError unless it is a real number > 0, not
+    a bool, whose log passes `check_log_s`."""
+    if isinstance(s, (bool, np.bool_)) or not isinstance(s, numbers.Real) or not s > 0:
+        raise ValidationError("s must be a real number > 0, not %r" % (s,))
+    check_log_s(math.log(s))
+    return float(s)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Square-lattice geometry and squeezing.
@@ -46,8 +55,8 @@ class LatticeSpec:
     Parameters
     ----------
     rows, cols : int
-        Lattice dimensions.  Planar lattices allow dimensions down to 1;
-        a torus needs at least 2 in each direction.
+        Lattice dimensions, integers and not bools.  Planar lattices allow
+        dimensions down to 1; a torus needs at least 2 in each direction.
     boundary : str
         'torus' or 'planar'.
     log_s : float
@@ -62,6 +71,10 @@ class LatticeSpec:
     def __post_init__(self):
         if self.boundary not in BOUNDARIES:
             raise ValidationError("boundary must be one of %s" % (BOUNDARIES,))
+        if any(isinstance(side, bool) or not isinstance(side, (int, np.integer))
+               for side in (self.rows, self.cols)):
+            raise ValidationError("lattice dimensions must be integers, not %r x %r"
+                                  % (self.rows, self.cols))
         low = 2 if self.boundary == "torus" else 1
         if self.rows < low or self.cols < low:
             raise ValidationError("lattice dimensions too small for %s boundary" % self.boundary)
@@ -145,35 +158,6 @@ def _cluster_links(spec):
     """A_d as `engine.Csc` arrays; `cluster_adjacency` is its dense form."""
     every = np.ones((spec.rows, spec.cols), dtype=bool)
     return _stencil_adjacency(spec, [(link, every) for link in _SQUARE])
-
-
-def _kept_gram(adj, p_nodes, kept):
-    """(gram, p_adjacent): `engine.Csc` arrays of B^T B for the incidence B
-    of the `p_nodes` to the `kept` nodes, with every diagonal entry stored,
-    and whether any two p-nodes are adjacent, read from the `engine.Csc`
-    arrays `adj` of A_d.
-
-    Entry (k, l) counts the p-nodes adjacent to both kept modes k and l,
-    summed from the ordered pairs of kept neighbours of each p-node by
-    their sorted keys.
-    """
-    n = len(kept)
-    at = np.full(adj.shape[0], -1)
-    at[kept] = np.arange(n)
-    node, p_index, _ = adj.entries(np.asarray(p_nodes, dtype=np.intp))
-    is_p = np.zeros(adj.shape[0], dtype=bool)
-    is_p[p_nodes] = True
-    mode = at[node]
-    p_index, mode = p_index[mode >= 0], mode[mode >= 0]
-    # each kept neighbour of a p-node, paired with the run of that p-node's
-    # kept neighbours (consecutive, as `entries` reads column by column)
-    degree = np.bincount(p_index, minlength=len(p_nodes))
-    run_start = np.cumsum(degree) - degree
-    other, one = engine._runs(run_start[p_index], degree[p_index])
-    pairs = mode[other] * n + mode[one]
-    key = engine._sorted_distinct(np.concatenate([pairs, np.arange(n) * (n + 1)]))
-    count = np.bincount(np.searchsorted(key, pairs), minlength=key.size).astype(float)
-    return engine.Csc.from_keys(key, n, count), bool(is_p[node].any())
 
 
 def cluster_adjacency(spec):
@@ -326,10 +310,30 @@ class _Lattice:
         return tuple(zip((row + 1).tolist(), (col + 1).tolist()))
 
     @cached_property
-    def kept_gram(self):
-        """(gram, p_adjacent) of the kept modes (`_kept_gram`)."""
+    def b_t(self):
+        """(edge, vertex, 1) arrays of the entries of B^T, B the incidence of
+        the p-nodes (vertices) on the kept nodes (edges), by edge and then
+        vertex, read-only: those of the kept columns of A_d in p-node rows."""
         _, p_nodes, kept = self.sites
-        return _kept_gram(self.links, p_nodes, kept)
+        node, edge, _ = self.links.entries(kept)
+        vertex_of = np.full(self.spec.n_nodes, -1)
+        vertex_of[p_nodes] = np.arange(len(p_nodes))
+        on_v = vertex_of[node] >= 0
+        return tuple(map(engine._read_only, (edge[on_v], vertex_of[node[on_v]],
+                                             np.ones(on_v.sum(), dtype=np.intp))))
+
+    @cached_property
+    def kept_gram(self):
+        """(gram, p_adjacent): `engine.Csc` arrays of B^T B (every diagonal
+        entry is stored: each kept node has a p-node neighbour), and whether
+        any two p-nodes are adjacent."""
+        _, p_nodes, kept = self.sites
+        row, col, count = _gram(self.b_t, self.b_t, len(kept))
+        # B^T B is symmetric, so its row-major keys are its column-major ones
+        gram = engine.Csc.from_keys(row * len(kept) + col, len(kept), count.astype(float))
+        is_p = np.zeros(self.spec.n_nodes, dtype=bool)
+        is_p[p_nodes] = True
+        return gram, bool(is_p[self.links.entries(p_nodes)[0]].any())
 
     @cached_property
     def pattern(self):
@@ -351,7 +355,7 @@ class _Lattice:
     def surface(self):
         """The surface-code lattice's incidences and their products
         (`_surface_lattice`); `SurfaceGraph` checks the lattice."""
-        return _surface_lattice(self.spec, self.links, self.sites)
+        return _surface_lattice(self.spec, self.links, self.sites, self.b_t)
 
 
 # the structure of the 8 lattices asked for last, kept per process: one
@@ -391,11 +395,11 @@ def map_cluster_to_surface(spec):
 
     On planar grids and even tori no two p-nodes are adjacent, and then no
     two kept nodes are: Z_PP = i s^-2 I, and Z' = i U with V = 0 and the
-    sparse U = s^-2 I + s^2 B^T B, B the p-to-kept incidence, summed from
-    the pairs of kept neighbours of each p-node (`_kept_gram`).  U is
-    positive definite by construction, with no eigvalsh: spec(B^T B) lies
-    in [0, ||B||_1 ||B||_inf] = [0, 2 * 4].  On odd tori p-nodes wrap into
-    adjacency, and the complement is solved dense.
+    sparse U = s^-2 I + s^2 B^T B, B the p-to-kept incidence, whose B^T B
+    its lattice holds (`_Lattice.kept_gram`).  U is positive definite by
+    construction, with no eigvalsh: spec(B^T B) lies in [0, ||B||_1
+    ||B||_inf] = [0, 2 * 4].  On odd tori p-nodes wrap into adjacency, and
+    the complement is solved dense.
 
     Returns
     -------
@@ -486,15 +490,15 @@ _Surface = namedtuple("_Surface",
                       "b valence endpoints neighbors f face_norm q bbt nbt fft bft nft")
 
 
-def _surface_lattice(spec, links, sites):
+def _surface_lattice(spec, links, sites, b_t):
     """The surface-code lattice of `spec` as a `_Surface` of read-only O(E)
-    arrays, sliced from the entries of the kept columns of the cluster
-    stencil `links` (`engine.Csc` arrays of A_d) for the measurement
-    pattern `sites`: vertices are the p-nodes, faces the q-nodes and edges
-    the kept nodes.  It holds B (vertices x edges, 0/1), F (faces x edges,
-    +1 on the N/S edges, the kept nodes on rows of vertices, and -1 on the
-    E/W edges) and N, the vertex adjacency (the off-diagonal support of
-    B B^T) times B, as:
+    arrays, from the entries `b_t` of B^T (`_Lattice.b_t`) and the kept
+    columns of the cluster stencil `links` (`engine.Csc` arrays of A_d) for
+    the measurement pattern `sites`: vertices are the p-nodes, faces the
+    q-nodes and edges the kept nodes.  It holds B (vertices x edges, 0/1), F
+    (faces x edges, +1 on the N/S edges, the kept nodes on rows of
+    vertices, and -1 on the E/W edges) and N, the vertex adjacency (the
+    off-diagonal support of B B^T) times B, as:
 
     b: (vertex, edge) of B's entries, by vertex and then edge; valence: their
     count per vertex; endpoints: (vertex, degree), the vertices of each edge,
@@ -507,12 +511,6 @@ def _surface_lattice(spec, links, sites):
     """
     q_nodes, p_nodes, kept = sites
     n_v, n_f, n_e = len(p_nodes), len(q_nodes), len(kept)
-    # the rows of each kept column in order, so B^T comes by edge
-    node, edge, _ = links.entries(kept)
-    vertex_of, face_of = np.full((2, spec.n_nodes), -1)
-    vertex_of[p_nodes], face_of[q_nodes] = np.arange(n_v), np.arange(n_f)
-    on_v, on_f = vertex_of[node] >= 0, face_of[node] >= 0
-    b_t = (edge[on_v], vertex_of[node[on_v]], np.ones(on_v.sum(), dtype=np.intp))
     by_vertex = np.argsort(b_t[1], kind="stable")
     b = (b_t[1][by_vertex], b_t[0][by_vertex], b_t[2])
     bbt = _gram(b, b, n_v)
@@ -522,6 +520,10 @@ def _surface_lattice(spec, links, sites):
     # each face lists its edges N, S, W, E: their steps face - edge mod
     # (rows, cols) are (1, 0), (rows - 1, 0), (0, 1), (0, cols - 1), which
     # sort by column step, then row step, in that order
+    node, edge, _ = links.entries(kept)
+    face_of = np.full(spec.n_nodes, -1)
+    face_of[q_nodes] = np.arange(n_f)
+    on_f = face_of[node] >= 0
     face, edge = face_of[node[on_f]], edge[on_f]
     face_r, face_c = np.divmod(q_nodes[face], spec.cols)
     edge_r, edge_c = np.divmod(kept[edge], spec.cols)
@@ -642,13 +644,9 @@ def nullifier_vectors(sg, s):
     pattern.  Incomplete boundary vertices/faces simply omit missing modes.
     The vectors are scattered from the lattice's `_Surface` that `sg`
     recorded, so edits to the fields of `sg` do not reach them, and they
-    are read-only.  ValidationError unless `s` is a real number > 0 whose
-    log passes `check_log_s` (a bool is refused).
+    are read-only.  `s` is checked by `check_s`.
     """
-    if isinstance(s, (bool, np.bool_)) or not isinstance(s, numbers.Real) or not s > 0:
-        raise ValidationError("s must be a real number > 0, not %r" % (s,))
-    check_log_s(math.log(s))
-    s, surface = float(s), sg._surface
+    s, surface = check_s(s), sg._surface
     valence = surface.valence
     n_v, n_f, n_e = valence.size, surface.face_norm.size, surface.endpoints[1].size
     s_v = np.sqrt(valence * s ** 2 + s ** -2)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import w_closed_form, x_closed_form
+from .lattice import check_s, w_closed_form, x_closed_form
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,12 @@ def _frequency_grids(n, m, s):
 
 
 def normal_modes(n, m, s):
-    """Evaluate the cosine closed forms on the full (j_x, j_y) grid.
+    """Evaluate the cosine closed forms on the full (j_x, j_y) grid (s: `check_s`).
 
     Grids are row-major in the collective index.  An even x even torus has
     an exact zero mode in the face branch at j = (n/2, m/2).
     """
+    check_s(s)
     if n < 3 or m < 3:
         raise ValidationError("normal modes require n, m >= 3")
     omegas, deltas = _frequency_grids(n, m, s)

@@ -12,7 +12,7 @@ import numpy as np
 from . import engine
 from .engine import symplectic_spectra, symplectic_spectrum, von_neumann_entropy
 from .errors import ValidationError
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, check_s
 
 KP_SUBSETS = (("A",), ("B",), ("C",), ("A", "B"), ("B", "C"), ("A", "C"),
               ("A", "B", "C"))
@@ -374,9 +374,8 @@ def sigma_one(s):
 
 
 def tee_upper_bound(s):
-    """Closed-form TEE upper bound: entropy of {sigma_1(s)} in bits."""
-    if s <= 0:
-        raise ValidationError("s must be positive")
+    """Closed-form TEE upper bound at s (`check_s`): entropy of {sigma_1(s)} in bits."""
+    check_s(s)
     sig = sigma_one(s)
     spec = engine.SymplecticSpectrum([sig])
     return von_neumann_entropy(spec)

@@ -1,6 +1,7 @@
 """Command-line driver tests (run in-process via main)."""
 
 import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -737,6 +738,35 @@ def test_tracer_targets_resolve(monkeypatch):
             (key, attr)
 
 
+def package_sources():
+    """The paths of the package's .py files."""
+    return [os.path.join(folder, name)
+            for folder, _, names in os.walk(os.path.join(SRC, "gausstopo"))
+            for name in names if name.endswith(".py")]
+
+
+def test_private_names_in_package_text_are_defined():
+    """Every backticked private name in the package's docstrings and comments
+    (`_name`, or a part of a dotted `_Class.name` or `module._name`) is bound
+    somewhere in the package, so a renamed or deleted helper leaves no stale
+    reference behind."""
+    bound, named = set(), set()
+    for path in package_sources():
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                bound.add(node.attr)
+        named |= {(os.path.basename(path), part) for name in re.findall(r"`([\w.]+)`", text)
+                  for part in name.split(".") if part.startswith("_") and part[:2] != "__"}
+    assert len(named) > 20
+    assert sorted((path, part) for path, part in named if part not in bound) == []
+
+
 def run_fresh(tmp_path, *argv):
     """Run `python -X importtime *argv` in a fresh interpreter; returns the
     finished process and the names of every module it imported."""
@@ -821,9 +851,7 @@ class TestStartUp:
         assert not imports_scipy(imported)
 
     def test_package_source_has_no_scipy_import(self):
-        sources = [os.path.join(folder, name)
-                   for folder, _, names in os.walk(os.path.join(SRC, "gausstopo"))
-                   for name in names if name.endswith(".py")]
+        sources = package_sources()
         assert len(sources) > 5
         for path in sources:
             with open(path, encoding="utf-8") as fh:

@@ -15,7 +15,8 @@ from gausstopo.errors import (
     ValidationError,
 )
 
-from conftest import clear_lattice_memos, dense_cut, random_graph, star_pipeline_graph
+from conftest import (clear_lattice_memos, dense_cut, loop_plaquettes, random_graph,
+                      star_pipeline_graph)
 
 
 def two_mode_cluster(s):
@@ -1070,6 +1071,30 @@ class TestCut:
             graph = lattice.surface_code_graph_analytic(
                 lattice.LatticeSpec(rows, cols, boundary, log_s))
         self.assert_cuts_match(graph, cols, seed)
+
+    @settings(max_examples=40)
+    @given(shape=st.one_of(
+               st.tuples(st.sampled_from(range(4, 13, 2)), st.sampled_from(range(4, 13, 2)),
+                         st.just("torus")),
+               st.tuples(st.integers(1, 12), st.integers(1, 12), st.just("planar"))),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_p_cuts_match_loop_plaquettes(self, shape, seed):
+        # each planned B[P, d'S] and B[P, dS] holds, in id order, the rows of
+        # the plaquettes with a mode in the region and one outside it, read
+        # off a loop over the plaquettes, on the rim and edge of the cut
+        rows, cols, boundary = shape
+        (graph,), _ = surface_graphs(rows, cols, boundary, (1.0,))
+        plaquettes = loop_plaquettes(lattice.LatticeSpec(rows, cols, boundary))
+        rng = np.random.default_rng(seed)
+        regions = self.random_regions(rng, graph.n_modes, cols)
+        plan = engine._batch_plan(graph._u_sparse, tuple(map(tuple, regions)))
+        for region, p_cut, (edge, rim, _, _) in zip(regions, plan[5], plan[6]):
+            inside = set(map(int, region))
+            straddling = [modes for modes in plaquettes if modes & inside and modes - inside]
+            assert p_cut[0] == len(straddling)
+            for block, side in zip(p_cut[1:], (rim, edge)):
+                oracle = [[float(mode in modes) for mode in side.tolist()] for modes in straddling]
+                assert np.array_equal(block, np.reshape(oracle, block.shape))
 
     @settings(max_examples=10)
     @given(seed=st.integers(0, 2 ** 32 - 1))

@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -214,6 +215,34 @@ class TestLatticeSpec:
         spec = gt.LatticeSpec(3, 3, "planar", 0.0)
         with pytest.raises(ValidationError):
             spec.node_id(4, 1)
+
+    @pytest.mark.parametrize("side", [6.0, np.float64(6.0), 6.5, True, np.True_, "6", None])
+    def test_sides_must_be_integers(self, side):
+        for rows, cols in ((side, 6), (6, side)):
+            with pytest.raises(ValidationError, match="must be integers"):
+                gt.LatticeSpec(rows, cols, "planar")
+
+    def test_numpy_integer_sides_taken(self):
+        spec = gt.LatticeSpec(np.int64(6), np.int32(6), "torus", 1.0)
+        assert np.array_equal(gt.surface_code_graph_analytic(spec).u_part,
+                              gt.surface_code_graph_analytic(gt.LatticeSpec(6, 6, "torus", 1.0))
+                              .u_part)
+
+    @pytest.mark.parametrize("boundary,side", [("torus", 6), ("planar", 5)])
+    def test_refused_spec_leaves_its_lattice_intact(self, boundary, side):
+        # a float side equals an int one as a memo key, so a spec that took
+        # it would build its lattice for every later spec of that lattice
+        with pytest.raises(ValidationError):
+            spec = gt.LatticeSpec(float(side), side, boundary, 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the planar closed form warns
+                gt.surface_code_graph_analytic(spec)
+        spec = gt.LatticeSpec(side, side, boundary, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gt.surface_code_graph_analytic(spec)
+        gt.map_cluster_to_surface(spec)
+        assert gt.cluster_adjacency(spec).shape == (side * side,) * 2
 
 
 class TestClusterAdjacency:
@@ -1033,15 +1062,18 @@ class TestScatteredTables:
 
 
 class TestSqueezingChecked:
-    """`nullifier_vectors` takes a real s > 0 whose log passes `check_log_s`."""
+    """`nullifier_vectors` and the closed forms that take s take a real s > 0
+    whose log passes `check_log_s` (`lattice.check_s`)."""
 
     @pytest.mark.parametrize("s", [0, 0.0, -1.0, -np.e, 1e-200, 1e200, float("nan"),
                                    float("inf"), float("-inf"), True, False, np.True_,
                                    1.0 + 0j, "1.0"])
     def test_refused(self, s):
         sg = lattice.SurfaceGraph(gt.LatticeSpec(4, 4, "torus", 0.0))
-        with pytest.raises(ValidationError):
-            gt.nullifier_vectors(sg, s)
+        for takes_s in (partial(gt.nullifier_vectors, sg), gt.dms_bound, gt.tee_upper_bound,
+                        partial(gt.normal_modes, 4, 4), partial(gt.gap, 5, 5)):
+            with pytest.raises(ValidationError):
+                takes_s(s)
 
     @pytest.mark.parametrize("s", [2, np.float64(2.0), np.float32(2.0), np.int64(2)])
     def test_real_numbers_taken(self, s):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -152,22 +153,29 @@ class TestMemoEqualsFreshBuild:
         assert_equal(served, pipeline_outputs(spec))
 
     def test_one_structure_per_lattice(self, monkeypatch):
-        # every build of a lattice reads one pattern, one A_d, one Gram
-        # matrix and one surface structure, and its torus pattern reads the
-        # cell off one 4 x 4 torus; the KP regions are built once per geometry
+        # every build of a lattice reads one pattern, one A_d, one B, one
+        # Gram matrix and one surface structure, and its torus pattern reads
+        # the cell off one 4 x 4 torus; the KP regions are built once per
+        # geometry
         builds = []
-        for name in ("_cell_stencil", "_stencil_adjacency", "_kept_gram", "_surface_lattice"):
+        for name in ("_cell_stencil", "_stencil_adjacency", "_surface_lattice"):
             build = getattr(lattice, name)
             monkeypatch.setattr(lattice, name, lambda *a, _f=build, _n=name, **k:
                                 builds.append(_n) or _f(*a, **k))
+        for name in ("b_t", "kept_gram"):
+            build = getattr(lattice._Lattice, name).func
+            counted = cached_property(lambda self, _f=build, _n=name:
+                                      builds.append(_n) or _f(self))
+            counted.__set_name__(lattice._Lattice, name)
+            monkeypatch.setattr(lattice._Lattice, name, counted)
         for log_s in (0.5, 1.0, 2.0):
             spec = gt.LatticeSpec(12, 12, "torus", log_s)
             cov = engine.covariance_from_graph(gt.surface_code_graph_analytic(spec))
             topo.tee_kp(cov, topo.kp_regions(spec))
             gt.map_cluster_to_surface(spec), gt.kept_mode_adjacency(spec)
             gt.nullifier_commutators(gt.nullifier_vectors(gt.SurfaceGraph(spec), spec.s))
-        assert sorted(builds) == ["_cell_stencil", "_kept_gram", "_stencil_adjacency",
-                                  "_stencil_adjacency", "_surface_lattice"]
+        assert sorted(builds) == ["_cell_stencil", "_stencil_adjacency", "_stencil_adjacency",
+                                  "_surface_lattice", "b_t", "kept_gram"]
         assert topo._kp_sectors.cache_info()[:2] == (2, 1)  # hits, misses
 
 
